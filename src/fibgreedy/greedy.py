@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TermLimitError, ThetaDomainError
-from .sequences import SequenceParams, seq_term
+from .sequences import SequenceParams, index_below, seq_pair
 
 __all__ = [
     "GreedyResult",
@@ -36,20 +36,10 @@ def _require_theta(theta) -> Fraction:
     return t
 
 
-def _smallest_index_below(params: SequenceParams, bound: Fraction, start: int) -> int:
-    """Smallest n >= start with 1/a_n < bound; bound must be positive."""
-    num, den = bound.numerator, bound.denominator
-    n = start
-    # 1/a_n < num/den  <=>  num*a_n > den, exact cross-multiplication
-    while num * seq_term(params, n) <= den:
-        n += 1
-    return n
-
-
 def greedy_first(params: SequenceParams, theta) -> int:
     """Smallest index n >= 1 with 1/a_n strictly below theta."""
     t = _require_theta(theta)
-    return _smallest_index_below(params, t, 1)
+    return index_below(params, t.numerator, t.denominator, 1, *seq_pair(params, 1))[0]
 
 
 @dataclass(frozen=True)
@@ -65,10 +55,11 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     """Greedy pair for theta: g1 as in greedy_first, then the smallest
     g2 >= g1 whose reciprocal fits strictly under the remainder."""
     t = _require_theta(theta)
-    g1 = _smallest_index_below(params, t, 1)
-    first = Fraction(1, seq_term(params, g1))
-    g2 = _smallest_index_below(params, t - first, g1)
-    return GreedyResult(g1, g2, first + Fraction(1, seq_term(params, g2)))
+    g1, a, b = index_below(params, t.numerator, t.denominator, 1, *seq_pair(params, 1))
+    first = Fraction(1, a)
+    rest = t - first
+    g2, a, _ = index_below(params, rest.numerator, rest.denominator, g1, a, b)
+    return GreedyResult(g1, g2, first + Fraction(1, a))
 
 
 @dataclass(frozen=True)
@@ -94,9 +85,10 @@ def greedy_prefix(
         raise TermLimitError(f"term count {k} exceeds the limit of {limit}")
     indices: list[int] = []
     total = Fraction(0)
-    n = 1
+    n, a, b = 1, *seq_pair(params, 1)
     for _ in range(k):
-        n = _smallest_index_below(params, t - total, n)
+        rest = t - total
+        n, a, b = index_below(params, rest.numerator, rest.denominator, n, a, b)
         indices.append(n)
-        total += Fraction(1, seq_term(params, n))
+        total += Fraction(1, a)
     return GreedyPrefix(tuple(indices), total)

@@ -16,20 +16,20 @@ membership test; windows never touch and march strictly downward.
 The cutoff has an equivalent definition through Fibonacci factors:
 the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi as an exact
 rational inequality. ``xi_literal`` evaluates that form word for word and is
-kept as an independent cross-check on the integer-only scan.
+kept as an independent cross-check on ``xi``, which finds the cutoff with one
+predict-then-certify index search over integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import SelfCheckError, UnsupportedPresetError
 from .greedy import GreedyResult, _require_theta, greedy_two_term
 from .oracle import TwoTermSum
 from .rationals import approx_decimal, format_rational
-from .sequences import SequenceParams, SequencePreset, seq_term
+from .sequences import SequenceParams, SequencePreset, index_below, seq_pair
 
 __all__ = [
     "XiResult",
@@ -55,34 +55,39 @@ class XiResult:
     chi: int
 
 
-@lru_cache(maxsize=None)
-def _xi_result(params: SequenceParams, n: int) -> XiResult:
-    a = lambda i: seq_term(params, i)
-    bound = a(2 * n + 2) * a(2 * n + 3) * a(2 * n + 4)
+def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int, int, int]:
+    """(a_{2n+2}, a_{2n+3}, a_{2n+4}, xi(n), a_{2n+3+xi(n)}).
+
+    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound, found by one
+    index search from 2n+4; the bound's terms come from one term pair.
+    """
+    if n < 0:
+        raise ValueError(f"window index must be nonnegative, got {n}")
+    a2, a3 = seq_pair(params, 2 * n + 2)
+    a4 = a2 + a3
+    bound = a2 * a3 * a4
     chi = params.chi
-    if a(2 * n + 3) * chi > bound:
+    if a3 * chi > bound:
         # equivalent to chi > a_{2n+2}*a_{2n+4}, impossible for valid seeds
         raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
-    s = 0
-    while a(2 * n + 4 + s) * chi <= bound:
-        s += 1
-    return XiResult(n=n, xi=s, bound=bound, chi=chi)
+    end, a_end, a_next = index_below(params, chi, bound, 2 * n + 4, a4, a3 + a4)
+    return a2, a3, a4, end - (2 * n + 4), a_next - a_end
 
 
 def xi(params: SequenceParams, n: int, cross_check: bool = False) -> XiResult:
     """Cutoff xi(n): largest s with a_{2n+3+s} * chi <= the product bound.
 
-    The scan walks s upward using integers only. With cross_check=True the
+    Found with integers only, by one index search that predicts the cutoff
+    from bit lengths and certifies it exactly. With cross_check=True the
     literal rational-inequality path must agree or SelfCheckError is raised.
     """
-    if n < 0:
-        raise ValueError(f"window index must be nonnegative, got {n}")
-    result = _xi_result(params, n)
+    a2, a3, a4, s, _ = _cutoff(params, n)
+    result = XiResult(n=n, xi=s, bound=a2 * a3 * a4, chi=params.chi)
     if cross_check:
         literal = xi_literal(params, n)
         if literal != result.xi:
             raise SelfCheckError(
-                f"cutoff paths disagree at n={n}: scan={result.xi}, literal={literal}"
+                f"cutoff paths disagree at n={n}: search={result.xi}, literal={literal}"
             )
     return result
 
@@ -91,14 +96,13 @@ def xi_literal(params: SequenceParams, n: int) -> int:
     """Cutoff via the defining form: largest s with
     a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi, compared as exact rationals.
 
-    Kept deliberately independent of the integer-only scan: Fibonacci factors
-    advance by their own recurrence and the bound stays a Fraction.
+    Kept deliberately independent of the integer index search: Fibonacci
+    factors advance by their own recurrence and the bound stays a Fraction.
     """
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
-    a2 = seq_term(params, 2 * n + 2)
-    a3 = seq_term(params, 2 * n + 3)
-    a4 = seq_term(params, 2 * n + 4)
+    a2, a3 = seq_pair(params, 2 * n + 2)
+    a4 = a2 + a3
     rhs = Fraction(a2 * a3 * a4, params.chi)
     f_s, f_s1 = 0, 1  # F(0), F(1)
     if a2 * f_s + a3 * f_s1 > rhs:
@@ -144,16 +148,11 @@ class BadInterval:
         return self.left == self.right
 
 
-@lru_cache(maxsize=None)
 def bad_interval(params: SequenceParams, n: int) -> BadInterval:
     """Endpoints of window n, exactly."""
-    if n < 0:
-        raise ValueError(f"window index must be nonnegative, got {n}")
-    x = _xi_result(params, n).xi
-    left = Fraction(1, seq_term(params, 2 * n + 3)) + Fraction(1, seq_term(params, 2 * n + 4))
-    right = Fraction(1, seq_term(params, 2 * n + 2)) + Fraction(
-        1, seq_term(params, 2 * n + 3 + x)
-    )
+    a2, a3, a4, x, a_cut = _cutoff(params, n)
+    left = Fraction(1, a3) + Fraction(1, a4)
+    right = Fraction(1, a2) + Fraction(1, a_cut)
     return BadInterval(n=n, left=left, right=right, xi=x)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError
-from .greedy import _require_theta, _smallest_index_below, greedy_two_term
-from .sequences import SequenceParams, seq_term
+from .greedy import greedy_two_term
+from .sequences import SequenceParams, index_below, seq_pair
 
 __all__ = [
     "TwoTermSum",
@@ -59,21 +59,25 @@ def oracle_best(
     For each first index the largest admissible sum uses the smallest
     admissible partner, since reciprocals strictly decrease. Candidates are
     walked in lexicographic order and replaced only on strict improvement, so
-    ties resolve to the lexicographically smallest pair.
+    ties resolve to the lexicographically smallest pair. One pair
+    (a_m, a_{m+1}) rolls along the first indices by the recurrence.
     """
     if extra_depth < 0:
         raise ValueError(f"extra_depth must be nonnegative, got {extra_depth}")
-    t = _require_theta(theta)
-    gr = greedy_two_term(params, t)
+    gr = greedy_two_term(params, theta)  # validates theta
+    t = Fraction(theta)
     best = TwoTermSum(gr.g1, gr.g2, gr.value)
     examined = 1
+    a, b = seq_pair(params, gr.g1 + 1)
     for m in range(gr.g1 + 1, gr.g1 + extra_depth + 1):
-        first = Fraction(1, seq_term(params, m))
-        partner = _smallest_index_below(params, t - first, m + 1)
-        value = first + Fraction(1, seq_term(params, partner))
+        first = Fraction(1, a)
+        rest = t - first
+        partner, c, _ = index_below(params, rest.numerator, rest.denominator, m + 1, b, a + b)
+        value = first + Fraction(1, c)
         examined += 1
         if value > best.value:
             best = TwoTermSum(m, partner, value)
+        a, b = b, a + b
     return OracleReport(
         best=best, search_bound=gr.g1 + extra_depth, candidates_examined=examined
     )

@@ -11,17 +11,16 @@ are strictly decreasing, and a_{n+2} > 2*a_n for n >= 1.
 Two presets are exposed: "fibonacci" (seeds 1, 1; a_n equals the classical
 F_{n+1}) and "lucas" (seeds 3, 4; a_n equals the classical L_{n+2}).
 
-The checker functions package integer identities that hold for every valid
-sequence; the verification suites and the CLI's ``verify`` subcommand sweep
-them over ranges.
+The checker functions test one instance of an integer identity that holds
+for every valid sequence; the verification suites and the CLI's ``verify``
+subcommand sweep the same identities over ranges of recurrence terms.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from .errors import SequenceValidationError
+from .errors import SelfCheckError, SequenceValidationError
 
 __all__ = [
     "fib",
@@ -30,7 +29,10 @@ __all__ = [
     "FIBONACCI",
     "LUCAS",
     "seq_term",
+    "seq_pair",
+    "seq_terms",
     "seq_term_from_fibs",
+    "index_below",
     "check_shift_identity",
     "check_cassini_like",
     "check_fib_addition",
@@ -100,35 +102,67 @@ def make_params(a0: int, a1: int) -> SequenceParams:
     return SequenceParams(a0, a1)
 
 
-# grow-only term cache per seeds; reads are lock-free, growth is locked
-_TERMS: dict[SequenceParams, list[int]] = {}
-_TERMS_LOCK = threading.Lock()
-
-
-def _terms(params: SequenceParams, upto: int) -> list[int]:
-    terms = _TERMS.get(params)
-    if terms is None:
-        with _TERMS_LOCK:
-            terms = _TERMS.setdefault(params, [params.a0, params.a1])
-    if len(terms) <= upto:
-        with _TERMS_LOCK:
-            while len(terms) <= upto:
-                terms.append(terms[-1] + terms[-2])
-    return terms
+def seq_pair(params: SequenceParams, n: int) -> tuple[int, int]:
+    """(a_n, a_{n+1}) from one fast-doubling call; nothing is retained."""
+    if n < 0:
+        raise ValueError(f"sequence index must be nonnegative, got {n}")
+    f, g = _fib_pair(n)  # F(n), F(n+1); F(n-1) = F(n+1) - F(n)
+    return params.a0 * (g - f) + params.a1 * f, params.a0 * f + params.a1 * g
 
 
 def seq_term(params: SequenceParams, n: int) -> int:
-    """Term a_n (0-based). Memoized per seeds, so repeated scans are cheap."""
-    if n < 0:
-        raise ValueError(f"sequence index must be nonnegative, got {n}")
-    return _terms(params, n)[n]
+    """Term a_n (0-based), by fast doubling in O(log n) big-int operations."""
+    return seq_pair(params, n)[0]
+
+
+def seq_terms(params: SequenceParams, upto: int) -> list[int]:
+    """Terms a_0..a_upto by the recurrence itself, in a fresh list.
+
+    Independent of the fast-doubling path of seq_term; the verification
+    suites sweep identities over this list and compare it with seq_term.
+    """
+    if upto < 0:
+        raise ValueError(f"sequence index must be nonnegative, got {upto}")
+    terms = [params.a0, params.a1][: upto + 1]
+    while len(terms) <= upto:
+        terms.append(terms[-1] + terms[-2])
+    return terms
+
+
+def index_below(
+    params: SequenceParams, num: int, den: int, start: int, a: int, b: int
+) -> tuple[int, int, int]:
+    """Smallest n >= start with num*a_n > den, i.e. 1/a_n < num/den, as
+    (n, a_n, a_{n+1}); (a, b) must be (a_start, a_{start+1}) and num, den > 0.
+
+    Predict, then certify. Since a_{s+1} <= 2*a_s for every valid sequence,
+    a_{s+k} <= F(k+2)*a_s < a_s*phi^(k+1), so the bit-length guess
+    k = (bits(den) - bits(num) - bits(a_s) - 2) / log2(phi), rounded down,
+    leaves num*a_{s+k} < 2^(bits(den)-1) <= den: the guess never overshoots.
+    It is still checked exactly, and a guess that already satisfies the bound
+    raises SelfCheckError. From a_{s+k} >= F(k+1)*a_s, the remaining walk up
+    the recurrence is a handful of steps.
+    """
+    # 0.6943 sits just above log2(phi) = 0.69424, so k errs low
+    k = (den.bit_length() - num.bit_length() - a.bit_length() - 2) * 10000 // 6943
+    n = start
+    if k > 0:
+        n = start + k
+        a, b = seq_pair(params, n)
+        if num * a > den:
+            raise SelfCheckError(
+                f"index guess {n} from start {start} overshoots for {params}"
+            )
+    while num * a <= den:
+        n, a, b = n + 1, b, a + b
+    return n, a, b
 
 
 def seq_term_from_fibs(params: SequenceParams, n: int) -> int:
     """a_n through the linear form a0*F(n-1) + a1*F(n).
 
-    Independent of the recurrence path; the verification suites assert the
-    two agree.
+    Evaluates F(n-1) and F(n) separately, apart from seq_pair's single
+    fast-doubling call; the tests compare both with the recurrence.
     """
     if n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {n}")

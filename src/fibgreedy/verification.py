@@ -16,14 +16,7 @@ from typing import Callable
 
 from .optimality import bad_interval, classify, xi, xi_closed_form, xi_literal
 from .oracle import oracle_best
-from .sequences import (
-    SequencePreset,
-    check_cassini_like,
-    check_fib_addition,
-    check_shift_identity,
-    seq_term,
-    seq_term_from_fibs,
-)
+from .sequences import SequencePreset, check_fib_addition, fib, seq_pair, seq_term, seq_terms
 
 __all__ = [
     "SuiteResult",
@@ -74,19 +67,22 @@ class _Tally:
 def growth_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     """Strict growth a_{n+1} > a_n and a_{n+2} > 2*a_n for n >= 1."""
     p = preset.params
+    a = seq_terms(p, max_n + 2)
     t = _Tally("strict_growth")
     for n in range(1, max_n + 1):
-        ok = seq_term(p, n + 1) > seq_term(p, n) and seq_term(p, n + 2) > 2 * seq_term(p, n)
+        ok = a[n + 1] > a[n] and a[n + 2] > 2 * a[n]
         t.check(ok, lambda n=n: f"params={p}, n={n}: growth violated")
     return t.result()
 
 
 def term_formula_suite(preset: SequencePreset, max_n: int = 500) -> SuiteResult:
-    """Recurrence terms equal the linear form a0*F(n-1) + a1*F(n)."""
+    """Recurrence terms equal seq_term's fast-doubling linear form
+    a0*F(n-1) + a1*F(n)."""
     p = preset.params
+    a = seq_terms(p, max_n)
     t = _Tally("term_formula")
     for n in range(0, max_n + 1):
-        rec, lin = seq_term(p, n), seq_term_from_fibs(p, n)
+        rec, lin = a[n], seq_term(p, n)
         t.check(
             rec == lin,
             lambda n=n, rec=rec, lin=lin: f"params={p}, n={n}: recurrence {rec} != linear form {lin}",
@@ -97,11 +93,13 @@ def term_formula_suite(preset: SequencePreset, max_n: int = 500) -> SuiteResult:
 def shift_identity_suite(preset: SequencePreset, bound: int = 50) -> SuiteResult:
     """a_{n+m} == F(n-1)*a_m + F(n)*a_{m+1} for 0 <= n, m <= bound."""
     p = preset.params
+    a = seq_terms(p, 2 * bound + 1)
     t = _Tally("shift_identity")
     for n in range(0, bound + 1):
+        f0, f1 = fib(n - 1), fib(n)
         for m in range(0, bound + 1):
             t.check(
-                check_shift_identity(p, n, m),
+                a[n + m] == f0 * a[m] + f1 * a[m + 1],
                 lambda n=n, m=m: f"params={p}, n={n}, m={m}: shift identity violated",
             )
     return t.result()
@@ -110,10 +108,11 @@ def shift_identity_suite(preset: SequencePreset, bound: int = 50) -> SuiteResult
 def cassini_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     """a_n*a_{n+3} - a_{n+1}*a_{n+2} == (-1)^n * chi for n <= max_n."""
     p = preset.params
+    a = seq_terms(p, max_n + 3)
     t = _Tally("cassini_like")
     for n in range(0, max_n + 1):
         t.check(
-            check_cassini_like(p, n),
+            a[n] * a[n + 3] - a[n + 1] * a[n + 2] == (p.chi if n % 2 == 0 else -p.chi),
             lambda n=n: f"params={p}, n={n}: alternating product identity violated",
         )
     return t.result()
@@ -137,22 +136,19 @@ def positivity_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     1/a_{2n+3} + 1/a_{2n+4} - 1/a_{2n+2} > 0,
     1/a_{2n+2} - 1/a_{2n+3} - 1/a_{2n+5} > 0."""
     p = preset.params
-
-    def r(i: int) -> Fraction:
-        return Fraction(1, seq_term(p, i))
-
+    r = [Fraction(1, x) for x in seq_terms(p, 2 * max_n + 5)]
     t = _Tally("reciprocal_positivity")
     for n in range(0, max_n + 1):
         t.check(
-            r(2 * n + 1) - r(2 * n + 2) - r(2 * n + 3) > 0,
+            r[2 * n + 1] - r[2 * n + 2] - r[2 * n + 3] > 0,
             lambda n=n: f"params={p}, n={n}: odd-gap inequality violated",
         )
         t.check(
-            r(2 * n + 3) + r(2 * n + 4) - r(2 * n + 2) > 0,
+            r[2 * n + 3] + r[2 * n + 4] - r[2 * n + 2] > 0,
             lambda n=n: f"params={p}, n={n}: adjacent-pair inequality violated",
         )
         t.check(
-            r(2 * n + 2) - r(2 * n + 3) - r(2 * n + 5) > 0,
+            r[2 * n + 2] - r[2 * n + 3] - r[2 * n + 5] > 0,
             lambda n=n: f"params={p}, n={n}: even-gap inequality violated",
         )
     return t.result()
@@ -163,19 +159,19 @@ def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
 
     For each n: xi >= 0 with chi <= a_{2n+2}*a_{2n+4}; the reciprocal form
     1/a_{2n+3+xi} >= chi/bound > 1/a_{2n+4+xi} holds exactly; and the literal
-    rational-inequality path returns the same cutoff as the integer scan.
+    rational-inequality path returns the same cutoff as the integer search.
     """
     p = preset.params
+    a = seq_terms(p, 2 * max_n + 4)
     t = _Tally("xi_cutoff")
     for n in range(0, max_n + 1):
         res = xi(p, n)
         t.check(
-            res.xi >= 0 and p.chi <= seq_term(p, 2 * n + 2) * seq_term(p, 2 * n + 4),
+            res.xi >= 0 and p.chi <= a[2 * n + 2] * a[2 * n + 4],
             lambda n=n, res=res: f"params={p}, n={n}: cutoff {res.xi} not well defined",
         )
         ratio = Fraction(res.chi, res.bound)
-        lo = Fraction(1, seq_term(p, 2 * n + 3 + res.xi))
-        hi = Fraction(1, seq_term(p, 2 * n + 4 + res.xi))
+        lo, hi = (Fraction(1, x) for x in seq_pair(p, 2 * n + 3 + res.xi))
         t.check(
             lo >= ratio > hi,
             lambda n=n, res=res: f"params={p}, n={n}: reciprocal characterization fails at xi={res.xi}",
@@ -183,7 +179,7 @@ def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
         lit = xi_literal(p, n)
         t.check(
             lit == res.xi,
-            lambda n=n, res=res, lit=lit: f"params={p}, n={n}: scan xi={res.xi}, literal xi={lit}",
+            lambda n=n, res=res, lit=lit: f"params={p}, n={n}: search xi={res.xi}, literal xi={lit}",
         )
     return t.result()
 
@@ -192,10 +188,7 @@ def endpoint_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     """Window geometry: left <= right; window n strictly inside the band
     (1/a_{2n+2}, 1/a_{2n+1}); consecutive windows strictly separated."""
     p = preset.params
-
-    def r(i: int) -> Fraction:
-        return Fraction(1, seq_term(p, i))
-
+    a = seq_terms(p, 2 * max_n + 2)
     t = _Tally("window_geometry")
     previous_left: Fraction | None = None
     for n in range(0, max_n + 1):
@@ -205,7 +198,7 @@ def endpoint_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
             lambda n=n, iv=iv: f"params={p}, n={n}: left {iv.left} > right {iv.right}",
         )
         t.check(
-            r(2 * n + 2) < iv.left and iv.right < r(2 * n + 1),
+            Fraction(1, a[2 * n + 2]) < iv.left and iv.right < Fraction(1, a[2 * n + 1]),
             lambda n=n, iv=iv: f"params={p}, n={n}: window not inside its band",
         )
         if previous_left is not None:

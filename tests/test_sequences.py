@@ -16,7 +16,12 @@ from fibgreedy import (
     seq_term,
     seq_term_from_fibs,
 )
-from fibgreedy.sequences import check_cassini_like, check_fib_addition, check_shift_identity
+from fibgreedy.sequences import (
+    check_cassini_like,
+    check_fib_addition,
+    check_shift_identity,
+    seq_terms,
+)
 
 
 def naive_fib(n):
@@ -117,15 +122,21 @@ class TestTerms:
     def test_custom_start(self):
         p = SequenceParams(4, 5)
         assert [seq_term(p, n) for n in range(8)] == [4, 5, 9, 14, 23, 37, 60, 97]
+        assert seq_terms(p, 7) == [4, 5, 9, 14, 23, 37, 60, 97]
+        assert seq_terms(p, 0) == [4]
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             seq_term(FIBONACCI.params, -1)
+        with pytest.raises(ValueError):
+            seq_terms(FIBONACCI.params, -1)
 
     @pytest.mark.parametrize("params", [SequenceParams(1, 1), SequenceParams(3, 4), SequenceParams(2, 3)])
     def test_linear_form_agrees(self, params):
-        for n in range(0, 120):
-            assert seq_term(params, n) == seq_term_from_fibs(params, n)
+        # both fast-doubling paths against the recurrence
+        terms = seq_terms(params, 119)
+        assert [seq_term(params, n) for n in range(120)] == terms
+        assert [seq_term_from_fibs(params, n) for n in range(120)] == terms
 
 
 class TestIdentities:
