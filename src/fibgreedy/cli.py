@@ -28,7 +28,7 @@ from .optimality import bad_interval_record, classify, interval_table, xi_closed
 from .oracle import DEFAULT_EXTRA_DEPTH, oracle_best
 from .rationals import approx_decimal, format_rational, parse_rational
 from .sequences import SequencePreset, classical_label, parse_sequence_spec, seq_term
-from .verification import run_all
+from .verification import disagreement, run_all
 
 __all__ = ["main", "run"]
 
@@ -54,10 +54,6 @@ def _emit_csv(rows: list[dict[str, object]]) -> None:
     sys.stdout.write(buffer.getvalue())
 
 
-def _parse_theta(text: str) -> Fraction:
-    return parse_rational(text)
-
-
 def _classify_payload(config: _Config, theta: Fraction, extra_depth: int) -> dict[str, object]:
     params = config.preset.params
     result = classify(params, theta)
@@ -67,15 +63,10 @@ def _classify_payload(config: _Config, theta: Fraction, extra_depth: int) -> dic
 
     # The two verdicts come from unrelated code paths; a mismatch here is a
     # bug in this package, not bad input.
-    agree = (best.value == greedy.value) == result.is_best
-    if agree and not result.is_best:
-        agree = (best.m, best.n) == (greedy.g1 + 1, greedy.g1 + 2)
-        agree = agree and result.competitor is not None and best.value == result.competitor.value
-    if not agree:
+    problem = disagreement(theta, result, report)
+    if problem is not None:
         raise SelfCheckError(
-            f"classifier and search disagree at theta={format_rational(theta)}: "
-            f"is_best={result.is_best}, search best 1/a_{best.m} + 1/a_{best.n} "
-            f"= {format_rational(best.value)}, greedy {format_rational(greedy.value)}"
+            f"classifier and search disagree at theta={format_rational(theta)}: {problem}"
         )
 
     payload: dict[str, object] = {
@@ -317,11 +308,11 @@ def main(argv: list[str] | None = None) -> int:
         preset = parse_sequence_spec(args.seq)
         config = _Config(preset=preset, output_format=args.output_format)
         if args.command == "classify":
-            return cmd_classify(config, _parse_theta(args.theta), args.extra_depth)
+            return cmd_classify(config, parse_rational(args.theta), args.extra_depth)
         if args.command == "intervals":
             return cmd_intervals(config, args.count)
         if args.command == "greedy":
-            return cmd_greedy(config, _parse_theta(args.theta), args.terms)
+            return cmd_greedy(config, parse_rational(args.theta), args.terms)
         if args.command == "verify":
             return cmd_verify(config, args.max_n, args.grid, args.extra_depth)
         raise AssertionError(f"unhandled command {args.command!r}")

@@ -5,6 +5,11 @@ picks the smallest index, no smaller than the previous pick, whose reciprocal
 fits strictly under what remains of the target. Strictness matters: a target
 exactly equal to 1/a_n skips index n. Repeating the previous index is legal
 and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
+
+The two-term pick runs on integers: the remainder theta - 1/a_g1 stays the
+unreduced pair (p*a_g1 - q, q*a_g1) and goes straight to the index search,
+which only compares cross-products. One reduced Fraction is built for the
+returned value.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ DEFAULT_TERM_LIMIT = 64
 def _require_theta(theta) -> Fraction:
     if isinstance(theta, float):
         raise TypeError("theta must be exact (Fraction or int), not float")
-    t = Fraction(theta)
-    if not 0 < t <= 1:
+    t = theta if isinstance(theta, Fraction) else Fraction(theta)
+    if not 0 < t.numerator <= t.denominator:
         raise ThetaDomainError(f"theta must be in (0, 1], got {t}")
     return t
 
@@ -39,7 +44,7 @@ def _require_theta(theta) -> Fraction:
 def greedy_first(params: SequenceParams, theta) -> int:
     """Smallest index n >= 1 with 1/a_n strictly below theta."""
     t = _require_theta(theta)
-    return index_below(params, t.numerator, t.denominator, 1, *seq_pair(params, 1))[0]
+    return index_below(params, t.numerator, t.denominator, 1, params.a1, params.a0 + params.a1)[0]
 
 
 @dataclass(frozen=True)
@@ -53,13 +58,17 @@ class GreedyResult:
 
 def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     """Greedy pair for theta: g1 as in greedy_first, then the smallest
-    g2 >= g1 whose reciprocal fits strictly under the remainder."""
+    g2 >= g1 whose reciprocal fits strictly under the remainder.
+
+    With theta = p/q the remainder is kept as the unreduced (p*a_g1 - q,
+    q*a_g1); the search compares cross-products, so no Fraction arithmetic
+    runs until the returned value is built, once and reduced.
+    """
     t = _require_theta(theta)
-    g1, a, b = index_below(params, t.numerator, t.denominator, 1, *seq_pair(params, 1))
-    first = Fraction(1, a)
-    rest = t - first
-    g2, a, _ = index_below(params, rest.numerator, rest.denominator, g1, a, b)
-    return GreedyResult(g1, g2, first + Fraction(1, a))
+    p, q = t.numerator, t.denominator
+    g1, a, b = index_below(params, p, q, 1, params.a1, params.a0 + params.a1)
+    g2, c, _ = index_below(params, p * a - q, q * a, g1, a, b)
+    return GreedyResult(g1, g2, Fraction(a + c, a * c))
 
 
 @dataclass(frozen=True)

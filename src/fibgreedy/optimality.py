@@ -148,12 +148,17 @@ class BadInterval:
         return self.left == self.right
 
 
-def bad_interval(params: SequenceParams, n: int) -> BadInterval:
-    """Endpoints of window n, exactly."""
-    a2, a3, a4, x, a_cut = _cutoff(params, n)
+def _window(n: int, a2: int, a3: int, a4: int, x: int, a_cut: int) -> BadInterval:
+    # 1/x + 1/y rather than (x + y)/(x*y): at large n the sum's gcd runs on
+    # the smaller pair of numbers, which is cheaper
     left = Fraction(1, a3) + Fraction(1, a4)
     right = Fraction(1, a2) + Fraction(1, a_cut)
     return BadInterval(n=n, left=left, right=right, xi=x)
+
+
+def bad_interval(params: SequenceParams, n: int) -> BadInterval:
+    """Endpoints of window n, exactly."""
+    return _window(n, *_cutoff(params, n))
 
 
 def bad_interval_record(interval: BadInterval) -> dict:
@@ -188,6 +193,10 @@ def classify(params: SequenceParams, theta, cross_check_intervals: int = 0) -> C
     When beaten, the winning competitor is the adjacent pair (2m+3, 2m+4),
     whose value is the window's left endpoint.
 
+    The membership test compares integer cross-products of theta = p/q with
+    the window's terms; the window's exact endpoints are built only when it
+    covers theta.
+
     cross_check_intervals=N additionally scans windows 0..N-1 for membership
     and raises SelfCheckError if the scan disagrees with the single test.
     """
@@ -196,9 +205,11 @@ def classify(params: SequenceParams, theta, cross_check_intervals: int = 0) -> C
     witness: BadInterval | None = None
     if gr.g1 % 2 == 0:
         m = gr.g1 // 2 - 1
-        candidate = bad_interval(params, m)
-        if candidate.covers(t):
-            witness = candidate
+        a2, a3, a4, x, a_cut = _cutoff(params, m)
+        p, q = t.numerator, t.denominator
+        # 1/a3 + 1/a4 < theta <= 1/a2 + 1/a_cut
+        if (a3 + a4) * q < p * a3 * a4 and p * a2 * a_cut <= (a2 + a_cut) * q:
+            witness = _window(m, a2, a3, a4, x, a_cut)
     if cross_check_intervals > 0:
         hits = [
             j for j in range(cross_check_intervals) if bad_interval(params, j).covers(t)

@@ -61,25 +61,32 @@ def oracle_best(
     walked in lexicographic order and replaced only on strict improvement, so
     ties resolve to the lexicographically smallest pair. One pair
     (a_m, a_{m+1}) rolls along the first indices by the recurrence.
+
+    Everything between the target and the result is integer work: with
+    theta = p/q, the partner of a_m is searched under the unreduced remainder
+    (p*a_m - q, q*a_m), and a candidate 1/a_m + 1/c is compared with the best
+    value so far, num/den, as (a_m + c)*den > num*a_m*c. One reduced Fraction
+    is built, for a winner that is not the greedy pair.
     """
     if extra_depth < 0:
         raise ValueError(f"extra_depth must be nonnegative, got {extra_depth}")
     gr = greedy_two_term(params, theta)  # validates theta
     t = Fraction(theta)
-    best = TwoTermSum(gr.g1, gr.g2, gr.value)
-    examined = 1
+    p, q = t.numerator, t.denominator
+    num, den = gr.value.numerator, gr.value.denominator
+    winner = None
     a, b = seq_pair(params, gr.g1 + 1)
     for m in range(gr.g1 + 1, gr.g1 + extra_depth + 1):
-        first = Fraction(1, a)
-        rest = t - first
-        partner, c, _ = index_below(params, rest.numerator, rest.denominator, m + 1, b, a + b)
-        value = first + Fraction(1, c)
-        examined += 1
-        if value > best.value:
-            best = TwoTermSum(m, partner, value)
+        partner, c, _ = index_below(params, p * a - q, q * a, m + 1, b, a + b)
+        if (a + c) * den > num * a * c:
+            winner, num, den = (m, partner), a + c, a * c
         a, b = b, a + b
+    if winner is None:
+        best = TwoTermSum(gr.g1, gr.g2, gr.value)
+    else:
+        best = TwoTermSum(*winner, Fraction(num, den))
     return OracleReport(
-        best=best, search_bound=gr.g1 + extra_depth, candidates_examined=examined
+        best=best, search_bound=gr.g1 + extra_depth, candidates_examined=extra_depth + 1
     )
 
 

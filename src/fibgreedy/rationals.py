@@ -1,15 +1,18 @@
 """Exact rational parsing and formatting.
 
 Values are plain ``fractions.Fraction`` objects: arbitrary precision, reduced
-to lowest terms at construction, denominator always positive, compared by
-exact cross-multiplication. No float ever enters a computation; the only
-decimal output is the explicitly approximate display helper below.
+to lowest terms at construction, denominator always positive. Fractions
+appear only at the edges of a computation: parsing yields the target, and
+each returned value is one reduced Fraction; in between, the greedy search,
+the window test and the oracle compare unreduced integer cross-products.
+No float ever enters a computation; the only decimal output is the
+explicitly approximate display helper below.
 """
 
 from __future__ import annotations
 
 import re
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from .errors import RationalParseError
@@ -42,7 +45,9 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical ``"p/q"`` in lowest terms, or bare ``"p"`` for integers."""
-    return str(Fraction(x))
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def approx_decimal(x: Fraction, digits: int = 6) -> str:
@@ -50,9 +55,8 @@ def approx_decimal(x: Fraction, digits: int = 6) -> str:
 
     Uses exact integer-to-Decimal conversion plus one correctly rounded
     division, so it works at any magnitude without touching binary floats.
+    The division runs in its own context (``digits`` of precision, the
+    module defaults otherwise), so the result does not follow the caller's
+    thread-local decimal context.
     """
-    x = Fraction(x)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-    return str(d)
+    return str(Context(prec=digits).divide(Decimal(x.numerator), Decimal(x.denominator)))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .optimality import bad_interval, classify, xi, xi_closed_form, xi_literal
-from .oracle import oracle_best
+from .optimality import Classification, bad_interval, classify, xi, xi_closed_form, xi_literal
+from .oracle import OracleReport, oracle_best
 from .sequences import SequencePreset, check_fib_addition, fib, seq_pair, seq_term, seq_terms
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "endpoint_suite",
     "closed_form_suite",
     "grid_equivalence_suite",
+    "disagreement",
     "run_all",
 ]
 
@@ -223,41 +224,45 @@ def closed_form_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     return t.result()
 
 
+def disagreement(theta: Fraction, cls: Classification, report: OracleReport) -> str | None:
+    """Why the classifier's verdict for theta and the oracle's search
+    disagree, or None when they agree: dominance, strict membership, verdict
+    equivalence, winner first index <= g1+1, and on a loss the exact adjacent
+    winner whose value is the window's left endpoint."""
+    greedy_value = cls.greedy.value
+    best = report.best
+    if best.value < greedy_value:
+        return f"oracle {best.value} below greedy {greedy_value}"
+    if not best.value < theta:
+        return f"oracle value {best.value} not strictly below theta"
+    if (best.value == greedy_value) != cls.is_best:
+        return (
+            f"verdict is_best={cls.is_best} but oracle best {best.value} "
+            f"vs greedy {greedy_value}"
+        )
+    if best.m > cls.greedy.g1 + 1:
+        return f"winner first index {best.m} beyond g1+1"
+    if not cls.is_best:
+        g1 = cls.greedy.g1
+        if (best.m, best.n) != (g1 + 1, g1 + 2):
+            return f"winner {(best.m, best.n)} is not the adjacent pair"
+        if cls.competitor is None or best.value != cls.competitor.value:
+            return "winner value differs from the window's left endpoint"
+    return None
+
+
 def grid_equivalence_suite(
     preset: SequencePreset, grid_denominator: int = 1000, extra_depth: int = 8
 ) -> SuiteResult:
-    """Classifier versus oracle over theta = k/grid_denominator, one check
-    per target bundling: dominance, strict membership, verdict equivalence,
-    winner first index <= g1+1, and on a loss the exact adjacent winner whose
-    value is the window's left endpoint."""
+    """Classifier versus oracle over theta = k/grid_denominator, one
+    ``disagreement`` check per target."""
     p = preset.params
     if grid_denominator < 2:
         raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
     t = _Tally("grid_equivalence")
     for k in range(1, grid_denominator + 1):
         theta = Fraction(k, grid_denominator)
-        cls = classify(p, theta)
-        report = oracle_best(p, theta, extra_depth)
-        greedy_value = cls.greedy.value
-        best = report.best
-        problem = None
-        if best.value < greedy_value:
-            problem = f"oracle {best.value} below greedy {greedy_value}"
-        elif not best.value < theta:
-            problem = f"oracle value {best.value} not strictly below theta"
-        elif (best.value == greedy_value) != cls.is_best:
-            problem = (
-                f"verdict is_best={cls.is_best} but oracle best {best.value} "
-                f"vs greedy {greedy_value}"
-            )
-        elif best.m > cls.greedy.g1 + 1:
-            problem = f"winner first index {best.m} beyond g1+1"
-        elif not cls.is_best:
-            g1 = cls.greedy.g1
-            if (best.m, best.n) != (g1 + 1, g1 + 2):
-                problem = f"winner {(best.m, best.n)} is not the adjacent pair"
-            elif cls.competitor is None or best.value != cls.competitor.value:
-                problem = "winner value differs from the window's left endpoint"
+        problem = disagreement(theta, classify(p, theta), oracle_best(p, theta, extra_depth))
         t.check(problem is None, lambda k=k, problem=problem: f"params={p}, theta={k}/{grid_denominator}: {problem}")
     return t.result()
 

@@ -1,5 +1,6 @@
 """Greedy selection: first index, two-term sums, longer prefixes."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from fibgreedy import (
     SequenceParams,
     TermLimitError,
     ThetaDomainError,
+    classify,
     greedy_first,
     greedy_prefix,
     greedy_two_term,
@@ -42,6 +44,42 @@ class TestFirstIndex:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             greedy_first(FIB, 0.54)
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+class TestThetaContract:
+    # every exact form of theta the entry points take, and what they refuse
+
+    @pytest.mark.parametrize(
+        "theta",
+        [Fraction(1, 2), _FractionSubclass(1, 2), "1/2", Decimal("0.5")],
+    )
+    def test_accepts_exact_halves(self, theta):
+        result = greedy_two_term(FIB, theta)
+        assert (result.g1, result.g2, result.value) == (3, 5, Fraction(11, 24))
+        assert classify(FIB, theta).theta == Fraction(1, 2)
+
+    @pytest.mark.parametrize("theta", [1, True])
+    def test_accepts_integer_one(self, theta):
+        result = greedy_two_term(FIB, theta)
+        assert (result.g1, result.g2) == (2, 3)
+        assert classify(FIB, theta).theta == 1
+
+    def test_rejects_float(self):
+        with pytest.raises(TypeError):
+            greedy_two_term(FIB, 0.5)
+        with pytest.raises(TypeError):
+            classify(FIB, 0.5)
+
+    @pytest.mark.parametrize("theta", [Fraction(0), Fraction(-1, 2), Fraction(3, 2), 0, "3/2"])
+    def test_domain_errors(self, theta):
+        with pytest.raises(ThetaDomainError):
+            greedy_two_term(FIB, theta)
+        with pytest.raises(ThetaDomainError):
+            classify(FIB, theta)
 
 
 class TestTwoTerm:

@@ -1,5 +1,6 @@
 """Exact rational parsing, formatting, and display rounding."""
 
+from decimal import ROUND_DOWN, localcontext
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,18 @@ class TestFormat:
         assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
+    def test_plain_and_negative_integers(self):
+        assert format_rational(3) == "3"
+        assert format_rational(-3) == "-3"
+        assert format_rational(Fraction(-7, 2)) == "-7/2"
+
+    def test_one_third(self):
+        assert format_rational(Fraction(1, 3)) == "1/3"
+
+    def test_five_thousand_digit_denominator(self):
+        assert format_rational(Fraction(1, 10**5000 + 1)) == f"1/{10**5000 + 1}"
+
+
 class TestApprox:
     def test_six_significant_digits(self):
         assert approx_decimal(Fraction(9, 17)) == "0.529412"
@@ -69,6 +82,25 @@ class TestApprox:
 
     def test_custom_digit_count(self):
         assert approx_decimal(Fraction(1, 3), digits=3) == "0.333"
+
+    def test_plain_and_negative_values(self):
+        assert approx_decimal(3) == "3"
+        assert approx_decimal(-3) == "-3"
+        assert approx_decimal(Fraction(-7, 2)) == "-3.5"
+        assert approx_decimal(Fraction(-1, 3)) == "-0.333333"
+
+    def test_one_third(self):
+        assert approx_decimal(Fraction(1, 3)) == "0.333333"
+
+    def test_five_thousand_digit_denominator(self):
+        assert approx_decimal(Fraction(1, 10**5000 + 1)) == "1.00000E-5000"
+        assert approx_decimal(Fraction(1, 10**5000 + 1), digits=3) == "1.00E-5000"
+
+    def test_ignores_the_callers_decimal_context(self):
+        with localcontext() as ctx:
+            ctx.prec = 2
+            ctx.rounding = ROUND_DOWN
+            assert approx_decimal(Fraction(2, 3)) == "0.666667"
 
 
 @given(st.integers(), st.integers(min_value=1))
