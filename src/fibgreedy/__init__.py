@@ -5,7 +5,6 @@ All arithmetic is exact; decimal output is for display only.
 """
 
 from .errors import (
-    ContractError,
     FibgreedyError,
     RationalParseError,
     SelfCheckError,
@@ -32,13 +31,11 @@ from .optimality import (
     interval_table,
     xi,
     xi_closed_form,
-    xi_literal,
 )
 from .oracle import (
     DEFAULT_EXTRA_DEPTH,
     OracleReport,
     TwoTermSum,
-    competitor_shape_check,
     oracle_best,
 )
 from .rationals import approx_decimal, format_rational, parse_rational
@@ -49,7 +46,6 @@ from .sequences import (
     SequencePreset,
     classical_label,
     fib,
-    make_params,
     parse_sequence_spec,
     seq_term,
     seq_term_from_fibs,
@@ -61,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadInterval",
     "Classification",
-    "ContractError",
     "DEFAULT_EXTRA_DEPTH",
     "DEFAULT_TERM_LIMIT",
     "FIBONACCI",
@@ -86,14 +81,12 @@ __all__ = [
     "bad_interval_record",
     "classical_label",
     "classify",
-    "competitor_shape_check",
     "fib",
     "format_rational",
     "greedy_first",
     "greedy_prefix",
     "greedy_two_term",
     "interval_table",
-    "make_params",
     "oracle_best",
     "parse_rational",
     "parse_sequence_spec",
@@ -102,6 +95,5 @@ __all__ = [
     "seq_term_from_fibs",
     "xi",
     "xi_closed_form",
-    "xi_literal",
     "__version__",
 ]

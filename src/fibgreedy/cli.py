@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FibgreedyError, SelfCheckError
-from .greedy import DEFAULT_TERM_LIMIT, greedy_prefix, greedy_two_term
+from .greedy import DEFAULT_TERM_LIMIT, greedy_prefix
 from .optimality import bad_interval_record, classify, interval_table, xi_closed_form
-from .oracle import DEFAULT_EXTRA_DEPTH, oracle_best
+from .oracle import oracle_best
 from .rationals import approx_decimal, format_rational, parse_rational
 from .sequences import SequencePreset, classical_label, parse_sequence_spec, seq_term
 from .verification import disagreement, run_all
@@ -54,10 +54,10 @@ def _emit_csv(rows: list[dict[str, object]]) -> None:
     sys.stdout.write(buffer.getvalue())
 
 
-def _classify_payload(config: _Config, theta: Fraction, extra_depth: int) -> dict[str, object]:
+def _classify_payload(config: _Config, theta: Fraction) -> dict[str, object]:
     params = config.preset.params
     result = classify(params, theta)
-    report = oracle_best(params, theta, extra_depth)
+    report = oracle_best(params, theta)
     greedy = result.greedy
     best = report.best
 
@@ -89,8 +89,8 @@ def _classify_payload(config: _Config, theta: Fraction, extra_depth: int) -> dic
     return payload
 
 
-def cmd_classify(config: _Config, theta: Fraction, extra_depth: int) -> int:
-    payload = _classify_payload(config, theta, extra_depth)
+def cmd_classify(config: _Config, theta: Fraction) -> int:
+    payload = _classify_payload(config, theta)
     if config.output_format == "json":
         _emit_json(payload)
     elif config.output_format == "csv":
@@ -200,12 +200,12 @@ def cmd_greedy(config: _Config, theta: Fraction, terms: int) -> int:
     return 0
 
 
-def cmd_verify(config: _Config, max_n: int, grid_denominator: int, extra_depth: int) -> int:
+def cmd_verify(config: _Config, max_n: int, grid_denominator: int) -> int:
     if max_n < 1:
         raise ValueError(f"max-n must be at least 1, got {max_n}")
     if grid_denominator < 2:
         raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
-    results = run_all(config.preset, max_n, grid_denominator, extra_depth)
+    results = run_all(config.preset, max_n, grid_denominator)
     rows = []
     failed = False
     for result in results:
@@ -262,12 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="is the greedy two-term sum best possible?")
     _add_common(p_classify, top_level=False)
     p_classify.add_argument("--theta", required=True, help="target in (0, 1], e.g. 27/50 or 0.54")
-    p_classify.add_argument(
-        "--extra-depth",
-        type=int,
-        default=DEFAULT_EXTRA_DEPTH,
-        help=f"how far past g1 the search scans (default {DEFAULT_EXTRA_DEPTH})",
-    )
 
     p_intervals = sub.add_parser("intervals", help="list windows where greediness fails")
     _add_common(p_intervals, top_level=False)
@@ -292,12 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1000,
         help="denominator of the theta sweep grid (default 1000)",
     )
-    p_verify.add_argument(
-        "--extra-depth",
-        type=int,
-        default=DEFAULT_EXTRA_DEPTH,
-        help=f"search depth past g1 in the grid sweep (default {DEFAULT_EXTRA_DEPTH})",
-    )
     return parser
 
 
@@ -308,13 +296,13 @@ def main(argv: list[str] | None = None) -> int:
         preset = parse_sequence_spec(args.seq)
         config = _Config(preset=preset, output_format=args.output_format)
         if args.command == "classify":
-            return cmd_classify(config, parse_rational(args.theta), args.extra_depth)
+            return cmd_classify(config, parse_rational(args.theta))
         if args.command == "intervals":
             return cmd_intervals(config, args.count)
         if args.command == "greedy":
             return cmd_greedy(config, parse_rational(args.theta), args.terms)
         if args.command == "verify":
-            return cmd_verify(config, args.max_n, args.grid, args.extra_depth)
+            return cmd_verify(config, args.max_n, args.grid)
         raise AssertionError(f"unhandled command {args.command!r}")
     except SelfCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

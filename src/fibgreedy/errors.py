@@ -30,9 +30,5 @@ class UnsupportedPresetError(FibgreedyError, ValueError):
     """A closed-form cutoff was requested for a sequence that has none."""
 
 
-class ContractError(FibgreedyError, RuntimeError):
-    """Caller violated a documented precondition."""
-
-
 class SelfCheckError(FibgreedyError, RuntimeError):
     """An internal consistency check that should never fail did fail."""

@@ -79,19 +79,17 @@ class GreedyPrefix:
     partial_sum: Fraction
 
 
-def greedy_prefix(
-    params: SequenceParams, theta, k: int, limit: int = DEFAULT_TERM_LIMIT
-) -> GreedyPrefix:
+def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
     """First k greedy terms; the first two always match greedy_two_term.
 
     The remainder stays strictly positive forever, so any k is well defined;
-    the limit merely caps requested work.
+    DEFAULT_TERM_LIMIT merely caps requested work.
     """
     t = _require_theta(theta)
     if k < 1:
         raise ValueError(f"term count must be at least 1, got {k}")
-    if k > limit:
-        raise TermLimitError(f"term count {k} exceeds the limit of {limit}")
+    if k > DEFAULT_TERM_LIMIT:
+        raise TermLimitError(f"term count {k} exceeds the limit of {DEFAULT_TERM_LIMIT}")
     indices: list[int] = []
     total = Fraction(0)
     n, a, b = 1, *seq_pair(params, 1)

@@ -13,11 +13,11 @@ Window n sits strictly inside the band (1/a_{2n+2}, 1/a_{2n+1}) of targets
 whose greedy first index is exactly 2n+2, so classification needs only one
 membership test; windows never touch and march strictly downward.
 
-The cutoff has an equivalent definition through Fibonacci factors:
-the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi as an exact
-rational inequality. ``xi_literal`` evaluates that form word for word and is
-kept as an independent cross-check on ``xi``, which finds the cutoff with one
-predict-then-certify index search over integers.
+``xi`` finds the cutoff with one predict-then-certify index search over
+integers. The cutoff also has an equivalent definition through Fibonacci
+factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi as
+an exact rational inequality; ``verification.xi_literal`` evaluates that
+form word for word as an independent reference for ``xi``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "BadInterval",
     "Classification",
     "xi",
-    "xi_literal",
     "xi_closed_form",
     "bad_interval",
     "bad_interval_record",
@@ -74,61 +73,29 @@ def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int, int, int]:
     return a2, a3, a4, end - (2 * n + 4), a_next - a_end
 
 
-def xi(params: SequenceParams, n: int, cross_check: bool = False) -> XiResult:
+def xi(params: SequenceParams, n: int) -> XiResult:
     """Cutoff xi(n): largest s with a_{2n+3+s} * chi <= the product bound.
 
     Found with integers only, by one index search that predicts the cutoff
-    from bit lengths and certifies it exactly. With cross_check=True the
-    literal rational-inequality path must agree or SelfCheckError is raised.
+    from bit lengths and certifies it exactly.
     """
     a2, a3, a4, s, _ = _cutoff(params, n)
-    result = XiResult(n=n, xi=s, bound=a2 * a3 * a4, chi=params.chi)
-    if cross_check:
-        literal = xi_literal(params, n)
-        if literal != result.xi:
-            raise SelfCheckError(
-                f"cutoff paths disagree at n={n}: search={result.xi}, literal={literal}"
-            )
-    return result
+    return XiResult(n=n, xi=s, bound=a2 * a3 * a4, chi=params.chi)
 
 
-def xi_literal(params: SequenceParams, n: int) -> int:
-    """Cutoff via the defining form: largest s with
-    a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi, compared as exact rationals.
-
-    Kept deliberately independent of the integer index search: Fibonacci
-    factors advance by their own recurrence and the bound stays a Fraction.
-    """
-    if n < 0:
-        raise ValueError(f"window index must be nonnegative, got {n}")
-    a2, a3 = seq_pair(params, 2 * n + 2)
-    a4 = a2 + a3
-    rhs = Fraction(a2 * a3 * a4, params.chi)
-    f_s, f_s1 = 0, 1  # F(0), F(1)
-    if a2 * f_s + a3 * f_s1 > rhs:
-        raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
-    s = 0
-    while True:
-        f_s, f_s1 = f_s1, f_s + f_s1
-        if a2 * f_s + a3 * f_s1 > rhs:
-            return s
-        s += 1
-
-
-def xi_closed_form(preset, n: int) -> int:
+def xi_closed_form(preset: SequencePreset, n: int) -> int:
     """Closed-form cutoff for presets: 4n+4 (fibonacci) or 4n+6 (lucas).
 
     Custom seeds have no known closed form; asking for one raises
     UnsupportedPresetError.
     """
-    name = preset.name if isinstance(preset, SequencePreset) else preset
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
-    if name == "fibonacci":
+    if preset.name == "fibonacci":
         return 4 * n + 4
-    if name == "lucas":
+    if preset.name == "lucas":
         return 4 * n + 6
-    raise UnsupportedPresetError(f"no closed-form cutoff for sequence {name!r}")
+    raise UnsupportedPresetError(f"no closed-form cutoff for sequence {preset.name!r}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +152,7 @@ class Classification:
     competitor: TwoTermSum | None
 
 
-def classify(params: SequenceParams, theta, cross_check_intervals: int = 0) -> Classification:
+def classify(params: SequenceParams, theta) -> Classification:
     """Decide whether the greedy pick is best for theta.
 
     An odd greedy first index is always best. An even first index 2m+2 is
@@ -196,9 +163,6 @@ def classify(params: SequenceParams, theta, cross_check_intervals: int = 0) -> C
     The membership test compares integer cross-products of theta = p/q with
     the window's terms; the window's exact endpoints are built only when it
     covers theta.
-
-    cross_check_intervals=N additionally scans windows 0..N-1 for membership
-    and raises SelfCheckError if the scan disagrees with the single test.
     """
     t = _require_theta(theta)
     gr = greedy_two_term(params, t)
@@ -210,15 +174,6 @@ def classify(params: SequenceParams, theta, cross_check_intervals: int = 0) -> C
         # 1/a3 + 1/a4 < theta <= 1/a2 + 1/a_cut
         if (a3 + a4) * q < p * a3 * a4 and p * a2 * a_cut <= (a2 + a_cut) * q:
             witness = _window(m, a2, a3, a4, x, a_cut)
-    if cross_check_intervals > 0:
-        hits = [
-            j for j in range(cross_check_intervals) if bad_interval(params, j).covers(t)
-        ]
-        expected = [witness.n] if witness is not None and witness.n < cross_check_intervals else []
-        if hits != expected:
-            raise SelfCheckError(
-                f"interval scan disagrees at theta={t}: scan hit {hits}, expected {expected}"
-            )
     if witness is None:
         return Classification(t, gr, True, None, None)
     competitor = TwoTermSum(2 * witness.n + 3, 2 * witness.n + 4, witness.left)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError
 from .greedy import greedy_two_term
 from .sequences import SequenceParams, index_below, seq_pair
 
@@ -26,7 +25,6 @@ __all__ = [
     "OracleReport",
     "DEFAULT_EXTRA_DEPTH",
     "oracle_best",
-    "competitor_shape_check",
 ]
 
 DEFAULT_EXTRA_DEPTH = 8
@@ -88,21 +86,3 @@ def oracle_best(
     return OracleReport(
         best=best, search_bound=gr.g1 + extra_depth, candidates_examined=extra_depth + 1
     )
-
-
-def competitor_shape_check(params: SequenceParams, theta) -> bool:
-    """True iff the oracle winner is exactly the adjacent pair (g1+1, g1+2).
-
-    Only meaningful when the greedy pick is not best; raises ContractError
-    otherwise.
-    """
-    from .optimality import classify  # deferred: optimality imports TwoTermSum
-
-    cls = classify(params, theta)
-    if cls.is_best:
-        raise ContractError(
-            f"greedy is already best at theta={cls.theta}; nothing to check"
-        )
-    report = oracle_best(params, theta)
-    g1 = cls.greedy.g1
-    return (report.best.m, report.best.n) == (g1 + 1, g1 + 2)

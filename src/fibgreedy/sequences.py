@@ -10,10 +10,6 @@ are strictly decreasing, and a_{n+2} > 2*a_n for n >= 1.
 
 Two presets are exposed: "fibonacci" (seeds 1, 1; a_n equals the classical
 F_{n+1}) and "lucas" (seeds 3, 4; a_n equals the classical L_{n+2}).
-
-The checker functions test one instance of an integer identity that holds
-for every valid sequence; the verification suites and the CLI's ``verify``
-subcommand sweep the same identities over ranges of recurrence terms.
 """
 
 from __future__ import annotations
@@ -33,9 +29,6 @@ __all__ = [
     "seq_terms",
     "seq_term_from_fibs",
     "index_below",
-    "check_shift_identity",
-    "check_cassini_like",
-    "check_fib_addition",
     "parse_sequence_spec",
     "classical_label",
 ]
@@ -95,11 +88,6 @@ class SequenceParams:
     def chi(self) -> int:
         """The positive invariant a0^2 + a1*a0 - a1^2."""
         return self.a0 * self.a0 + self.a1 * self.a0 - self.a1 * self.a1
-
-
-def make_params(a0: int, a1: int) -> SequenceParams:
-    """Validated sequence seeds; raises naming the first failed condition."""
-    return SequenceParams(a0, a1)
 
 
 def seq_pair(params: SequenceParams, n: int) -> tuple[int, int]:
@@ -169,30 +157,6 @@ def seq_term_from_fibs(params: SequenceParams, n: int) -> int:
     return params.a0 * fib(n - 1) + params.a1 * fib(n)
 
 
-def check_shift_identity(params: SequenceParams, n: int, m: int) -> bool:
-    """a_{n+m} == F(n-1)*a_m + F(n)*a_{m+1} for n, m >= 0."""
-    if n < 0 or m < 0:
-        raise ValueError(f"indices must be nonnegative, got n={n}, m={m}")
-    return seq_term(params, n + m) == fib(n - 1) * seq_term(params, m) + fib(n) * seq_term(
-        params, m + 1
-    )
-
-
-def check_cassini_like(params: SequenceParams, n: int) -> bool:
-    """a_n*a_{n+3} - a_{n+1}*a_{n+2} == chi for even n, -chi for odd n."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    lhs = seq_term(params, n) * seq_term(params, n + 3) - seq_term(params, n + 1) * seq_term(
-        params, n + 2
-    )
-    return lhs == (params.chi if n % 2 == 0 else -params.chi)
-
-
-def check_fib_addition(n: int, m: int) -> bool:
-    """F(n+m) == F(n-1)*F(m) + F(n)*F(m+1), valid on all integers."""
-    return fib(n + m) == fib(n - 1) * fib(m) + fib(n) * fib(m + 1)
-
-
 @dataclass(frozen=True)
 class SequencePreset:
     """A named sequence choice: one of the presets or custom seeds."""
@@ -225,7 +189,7 @@ def parse_sequence_spec(text: str) -> SequencePreset:
             raise SequenceValidationError(
                 f"custom seeds must be integers, got {text!r}"
             ) from None
-        return SequencePreset("custom", make_params(a0, a1))
+        return SequencePreset("custom", SequenceParams(a0, a1))
     raise SequenceValidationError(
         f"unknown sequence spec {text!r} (expected 'fibonacci', 'lucas', or 'custom:a0,a1')"
     )

@@ -1,5 +1,9 @@
 """Re-runnable correctness suites over sequences, windows, and the oracle.
 
+Every cross-check of the package lives here; the computing modules carry no
+check options. ``xi_literal`` is the reference path for ``xi`` and
+``disagreement`` compares the classifier with the exhaustive search.
+
 Each suite sweeps one family of exact checks and reports how many ran, how
 many failed, and the first counterexample in a human-readable form. The CLI's
 ``verify`` subcommand runs them all; the test suite reuses them at the
@@ -14,12 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .optimality import Classification, bad_interval, classify, xi, xi_closed_form, xi_literal
+from .errors import SelfCheckError
+from .optimality import Classification, bad_interval, classify, xi, xi_closed_form
 from .oracle import OracleReport, oracle_best
-from .sequences import SequencePreset, check_fib_addition, fib, seq_pair, seq_term, seq_terms
+from .sequences import SequenceParams, SequencePreset, fib, seq_pair, seq_term, seq_terms
 
 __all__ = [
     "SuiteResult",
+    "xi_literal",
     "growth_suite",
     "term_formula_suite",
     "shift_identity_suite",
@@ -38,42 +44,32 @@ __all__ = [
 @dataclass
 class SuiteResult:
     name: str
-    checks: int
-    failures: int
+    checks: int = 0
+    failures: int = 0
     first_counterexample: str | None = None
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
-
-class _Tally:
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.checks = 0
-        self.failures = 0
-        self.first: str | None = None
-
     def check(self, ok: bool, detail: Callable[[], str]) -> None:
+        """Count one check; on the first failure, keep detail()."""
         self.checks += 1
         if not ok:
             self.failures += 1
-            if self.first is None:
-                self.first = detail()
-
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.checks, self.failures, self.first)
+            if self.first_counterexample is None:
+                self.first_counterexample = detail()
 
 
 def growth_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     """Strict growth a_{n+1} > a_n and a_{n+2} > 2*a_n for n >= 1."""
     p = preset.params
     a = seq_terms(p, max_n + 2)
-    t = _Tally("strict_growth")
+    t = SuiteResult("strict_growth")
     for n in range(1, max_n + 1):
         ok = a[n + 1] > a[n] and a[n + 2] > 2 * a[n]
         t.check(ok, lambda n=n: f"params={p}, n={n}: growth violated")
-    return t.result()
+    return t
 
 
 def term_formula_suite(preset: SequencePreset, max_n: int = 500) -> SuiteResult:
@@ -81,21 +77,21 @@ def term_formula_suite(preset: SequencePreset, max_n: int = 500) -> SuiteResult:
     a0*F(n-1) + a1*F(n)."""
     p = preset.params
     a = seq_terms(p, max_n)
-    t = _Tally("term_formula")
+    t = SuiteResult("term_formula")
     for n in range(0, max_n + 1):
         rec, lin = a[n], seq_term(p, n)
         t.check(
             rec == lin,
             lambda n=n, rec=rec, lin=lin: f"params={p}, n={n}: recurrence {rec} != linear form {lin}",
         )
-    return t.result()
+    return t
 
 
 def shift_identity_suite(preset: SequencePreset, bound: int = 50) -> SuiteResult:
     """a_{n+m} == F(n-1)*a_m + F(n)*a_{m+1} for 0 <= n, m <= bound."""
     p = preset.params
     a = seq_terms(p, 2 * bound + 1)
-    t = _Tally("shift_identity")
+    t = SuiteResult("shift_identity")
     for n in range(0, bound + 1):
         f0, f1 = fib(n - 1), fib(n)
         for m in range(0, bound + 1):
@@ -103,32 +99,32 @@ def shift_identity_suite(preset: SequencePreset, bound: int = 50) -> SuiteResult
                 a[n + m] == f0 * a[m] + f1 * a[m + 1],
                 lambda n=n, m=m: f"params={p}, n={n}, m={m}: shift identity violated",
             )
-    return t.result()
+    return t
 
 
 def cassini_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     """a_n*a_{n+3} - a_{n+1}*a_{n+2} == (-1)^n * chi for n <= max_n."""
     p = preset.params
     a = seq_terms(p, max_n + 3)
-    t = _Tally("cassini_like")
+    t = SuiteResult("cassini_like")
     for n in range(0, max_n + 1):
         t.check(
             a[n] * a[n + 3] - a[n + 1] * a[n + 2] == (p.chi if n % 2 == 0 else -p.chi),
             lambda n=n: f"params={p}, n={n}: alternating product identity violated",
         )
-    return t.result()
+    return t
 
 
 def fib_addition_suite(bound: int = 30) -> SuiteResult:
     """F(n+m) == F(n-1)*F(m) + F(n)*F(m+1) for -bound <= n, m <= bound."""
-    t = _Tally("fib_addition")
+    t = SuiteResult("fib_addition")
     for n in range(-bound, bound + 1):
         for m in range(-bound, bound + 1):
             t.check(
-                check_fib_addition(n, m),
+                fib(n + m) == fib(n - 1) * fib(m) + fib(n) * fib(m + 1),
                 lambda n=n, m=m: f"n={n}, m={m}: addition formula violated",
             )
-    return t.result()
+    return t
 
 
 def positivity_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
@@ -138,7 +134,7 @@ def positivity_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     1/a_{2n+2} - 1/a_{2n+3} - 1/a_{2n+5} > 0."""
     p = preset.params
     r = [Fraction(1, x) for x in seq_terms(p, 2 * max_n + 5)]
-    t = _Tally("reciprocal_positivity")
+    t = SuiteResult("reciprocal_positivity")
     for n in range(0, max_n + 1):
         t.check(
             r[2 * n + 1] - r[2 * n + 2] - r[2 * n + 3] > 0,
@@ -152,7 +148,30 @@ def positivity_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
             r[2 * n + 2] - r[2 * n + 3] - r[2 * n + 5] > 0,
             lambda n=n: f"params={p}, n={n}: even-gap inequality violated",
         )
-    return t.result()
+    return t
+
+
+def xi_literal(params: SequenceParams, n: int) -> int:
+    """Cutoff via the defining form: largest s with
+    a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi, compared as exact rationals.
+
+    Kept deliberately independent of the integer index search: Fibonacci
+    factors advance by their own recurrence and the bound stays a Fraction.
+    """
+    if n < 0:
+        raise ValueError(f"window index must be nonnegative, got {n}")
+    a2, a3 = seq_pair(params, 2 * n + 2)
+    a4 = a2 + a3
+    rhs = Fraction(a2 * a3 * a4, params.chi)
+    f_s, f_s1 = 0, 1  # F(0), F(1)
+    if a2 * f_s + a3 * f_s1 > rhs:
+        raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
+    s = 0
+    while True:
+        f_s, f_s1 = f_s1, f_s + f_s1
+        if a2 * f_s + a3 * f_s1 > rhs:
+            return s
+        s += 1
 
 
 def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
@@ -164,7 +183,7 @@ def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     """
     p = preset.params
     a = seq_terms(p, 2 * max_n + 4)
-    t = _Tally("xi_cutoff")
+    t = SuiteResult("xi_cutoff")
     for n in range(0, max_n + 1):
         res = xi(p, n)
         t.check(
@@ -182,7 +201,7 @@ def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
             lit == res.xi,
             lambda n=n, res=res, lit=lit: f"params={p}, n={n}: search xi={res.xi}, literal xi={lit}",
         )
-    return t.result()
+    return t
 
 
 def endpoint_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
@@ -190,7 +209,7 @@ def endpoint_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     (1/a_{2n+2}, 1/a_{2n+1}); consecutive windows strictly separated."""
     p = preset.params
     a = seq_terms(p, 2 * max_n + 2)
-    t = _Tally("window_geometry")
+    t = SuiteResult("window_geometry")
     previous_left: Fraction | None = None
     for n in range(0, max_n + 1):
         iv = bad_interval(p, n)
@@ -208,12 +227,12 @@ def endpoint_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
                 lambda n=n, iv=iv: f"params={p}, n={n}: window touches the previous one",
             )
         previous_left = iv.left
-    return t.result()
+    return t
 
 
 def closed_form_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     """Preset cutoffs match their closed forms (4n+4 / 4n+6)."""
-    t = _Tally("closed_form")
+    t = SuiteResult("closed_form")
     for n in range(0, max_n + 1):
         got = xi(preset.params, n).xi
         want = xi_closed_form(preset, n)
@@ -221,7 +240,7 @@ def closed_form_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
             got == want,
             lambda n=n, got=got, want=want: f"{preset.name}, n={n}: xi={got}, closed form {want}",
         )
-    return t.result()
+    return t
 
 
 def disagreement(theta: Fraction, cls: Classification, report: OracleReport) -> str | None:
@@ -251,27 +270,22 @@ def disagreement(theta: Fraction, cls: Classification, report: OracleReport) -> 
     return None
 
 
-def grid_equivalence_suite(
-    preset: SequencePreset, grid_denominator: int = 1000, extra_depth: int = 8
-) -> SuiteResult:
+def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = 1000) -> SuiteResult:
     """Classifier versus oracle over theta = k/grid_denominator, one
     ``disagreement`` check per target."""
     p = preset.params
     if grid_denominator < 2:
         raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
-    t = _Tally("grid_equivalence")
+    t = SuiteResult("grid_equivalence")
     for k in range(1, grid_denominator + 1):
         theta = Fraction(k, grid_denominator)
-        problem = disagreement(theta, classify(p, theta), oracle_best(p, theta, extra_depth))
+        problem = disagreement(theta, classify(p, theta), oracle_best(p, theta))
         t.check(problem is None, lambda k=k, problem=problem: f"params={p}, theta={k}/{grid_denominator}: {problem}")
-    return t.result()
+    return t
 
 
 def run_all(
-    preset: SequencePreset,
-    max_n: int = 300,
-    grid_denominator: int = 1000,
-    extra_depth: int = 8,
+    preset: SequencePreset, max_n: int = 300, grid_denominator: int = 1000
 ) -> list[SuiteResult]:
     """Every suite at the given bounds; presets add the closed-form sweep."""
     results = [
@@ -286,5 +300,5 @@ def run_all(
     ]
     if preset.name in ("fibonacci", "lucas"):
         results.append(closed_form_suite(preset, max_n))
-    results.append(grid_equivalence_suite(preset, grid_denominator, extra_depth))
+    results.append(grid_equivalence_suite(preset, grid_denominator))
     return results

@@ -82,6 +82,18 @@ class TestClassify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_extra_depth_is_refused(self, capsys, command):
+        # The search depth is not a CLI option; argparse refuses it as bad
+        # input instead of the search reporting a false internal error.
+        argv = [command, "--theta", "27/50"] if command == "classify" else [command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--extra-depth", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --extra-depth 0" in err
+        assert "internal error" not in err
+
     def test_unknown_sequence(self, capsys):
         code, _, err = run_cli(capsys, "--seq", "tribonacci", "classify", "--theta", "1/2")
         assert code == 2

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibgreedy import (
+    DEFAULT_TERM_LIMIT,
     FIBONACCI,
     LUCAS,
     SequenceParams,
@@ -141,9 +142,11 @@ class TestPrefix:
         with pytest.raises(TermLimitError, match="exceeds the limit"):
             greedy_prefix(FIB, Fraction(1, 2), 65)
 
-    def test_limit_is_adjustable(self):
-        prefix = greedy_prefix(FIB, Fraction(9, 10), 70, limit=70)
-        assert len(prefix.indices) == 70
+    def test_accepts_count_at_limit(self):
+        assert DEFAULT_TERM_LIMIT == 64
+        prefix = greedy_prefix(FIB, Fraction(9, 10), 64)
+        assert len(prefix.indices) == 64
+        assert prefix.partial_sum < Fraction(9, 10)
 
 
 @st.composite

@@ -1,0 +1,31 @@
+"""The computing modules stay free of checks: none of them imports from
+``verification`` or ``cli``, and none defers an import into a function."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fibgreedy
+
+PACKAGE = Path(fibgreedy.__file__).parent
+COMPUTING = ("sequences", "greedy", "oracle", "optimality", "rationals", "errors")
+CHECKING = {"verification", "cli"}
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import) or node.module is None:  # import x / from . import x
+        return [alias.name for alias in node.names]
+    return [node.module]
+
+
+@pytest.mark.parametrize("module", COMPUTING)
+def test_computing_module_layering(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in _imported_modules(node):
+                assert name.split(".")[-1] not in CHECKING, f"{module} imports {name}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not nested, f"{module}.{node.name} imports inside its body"

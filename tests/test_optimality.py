@@ -18,8 +18,8 @@ from fibgreedy import (
     seq_term,
     xi,
     xi_closed_form,
-    xi_literal,
 )
+from fibgreedy.verification import xi_literal
 
 FIB = FIBONACCI.params
 LUC = LUCAS.params
@@ -61,9 +61,6 @@ class TestXi:
         for n in range(0, 40):
             assert xi_literal(params, n) == xi(params, n).xi
 
-    def test_cross_check_flag(self):
-        assert xi(FIB, 3, cross_check=True).xi == 16
-
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError):
             xi(FIB, -1)
@@ -79,10 +76,6 @@ class TestClosedForm:
         for n in range(0, 50):
             assert xi_closed_form(LUCAS, n) == 4 * n + 6
             assert xi(LUC, n).xi == 4 * n + 6
-
-    def test_accepts_names(self):
-        assert xi_closed_form("fibonacci", 0) == 4
-        assert xi_closed_form("lucas", 2) == 14
 
     def test_rejects_custom(self):
         with pytest.raises(UnsupportedPresetError):
@@ -182,11 +175,17 @@ class TestClassify:
         assert result.competitor.value == Fraction(21, 104)
 
     def test_cross_check_scan_agrees(self):
-        for k in (14, 270, 540, 547, 999):
-            theta = Fraction(k, 1000)
-            a = classify(FIB, theta)
-            b = classify(FIB, theta, cross_check_intervals=12)
-            assert a.is_best == b.is_best
+        # Scanning windows 0..11 for membership hits exactly the one window
+        # that classify's single test names, or none.
+        for params in (FIB, LUC):
+            windows = [bad_interval(params, j) for j in range(12)]
+            targets = [Fraction(k, 1000) for k in (14, 270, 540, 547, 999)]
+            targets += [(iv.left + iv.right) / 2 for iv in windows[:4]]
+            targets += [iv.right for iv in windows[:4]] + [iv.left for iv in windows[:4]]
+            for theta in targets:
+                hits = [iv.n for iv in windows if iv.covers(theta)]
+                witness = classify(params, theta).witness_interval
+                assert hits == ([] if witness is None else [witness.n])
 
     def test_domain_error(self):
         with pytest.raises(ThetaDomainError):

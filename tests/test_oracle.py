@@ -7,13 +7,12 @@ import pytest
 from fibgreedy import (
     FIBONACCI,
     LUCAS,
-    ContractError,
     bad_interval,
     classify,
-    competitor_shape_check,
     greedy_two_term,
     oracle_best,
 )
+from fibgreedy.verification import disagreement
 
 FIB = FIBONACCI.params
 LUC = LUCAS.params
@@ -82,8 +81,7 @@ class TestCompetitorShape:
     def test_true_inside_window(self):
         iv = bad_interval(LUC, 0)
         midpoint = (iv.left + iv.right) / 2
-        assert competitor_shape_check(LUC, midpoint)
-
-    def test_raises_when_greedy_already_best(self):
-        with pytest.raises(ContractError):
-            competitor_shape_check(FIB, Fraction(1, 2))
+        result = classify(LUC, midpoint)
+        assert not result.is_best
+        # includes the check that the winner is the adjacent pair (g1+1, g1+2)
+        assert disagreement(midpoint, result, oracle_best(LUC, midpoint)) is None

@@ -11,17 +11,11 @@ from fibgreedy import (
     SequenceValidationError,
     classical_label,
     fib,
-    make_params,
     parse_sequence_spec,
     seq_term,
     seq_term_from_fibs,
 )
-from fibgreedy.sequences import (
-    check_cassini_like,
-    check_fib_addition,
-    check_shift_identity,
-    seq_terms,
-)
+from fibgreedy.sequences import seq_terms
 
 
 def naive_fib(n):
@@ -95,12 +89,6 @@ class TestParams:
         with pytest.raises(SequenceValidationError, match="chi must be positive"):
             SequenceParams(3, 5)
 
-    def test_make_params(self):
-        assert make_params(1, 1).chi == 1
-        assert make_params(3, 4).chi == 5
-        with pytest.raises(SequenceValidationError, match="chi must be positive"):
-            make_params(1, 2)
-
 
 class TestTerms:
     def test_fibonacci_preset_shifts_classical(self):
@@ -141,29 +129,31 @@ class TestTerms:
 
 class TestIdentities:
     def test_shift_spot_checks(self):
+        # a_{n+m} = F(n-1)*a_m + F(n)*a_{m+1}
         # fibonacci: a_{3+4} = F(2)*a_4 + F(3)*a_5 -> 21 == 1*5 + 2*8
-        assert check_shift_identity(SequenceParams(1, 1), 3, 4)
+        p = SequenceParams(1, 1)
+        assert seq_term(p, 7) == fib(2) * seq_term(p, 4) + fib(3) * seq_term(p, 5) == 21
         # lucas: a_{5+2} = F(4)*a_2 + F(5)*a_3 -> 76 == 3*7 + 5*11
-        assert check_shift_identity(SequenceParams(3, 4), 5, 2)
+        p = SequenceParams(3, 4)
+        assert seq_term(p, 7) == fib(4) * seq_term(p, 2) + fib(5) * seq_term(p, 3) == 76
 
     def test_cassini_alternates_sign(self):
         p = SequenceParams(3, 4)
         for n in range(0, 20):
             lhs = seq_term(p, n) * seq_term(p, n + 3) - seq_term(p, n + 1) * seq_term(p, n + 2)
             assert lhs == (-1) ** n * p.chi
-            assert check_cassini_like(p, n)
 
     def test_fib_addition_negative_indices(self):
-        assert check_fib_addition(-7, 11)
-        assert check_fib_addition(0, 0)
-        assert check_fib_addition(-3, -5)
+        # F(n+m) = F(n-1)*F(m) + F(n)*F(m+1) on all integers
+        for n, m in ((-7, 11), (0, 0), (-3, -5)):
+            assert fib(n + m) == fib(n - 1) * fib(m) + fib(n) * fib(m + 1)
 
     @given(
         st.integers(min_value=-40, max_value=40),
         st.integers(min_value=-40, max_value=40),
     )
     def test_fib_addition_property(self, n, m):
-        assert check_fib_addition(n, m)
+        assert fib(n + m) == fib(n - 1) * fib(m) + fib(n) * fib(m + 1)
 
 
 class TestParseSpec:
