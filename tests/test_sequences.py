@@ -89,6 +89,16 @@ class TestParams:
         with pytest.raises(SequenceValidationError, match="chi must be positive"):
             SequenceParams(3, 5)
 
+    def test_make_params(self):
+        # Params built from a starting pair equal the presets' own.
+        fib_params = SequenceParams(a0=1, a1=1)
+        luc_params = SequenceParams(a0=3, a1=4)
+        assert fib_params == FIBONACCI.params and fib_params.chi == 1
+        assert luc_params == LUCAS.params and luc_params.chi == 5
+        assert (luc_params.a0, luc_params.a1) == (3, 4)
+        with pytest.raises(SequenceValidationError, match="chi must be positive"):
+            SequenceParams(a0=1, a1=2)
+
 
 class TestTerms:
     def test_fibonacci_preset_shifts_classical(self):
