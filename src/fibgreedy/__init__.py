@@ -17,7 +17,6 @@ from .greedy import (
     DEFAULT_TERM_LIMIT,
     GreedyPrefix,
     GreedyResult,
-    greedy_first,
     greedy_prefix,
     greedy_two_term,
 )
@@ -28,7 +27,6 @@ from .optimality import (
     bad_interval,
     bad_interval_record,
     classify,
-    interval_table,
     xi,
     xi_closed_form,
 )
@@ -83,10 +81,8 @@ __all__ = [
     "classify",
     "fib",
     "format_rational",
-    "greedy_first",
     "greedy_prefix",
     "greedy_two_term",
-    "interval_table",
     "oracle_best",
     "parse_rational",
     "parse_sequence_spec",

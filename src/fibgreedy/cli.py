@@ -9,22 +9,22 @@ Four subcommands share a small set of flags:
 * ``verify`` runs the internal correctness suites and reports PASS/FAIL.
 
 Exit codes: 0 success, 1 a verify suite failed, 2 bad input, 3 an internal
-cross-check failed (classifier and search disagree, which indicates a bug).
+cross-check failed (classifier and search disagree, which indicates a bug),
+141 the reader closed stdout before the answer was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FibgreedyError, SelfCheckError
 from .greedy import DEFAULT_TERM_LIMIT, greedy_prefix
-from .optimality import bad_interval_record, classify, interval_table, xi_closed_form
+from .optimality import bad_interval, bad_interval_record, classify, xi_closed_form
 from .oracle import oracle_best
 from .rationals import approx_decimal, format_rational, parse_rational
 from .sequences import SequencePreset, classical_label, parse_sequence_spec, seq_term
@@ -33,33 +33,25 @@ from .verification import disagreement, run_all
 __all__ = ["main", "run"]
 
 
-@dataclass
-class _Config:
-    preset: SequencePreset
-    output_format: str
+def _emit(output_format: str, data: object, rows: list[dict], lines: list[str]) -> None:
+    """Write one answer to stdout as json ``data``, csv ``rows`` or text ``lines``."""
+    if output_format == "json":
+        json.dump(data, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    elif output_format == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
-def _emit_json(payload: object) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _emit_csv(rows: list[dict[str, object]]) -> None:
-    if not rows:
-        return
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
-
-
-def _classify_payload(config: _Config, theta: Fraction) -> dict[str, object]:
-    params = config.preset.params
+def cmd_classify(preset: SequencePreset, output_format: str, theta: Fraction) -> int:
+    params = preset.params
     result = classify(params, theta)
     report = oracle_best(params, theta)
-    greedy = result.greedy
-    best = report.best
+    greedy, best = result.greedy, report.best
 
     # The two verdicts come from unrelated code paths; a mismatch here is a
     # bug in this package, not bad input.
@@ -69,168 +61,129 @@ def _classify_payload(config: _Config, theta: Fraction) -> dict[str, object]:
             f"classifier and search disagree at theta={format_rational(theta)}: {problem}"
         )
 
-    payload: dict[str, object] = {
-        "sequence": config.preset.name,
+    theta_s, theta_a = format_rational(theta), approx_decimal(theta)
+    greedy_s, greedy_a = format_rational(greedy.value), approx_decimal(greedy.value)
+    best_s, best_a = format_rational(best.value), approx_decimal(best.value)
+    data: dict[str, object] = {
+        "sequence": preset.name,
         "a0": params.a0,
         "a1": params.a1,
-        "theta": format_rational(theta),
-        "theta_approx": approx_decimal(theta),
+        "theta": theta_s,
+        "theta_approx": theta_a,
         "g1": greedy.g1,
         "g2": greedy.g2,
-        "greedy_value": format_rational(greedy.value),
-        "greedy_value_approx": approx_decimal(greedy.value),
+        "greedy_value": greedy_s,
+        "greedy_value_approx": greedy_a,
         "is_best": result.is_best,
         "best_pair": [best.m, best.n],
-        "best_value": format_rational(best.value),
-        "best_value_approx": approx_decimal(best.value),
+        "best_value": best_s,
+        "best_value_approx": best_a,
     }
+    row = {**data, "best_pair": f"{best.m} {best.n}"}
+    lines = [
+        f"sequence: {preset.name} (a0={params.a0}, a1={params.a1})",
+        f"theta = {theta_s} ~ {theta_a}",
+        f"greedy: 1/a_{greedy.g1} + 1/a_{greedy.g2} = {greedy_s} ~ {greedy_a}",
+        f"verdict: {'best possible' if result.is_best else 'not best possible'}",
+    ]
     if result.witness_interval is not None:
-        payload["bad_interval"] = bad_interval_record(result.witness_interval)
-    return payload
-
-
-def cmd_classify(config: _Config, theta: Fraction) -> int:
-    payload = _classify_payload(config, theta)
-    if config.output_format == "json":
-        _emit_json(payload)
-    elif config.output_format == "csv":
-        flat = dict(payload)
-        interval = flat.pop("bad_interval", None)
-        if isinstance(interval, dict):
-            flat["interval_n"] = interval["n"]
-            flat["interval_left"] = interval["left"]
-            flat["interval_right"] = interval["right"]
-        flat["best_pair"] = " ".join(str(i) for i in payload["best_pair"])  # type: ignore[union-attr]
-        _emit_csv([flat])
-    else:
-        verdict = "best possible" if payload["is_best"] else "not best possible"
-        print(f"sequence: {config.preset.name} (a0={config.preset.params.a0}, a1={config.preset.params.a1})")
-        print(f"theta = {payload['theta']} ~ {payload['theta_approx']}")
-        print(
-            f"greedy: 1/a_{payload['g1']} + 1/a_{payload['g2']} "
-            f"= {payload['greedy_value']} ~ {payload['greedy_value_approx']}"
-        )
-        print(f"verdict: {verdict}")
-        if "bad_interval" in payload:
-            interval = payload["bad_interval"]
-            print(
-                f"inside window n={interval['n']}: "  # type: ignore[index]
-                f"({interval['left']}, {interval['right']}]"  # type: ignore[index]
-            )
-        pair = payload["best_pair"]
-        print(
-            f"best two-term sum: 1/a_{pair[0]} + 1/a_{pair[1]} "  # type: ignore[index]
-            f"= {payload['best_value']} ~ {payload['best_value_approx']}"
-        )
+        record = bad_interval_record(result.witness_interval)
+        data["bad_interval"] = record
+        row |= {f"interval_{key}": record[key] for key in ("n", "left", "right")}
+        lines.append(f"inside window n={record['n']}: ({record['left']}, {record['right']}]")
+    lines.append(f"best two-term sum: 1/a_{best.m} + 1/a_{best.n} = {best_s} ~ {best_a}")
+    _emit(output_format, data, [row], lines)
     return 0
 
 
-def cmd_intervals(config: _Config, count: int) -> int:
+def cmd_intervals(preset: SequencePreset, output_format: str, count: int) -> int:
     if count < 1:
         raise ValueError(f"interval count must be at least 1, got {count}")
-    params = config.preset.params
-    is_preset = config.preset.name in ("fibonacci", "lucas")
-    rows = []
-    for interval in interval_table(params, count):
+    is_preset = preset.name in ("fibonacci", "lucas")
+    rows, lines = [], []
+    for n in range(count):
+        interval = bad_interval(preset.params, n)
         row = bad_interval_record(interval)
+        line = (
+            f"n={n}: ({row['left']}, {row['right']}] "
+            f"~ ({row['left_approx']}, {row['right_approx']}], xi={interval.xi}"
+        )
         if is_preset:
-            closed = xi_closed_form(config.preset, interval.n)
+            closed = xi_closed_form(preset, n)
             row["xi_closed_form"] = closed
             row["closed_form_match"] = interval.xi == closed
+            if interval.xi != closed:
+                line += f" (closed form predicts {closed})"
         rows.append(row)
-    if config.output_format == "json":
-        _emit_json(rows)
-    elif config.output_format == "csv":
-        _emit_csv(rows)
-    else:
-        for row in rows:
-            line = (
-                f"n={row['n']}: ({row['left']}, {row['right']}] "
-                f"~ ({row['left_approx']}, {row['right_approx']}], xi={row['xi']}"
-            )
-            if is_preset and not row["closed_form_match"]:
-                line += f" (closed form predicts {row['xi_closed_form']})"
-            print(line)
+        lines.append(line)
+    _emit(output_format, rows, rows, lines)
     return 0
 
 
-def cmd_greedy(config: _Config, theta: Fraction, terms: int) -> int:
-    params = config.preset.params
+def cmd_greedy(preset: SequencePreset, output_format: str, theta: Fraction, terms: int) -> int:
+    params = preset.params
     prefix = greedy_prefix(params, theta, terms)
-    rows = []
+    theta_s = format_rational(theta)
+    rows, lines = [], [f"greedy expansion of {theta_s} over {preset.name}:"]
     total = Fraction(0)
     for step, index in enumerate(prefix.indices, start=1):
         denominator = seq_term(params, index)
         total += Fraction(1, denominator)
-        label = classical_label(config.preset, index)
-        rows.append(
-            {
-                "step": step,
-                "index": index,
-                "label": label if label is not None else "",
-                "denominator": str(denominator),
-                "term": f"1/{denominator}",
-                "partial_sum": format_rational(total),
-                "partial_sum_approx": approx_decimal(total),
-            }
+        label = classical_label(preset, index) or ""
+        row = {
+            "step": step,
+            "index": index,
+            "label": label,
+            "denominator": str(denominator),
+            "term": f"1/{denominator}",
+            "partial_sum": format_rational(total),
+            "partial_sum_approx": approx_decimal(total),
+        }
+        rows.append(row)
+        lines.append(
+            f"  step {step}: index {index}{f' = {label}' if label else ''}, term {row['term']}, "
+            f"sum {row['partial_sum']} ~ {row['partial_sum_approx']}"
         )
-    if config.output_format == "json":
-        _emit_json(
-            {
-                "sequence": config.preset.name,
-                "theta": format_rational(theta),
-                "indices": list(prefix.indices),
-                "sum": format_rational(prefix.partial_sum),
-                "sum_approx": approx_decimal(prefix.partial_sum),
-                "steps": rows,
-            }
-        )
-    elif config.output_format == "csv":
-        _emit_csv(rows)
-    else:
-        print(f"greedy expansion of {format_rational(theta)} over {config.preset.name}:")
-        for row in rows:
-            label = f" = {row['label']}" if row["label"] else ""
-            print(
-                f"  step {row['step']}: index {row['index']}{label}, term {row['term']}, "
-                f"sum {row['partial_sum']} ~ {row['partial_sum_approx']}"
-            )
-        gap = theta - prefix.partial_sum
-        print(f"remaining gap: {format_rational(gap)} ~ {approx_decimal(gap)}")
+    if output_format == "text":
+        # Only text shows the gap: its numbers can be far longer than any sum
+        # json or csv prints, and rendering them could fail where those succeed.
+        gap = theta - total
+        lines.append(f"remaining gap: {format_rational(gap)} ~ {approx_decimal(gap)}")
+    data = {
+        "sequence": preset.name,
+        "theta": theta_s,
+        "indices": list(prefix.indices),
+        "sum": rows[-1]["partial_sum"],
+        "sum_approx": rows[-1]["partial_sum_approx"],
+        "steps": rows,
+    }
+    _emit(output_format, data, rows, lines)
     return 0
 
 
-def cmd_verify(config: _Config, max_n: int, grid_denominator: int) -> int:
+def cmd_verify(preset: SequencePreset, output_format: str, max_n: int, grid: int) -> int:
     if max_n < 1:
         raise ValueError(f"max-n must be at least 1, got {max_n}")
-    if grid_denominator < 2:
-        raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
-    results = run_all(config.preset, max_n, grid_denominator)
-    rows = []
-    failed = False
+    if grid < 2:
+        raise ValueError(f"grid denominator must be at least 2, got {grid}")
+    results = run_all(preset, max_n, grid)
+    rows, lines = [], []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
-        failed = failed or not result.passed
+        failure = result.first_counterexample or ""
         rows.append(
             {
                 "suite": result.name,
                 "status": status,
                 "checks": result.checks,
                 "failures": result.failures,
-                "first_counterexample": result.first_counterexample or "",
+                "first_counterexample": failure,
             }
         )
-    if config.output_format == "json":
-        _emit_json(rows)
-    elif config.output_format == "csv":
-        _emit_csv(rows)
-    else:
-        for row in rows:
-            line = f"{row['status']}  {row['suite']} ({row['checks']} checks)"
-            if row["first_counterexample"]:
-                line += f" first failure: {row['first_counterexample']}"
-            print(line)
-    return 1 if failed else 0
+        suffix = f" first failure: {failure}" if failure else ""
+        lines.append(f"{status}  {result.name} ({result.checks} checks){suffix}")
+    _emit(output_format, rows, rows, lines)
+    return 0 if all(result.passed for result in results) else 1
 
 
 def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
@@ -290,20 +243,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         preset = parse_sequence_spec(args.seq)
-        config = _Config(preset=preset, output_format=args.output_format)
         if args.command == "classify":
-            return cmd_classify(config, parse_rational(args.theta))
+            return cmd_classify(preset, args.output_format, parse_rational(args.theta))
         if args.command == "intervals":
-            return cmd_intervals(config, args.count)
+            return cmd_intervals(preset, args.output_format, args.count)
         if args.command == "greedy":
-            return cmd_greedy(config, parse_rational(args.theta), args.terms)
-        if args.command == "verify":
-            return cmd_verify(config, args.max_n, args.grid)
-        raise AssertionError(f"unhandled command {args.command!r}")
+            return cmd_greedy(preset, args.output_format, parse_rational(args.theta), args.terms)
+        return cmd_verify(preset, args.output_format, args.max_n, args.grid)
     except SelfCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
@@ -313,4 +262,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``fibgreedy intervals | head -1``): silence the
+        # exit-time flush and exit as SIGPIPE would, without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)

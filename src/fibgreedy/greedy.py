@@ -24,7 +24,6 @@ __all__ = [
     "GreedyResult",
     "GreedyPrefix",
     "DEFAULT_TERM_LIMIT",
-    "greedy_first",
     "greedy_two_term",
     "greedy_prefix",
 ]
@@ -41,12 +40,6 @@ def _require_theta(theta) -> Fraction:
     return t
 
 
-def greedy_first(params: SequenceParams, theta) -> int:
-    """Smallest index n >= 1 with 1/a_n strictly below theta."""
-    t = _require_theta(theta)
-    return index_below(params, t.numerator, t.denominator, 1, params.a1, params.a0 + params.a1)[0]
-
-
 @dataclass(frozen=True)
 class GreedyResult:
     """The greedy two-term pick: indices g1 <= g2 and the exact sum."""
@@ -57,8 +50,9 @@ class GreedyResult:
 
 
 def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
-    """Greedy pair for theta: g1 as in greedy_first, then the smallest
-    g2 >= g1 whose reciprocal fits strictly under the remainder.
+    """Greedy pair for theta: the smallest index g1 >= 1 with 1/a_g1 strictly
+    below theta, then the smallest g2 >= g1 whose reciprocal fits strictly
+    under the remainder.
 
     With theta = p/q the remainder is kept as the unreduced (p*a_g1 - q,
     q*a_g1); the search compares cross-products, so no Fraction arithmetic

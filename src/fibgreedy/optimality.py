@@ -40,7 +40,6 @@ __all__ = [
     "bad_interval",
     "bad_interval_record",
     "classify",
-    "interval_table",
 ]
 
 
@@ -110,10 +109,6 @@ class BadInterval:
     def covers(self, theta: Fraction) -> bool:
         return self.left < theta <= self.right
 
-    @property
-    def is_empty(self) -> bool:
-        return self.left == self.right
-
 
 def _window(n: int, a2: int, a3: int, a4: int, x: int, a_cut: int) -> BadInterval:
     # 1/x + 1/y rather than (x + y)/(x*y): at large n the sum's gcd runs on
@@ -178,10 +173,3 @@ def classify(params: SequenceParams, theta) -> Classification:
         return Classification(t, gr, True, None, None)
     competitor = TwoTermSum(2 * witness.n + 3, 2 * witness.n + 4, witness.left)
     return Classification(t, gr, False, witness, competitor)
-
-
-def interval_table(params: SequenceParams, count: int) -> list[BadInterval]:
-    """Windows 0..count-1; left endpoints strictly decrease down the list."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    return [bad_interval(params, j) for j in range(count)]

@@ -1,5 +1,13 @@
 import sys
 
-# Some tests stringify integers with hundreds of thousands of digits, which
-# trips the interpreter's conversion guard at its default 4300.
-sys.set_int_max_str_digits(1_000_000)
+import pytest
+
+
+@pytest.fixture
+def unlimited_int_strings():
+    """Lift the interpreter's 4300-digit guard on int/str conversion for one
+    test and restore it afterwards; every other test runs under the default."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)

@@ -3,12 +3,21 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fibgreedy
 from fibgreedy import parse_rational
 from fibgreedy.cli import main
+
+# stdout, stderr and exit code of a small matrix of calls: three sequences in
+# each format through every subcommand, plus the bad-input cases below.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +258,31 @@ class TestFlagPlacement:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["denominator"] for r in rows] == ["2"]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(capsys, case):
+    # Pins the exact layouts, which the tests above only sample.
+    assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("output_format", ["text", "json", "csv"])
+def test_closed_pipe_exits_141_quietly(output_format):
+    # Like `fibgreedy intervals --count 1000 | head -c 10`: the 2 MB answer
+    # cannot fit in the pipe, so the reader leaves while it is being written.
+    env = {**os.environ, "PYTHONPATH": str(Path(fibgreedy.__file__).parents[1])}
+    argv = ["--format", output_format, "intervals", "--count", "1000"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "fibgreedy", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_version_module_entry():

@@ -15,7 +15,6 @@ from fibgreedy import (
     TermLimitError,
     ThetaDomainError,
     classify,
-    greedy_first,
     greedy_prefix,
     greedy_two_term,
     seq_term,
@@ -27,24 +26,24 @@ LUC = LUCAS.params
 
 class TestFirstIndex:
     def test_examples(self):
-        assert greedy_first(FIB, Fraction(27, 50)) == 2
-        assert greedy_first(FIB, Fraction(1, 4)) == 4
-        assert greedy_first(LUC, Fraction(1, 2)) == 1
+        assert greedy_two_term(FIB, Fraction(27, 50)).g1 == 2
+        assert greedy_two_term(FIB, Fraction(1, 4)).g1 == 4
+        assert greedy_two_term(LUC, Fraction(1, 2)).g1 == 1
 
     def test_strict_inequality_at_reciprocal(self):
         # theta equal to 1/a_n must push the choice one index further.
         for n in range(1, 12):
             theta = Fraction(1, seq_term(FIB, n))
-            assert greedy_first(FIB, theta) == n + 1
+            assert greedy_two_term(FIB, theta).g1 == n + 1
 
     @pytest.mark.parametrize("theta", [Fraction(0), Fraction(-1, 2), Fraction(3, 2)])
     def test_domain_errors(self, theta):
         with pytest.raises(ThetaDomainError):
-            greedy_first(FIB, theta)
+            greedy_two_term(FIB, theta)
 
     def test_rejects_float(self):
         with pytest.raises(TypeError):
-            greedy_first(FIB, 0.54)
+            greedy_two_term(FIB, 0.54)
 
 
 class _FractionSubclass(Fraction):
@@ -175,7 +174,7 @@ def test_prefix_properties(theta):
 def test_first_index_antitone(theta_a, theta_b):
     # A larger target can only move the first pick earlier in the pool.
     lo, hi = sorted((theta_a, theta_b))
-    assert greedy_first(FIB, lo) >= greedy_first(FIB, hi)
+    assert greedy_two_term(FIB, lo).g1 >= greedy_two_term(FIB, hi).g1
 
 
 @given(theta_values(), st.integers(min_value=1, max_value=6))

@@ -13,7 +13,6 @@ from fibgreedy import (
     bad_interval,
     bad_interval_record,
     classify,
-    interval_table,
     parse_sequence_spec,
     seq_term,
     xi,
@@ -114,8 +113,9 @@ class TestBadInterval:
 
     def test_nonempty_for_many_windows(self):
         for n in range(0, 40):
-            assert not bad_interval(FIB, n).is_empty
-            assert not bad_interval(LUC, n).is_empty
+            for params in (FIB, LUC):
+                iv = bad_interval(params, n)
+                assert iv.left < iv.right
 
     def test_record_shape(self):
         record = bad_interval_record(bad_interval(FIB, 0))
@@ -198,12 +198,8 @@ class TestClassify:
 
 class TestIntervalTable:
     def test_count_and_order(self):
-        table = interval_table(FIB, 6)
+        table = [bad_interval(FIB, n) for n in range(6)]
         assert [iv.n for iv in table] == [0, 1, 2, 3, 4, 5]
         # Windows shrink toward zero and never touch.
         for a, b in zip(table, table[1:]):
             assert b.right < a.left
-
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(ValueError):
-            interval_table(FIB, 0)

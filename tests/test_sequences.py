@@ -47,6 +47,7 @@ class TestFib:
         for n in range(-30, 101):
             assert fib(n) == naive_fib(n)
 
+    @pytest.mark.usefixtures("unlimited_int_strings")
     def test_large_index(self):
         value = fib(10**6)
         digits = str(value)
