@@ -31,7 +31,6 @@ from .optimality import (
     xi_closed_form,
 )
 from .oracle import (
-    DEFAULT_EXTRA_DEPTH,
     OracleReport,
     TwoTermSum,
     oracle_best,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadInterval",
     "Classification",
-    "DEFAULT_EXTRA_DEPTH",
     "DEFAULT_TERM_LIMIT",
     "FIBONACCI",
     "FibgreedyError",

@@ -27,7 +27,7 @@ from .greedy import DEFAULT_TERM_LIMIT, greedy_prefix
 from .optimality import bad_interval, bad_interval_record, classify, xi_closed_form
 from .oracle import oracle_best
 from .rationals import approx_decimal, format_rational, parse_rational
-from .sequences import SequencePreset, classical_label, parse_sequence_spec, seq_term
+from .sequences import SequencePreset, classical_label, parse_sequence_spec
 from .verification import disagreement, run_all
 
 __all__ = ["main", "run"]
@@ -121,13 +121,12 @@ def cmd_intervals(preset: SequencePreset, output_format: str, count: int) -> int
 
 
 def cmd_greedy(preset: SequencePreset, output_format: str, theta: Fraction, terms: int) -> int:
-    params = preset.params
-    prefix = greedy_prefix(params, theta, terms)
+    prefix = greedy_prefix(preset.params, theta, terms)
     theta_s = format_rational(theta)
     rows, lines = [], [f"greedy expansion of {theta_s} over {preset.name}:"]
     total = Fraction(0)
-    for step, index in enumerate(prefix.indices, start=1):
-        denominator = seq_term(params, index)
+    steps = zip(prefix.indices, prefix.denominators)
+    for step, (index, denominator) in enumerate(steps, start=1):
         total += Fraction(1, denominator)
         label = classical_label(preset, index) or ""
         row = {

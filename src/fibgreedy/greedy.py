@@ -67,10 +67,12 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
 
 @dataclass(frozen=True)
 class GreedyPrefix:
-    """First k greedy indices (non-decreasing) and their exact partial sum."""
+    """First k greedy indices (non-decreasing), their exact partial sum, and
+    the term a_n at each index."""
 
     indices: tuple[int, ...]
     partial_sum: Fraction
+    denominators: tuple[int, ...]
 
 
 def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
@@ -85,11 +87,13 @@ def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
     if k > DEFAULT_TERM_LIMIT:
         raise TermLimitError(f"term count {k} exceeds the limit of {DEFAULT_TERM_LIMIT}")
     indices: list[int] = []
+    denominators: list[int] = []
     total = Fraction(0)
     n, a, b = 1, *seq_pair(params, 1)
     for _ in range(k):
         rest = t - total
         n, a, b = index_below(params, rest.numerator, rest.denominator, n, a, b)
         indices.append(n)
+        denominators.append(a)
         total += Fraction(1, a)
-    return GreedyPrefix(tuple(indices), total)
+    return GreedyPrefix(tuple(indices), total, tuple(denominators))

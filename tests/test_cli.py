@@ -92,7 +92,7 @@ class TestClassify:
         assert "error:" in err
 
     @pytest.mark.parametrize("command", ["classify", "verify"])
-    def test_extra_depth_is_refused(self, capsys, command):
+    def test_search_depth_option_is_refused(self, capsys, command):
         # The search depth is not a CLI option; argparse refuses it as bad
         # input instead of the search reporting a false internal error.
         argv = [command, "--theta", "27/50"] if command == "classify" else [command]

@@ -118,11 +118,13 @@ class TestPrefix:
     def test_three_terms(self):
         prefix = greedy_prefix(FIB, Fraction(27, 50), 3)
         assert prefix.indices == (2, 8, 11)
+        assert prefix.denominators == (2, 34, 144)
         assert prefix.partial_sum == Fraction(1313, 2448)
 
     def test_four_terms_with_repeats(self):
         prefix = greedy_prefix(LUC, Fraction(1), 4)
         assert prefix.indices == (1, 1, 1, 2)
+        assert prefix.denominators == (4, 4, 4, 7)
         assert prefix.partial_sum == Fraction(25, 28)
 
     def test_two_terms_matches_two_term_result(self):

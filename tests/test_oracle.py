@@ -49,13 +49,12 @@ class TestOracleBest:
         assert classify(FIB, theta).is_best
 
     def test_report_fields(self):
-        report = oracle_best(FIB, Fraction(27, 50), extra_depth=6)
-        assert report.search_bound == greedy_two_term(FIB, Fraction(27, 50)).g1 + 6
-        assert report.candidates_examined == 7
-
-    def test_rejects_negative_depth(self):
-        with pytest.raises(ValueError):
-            oracle_best(FIB, Fraction(1, 2), extra_depth=-1)
+        # The greedy pair counts as one candidate; the walk adds g1 + 1 only
+        # when 2/a_{g1+1} exceeds the greedy value (2/3 > 9/17 and 2/3 > 5/8,
+        # but 2/5 <= 11/24 at theta = 1/2).
+        assert oracle_best(FIB, Fraction(27, 50)).candidates_examined == 2
+        assert oracle_best(FIB, Fraction(67, 100)).candidates_examined == 2
+        assert oracle_best(FIB, Fraction(1, 2)).candidates_examined == 1
 
 
 @pytest.mark.parametrize("params", [FIB, LUC])
@@ -72,6 +71,7 @@ def test_grid_agreement(params):
         assert report.best.value < theta
         assert (report.best.value == greedy.value) == result.is_best
         assert report.best.m <= greedy.g1 + 1
+        assert report.candidates_examined <= 2
         if not result.is_best:
             assert (report.best.m, report.best.n) == (greedy.g1 + 1, greedy.g1 + 2)
             assert report.best.value == result.competitor.value
