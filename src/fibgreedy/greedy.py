@@ -14,7 +14,7 @@ returned value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import TermLimitError, ThetaDomainError
@@ -40,13 +40,10 @@ def _require_theta(theta) -> Fraction:
     return t
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(namedtuple("GreedyResult", "g1 g2 value")):
     """The greedy two-term pick: indices g1 <= g2 and the exact sum."""
 
-    g1: int
-    g2: int
-    value: Fraction
+    __slots__ = ()
 
 
 def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
@@ -65,14 +62,11 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     return GreedyResult(g1, g2, Fraction(a + c, a * c))
 
 
-@dataclass(frozen=True)
-class GreedyPrefix:
+class GreedyPrefix(namedtuple("GreedyPrefix", "indices partial_sum denominators")):
     """First k greedy indices (non-decreasing), their exact partial sum, and
     the term a_n at each index."""
 
-    indices: tuple[int, ...]
-    partial_sum: Fraction
-    denominators: tuple[int, ...]
+    __slots__ = ()
 
 
 def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:

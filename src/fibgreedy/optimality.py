@@ -15,14 +15,15 @@ membership test; windows never touch and march strictly downward.
 
 ``xi`` finds the cutoff with one predict-then-certify index search over
 integers. The cutoff also has an equivalent definition through Fibonacci
-factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi as
-an exact rational inequality; ``verification.xi_literal`` evaluates that
-form word for word as an independent reference for ``xi``.
+factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi;
+``verification.xi_literal`` evaluates that form, as the integer
+cross-product with chi, by a plain walk up from s = 0 and serves as an
+independent reference for ``xi``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import SelfCheckError, UnsupportedPresetError
@@ -43,14 +44,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class XiResult:
+class XiResult(namedtuple("XiResult", "n xi bound chi")):
     """Cutoff at window index n, with the product bound and chi used."""
 
-    n: int
-    xi: int
-    bound: int
-    chi: int
+    __slots__ = ()
 
 
 def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int, int, int]:
@@ -97,14 +94,10 @@ def xi_closed_form(preset: SequencePreset, n: int) -> int:
     raise UnsupportedPresetError(f"no closed-form cutoff for sequence {preset.name!r}")
 
 
-@dataclass(frozen=True)
-class BadInterval:
+class BadInterval(namedtuple("BadInterval", "n left right xi")):
     """Window n of targets where greedy loses: left excluded, right included."""
 
-    n: int
-    left: Fraction
-    right: Fraction
-    xi: int
+    __slots__ = ()
 
     def covers(self, theta: Fraction) -> bool:
         return self.left < theta <= self.right
@@ -135,16 +128,13 @@ def bad_interval_record(interval: BadInterval) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(
+    namedtuple("Classification", "theta greedy is_best witness_interval competitor")
+):
     """Verdict for one target: greedy result, best-or-not, and when beaten,
     the witnessing window plus the pair that wins there."""
 
-    theta: Fraction
-    greedy: GreedyResult
-    is_best: bool
-    witness_interval: BadInterval | None
-    competitor: TwoTermSum | None
+    __slots__ = ()
 
 
 def classify(params: SequenceParams, theta) -> Classification:

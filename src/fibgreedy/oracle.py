@@ -17,7 +17,7 @@ examined, the greedy pair and the one starting at g1 + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .greedy import greedy_two_term
@@ -30,22 +30,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TwoTermSum:
+class TwoTermSum(namedtuple("TwoTermSum", "m n value")):
     """A pair of indices m <= n and the exact value 1/a_m + 1/a_n."""
 
-    m: int
-    n: int
-    value: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(namedtuple("OracleReport", "best candidates_examined")):
     """Search outcome: the winner and the number of candidate pairs
     evaluated, counting the greedy pair (1 or 2)."""
 
-    best: TwoTermSum
-    candidates_examined: int
+    __slots__ = ()
 
 
 def oracle_best(params: SequenceParams, theta) -> OracleReport:

@@ -14,7 +14,7 @@ F_{n+1}) and "lucas" (seeds 3, 4; a_n equals the classical L_{n+2}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import SelfCheckError, SequenceValidationError
 
@@ -60,29 +60,34 @@ def fib(n: int) -> int:
     return f if k & 1 else -f
 
 
-@dataclass(frozen=True)
-class SequenceParams:
+class SequenceParams(namedtuple("SequenceParams", "a0 a1")):
     """Validated seeds of one Fibonacci-type sequence.
 
     Construction rejects seeds violating any condition, naming the failed one.
     """
 
-    a0: int
-    a1: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a0 <= 0:
-            raise SequenceValidationError(f"a0 must be positive, got {self.a0}")
-        if self.a1 < 1:
-            raise SequenceValidationError(f"a1 must be at least 1, got {self.a1}")
-        if self.a0 > self.a1:
+    def __new__(cls, a0: int, a1: int) -> SequenceParams:
+        self = super().__new__(cls, a0, a1)
+        if a0 <= 0:
+            raise SequenceValidationError(f"a0 must be positive, got {a0}")
+        if a1 < 1:
+            raise SequenceValidationError(f"a1 must be at least 1, got {a1}")
+        if a0 > a1:
             raise SequenceValidationError(
-                f"a0 must not exceed a1, got a0={self.a0}, a1={self.a1}"
+                f"a0 must not exceed a1, got a0={a0}, a1={a1}"
             )
         if self.chi <= 0:
             raise SequenceValidationError(
-                f"chi must be positive: a0={self.a0}, a1={self.a1} give chi={self.chi}"
+                f"chi must be positive: a0={a0}, a1={a1} give chi={self.chi}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> SequenceParams:
+        # the tuple default skips __new__; _replace goes through here too
+        return cls(*iterable)
 
     @property
     def chi(self) -> int:
@@ -157,12 +162,10 @@ def seq_term_from_fibs(params: SequenceParams, n: int) -> int:
     return params.a0 * fib(n - 1) + params.a1 * fib(n)
 
 
-@dataclass(frozen=True)
-class SequencePreset:
+class SequencePreset(namedtuple("SequencePreset", "name params")):
     """A named sequence choice: one of the presets or custom seeds."""
 
-    name: str
-    params: SequenceParams
+    __slots__ = ()
 
 
 FIBONACCI = SequencePreset("fibonacci", SequenceParams(1, 1))  # a_n = F(n+1)

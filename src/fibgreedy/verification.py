@@ -14,9 +14,8 @@ drives the single-index sweeps and grid_denominator the target sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .errors import SelfCheckError
 from .optimality import Classification, bad_interval, classify, xi, xi_closed_form
@@ -41,12 +40,22 @@ __all__ = [
 ]
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: int = 0
-    first_counterexample: str | None = None
+    """Tally of one suite: checks run, failures, and the first failure's text."""
+
+    __slots__ = ("name", "checks", "failures", "first_counterexample")
+
+    def __init__(
+        self,
+        name: str,
+        checks: int = 0,
+        failures: int = 0,
+        first_counterexample: str | None = None,
+    ) -> None:
+        self.name = name
+        self.checks = checks
+        self.failures = failures
+        self.first_counterexample = first_counterexample
 
     @property
     def passed(self) -> bool:
@@ -153,23 +162,27 @@ def positivity_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
 
 def xi_literal(params: SequenceParams, n: int) -> int:
     """Cutoff via the defining form: largest s with
-    a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi, compared as exact rationals.
+    a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi, tested exactly as the
+    integer cross-product (a_{2n+2}*F(s) + a_{2n+3}*F(s+1))*chi <= bound.
 
-    Kept deliberately independent of the integer index search: Fibonacci
-    factors advance by their own recurrence and the bound stays a Fraction.
+    Kept deliberately independent of the integer index search: it walks s up
+    from 0 with no guess, and the products a_{2n+2}*F(s) and a_{2n+3}*F(s+1)
+    each advance by the Fibonacci recurrence, by additions alone.
     """
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
     a2, a3 = seq_pair(params, 2 * n + 2)
-    a4 = a2 + a3
-    rhs = Fraction(a2 * a3 * a4, params.chi)
-    f_s, f_s1 = 0, 1  # F(0), F(1)
-    if a2 * f_s + a3 * f_s1 > rhs:
+    bound = a2 * a3 * (a2 + a3)
+    chi = params.chi
+    x, x1 = 0, a2  # a2*F(s), a2*F(s+1) at s = 0
+    y, y1 = a3, a3  # a3*F(s+1), a3*F(s+2) at s = 0
+    if (x + y) * chi > bound:
         raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
     s = 0
     while True:
-        f_s, f_s1 = f_s1, f_s + f_s1
-        if a2 * f_s + a3 * f_s1 > rhs:
+        x, x1 = x1, x + x1
+        y, y1 = y1, y + y1
+        if (x + y) * chi > bound:
             return s
         s += 1
 
@@ -179,7 +192,7 @@ def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
 
     For each n: xi >= 0 with chi <= a_{2n+2}*a_{2n+4}; the reciprocal form
     1/a_{2n+3+xi} >= chi/bound > 1/a_{2n+4+xi} holds exactly; and the literal
-    rational-inequality path returns the same cutoff as the integer search.
+    Fibonacci-factor path returns the same cutoff as the index search.
     """
     p = preset.params
     a = seq_terms(p, 2 * max_n + 4)

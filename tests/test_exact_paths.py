@@ -9,6 +9,8 @@ package but the result types, so the integer cross-products in
 exactly: the same indices and the same reduced values. The reference oracle
 scans a fixed REF_DEPTH first indices past g1 rather than using the
 package's stop rule, so a wrong stop shows as a different winner.
+``verification.xi_literal``, which tests the cutoff's Fibonacci-factor form
+by integer cross-products, is held to the same form over Fractions.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ from fibgreedy import (
     greedy_two_term,
     oracle_best,
 )
+from fibgreedy.verification import xi_literal
 
 REF_DEPTH = 10
 
@@ -90,6 +93,16 @@ def ref_window(params, n):
     return BadInterval(n, left, right, s)
 
 
+def ref_xi_literal(params, n):
+    # largest s with a_{2n+2} F(s) + a_{2n+3} F(s+1) <= a_{2n+2} a_{2n+3} a_{2n+4} / chi
+    a = [t for _, t in islice(terms_from(params, 0), 2 * n + 5)]
+    rhs = Fraction(a[2 * n + 2] * a[2 * n + 3] * a[2 * n + 4], params.chi)
+    s, f, g = -1, 0, 1  # f, g = F(s + 1), F(s + 2)
+    while a[2 * n + 2] * f + a[2 * n + 3] * g <= rhs:
+        s, f, g = s + 1, g, f + g
+    return s
+
+
 def ref_classify(params, theta):
     gr = ref_greedy(params, theta)
     if gr.g1 % 2 == 0:
@@ -144,6 +157,12 @@ def test_big_targets_match_reference(params, theta):
 @given(data=st.data(), params=st.sampled_from(SEEDS))
 def test_edge_targets_match_reference(data, params):
     assert_same_as_reference(params, data.draw(edge_thetas(params)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.sampled_from(SEEDS), n=st.integers(min_value=0, max_value=60))
+def test_xi_literal_matches_reference(params, n):
+    assert xi_literal(params, n) == ref_xi_literal(params, n)
 
 
 def test_named_edges_match_reference():

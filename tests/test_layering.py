@@ -1,7 +1,11 @@
 """The computing modules stay free of checks: none of them imports from
-``verification`` or ``cli``, and none defers an import into a function."""
+``verification`` or ``cli``, and none defers an import into a function. The
+command line's import stays light: no module on its path pulls in
+``dataclasses``, ``inspect`` or ``typing``."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,20 @@ def test_computing_module_layering(module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             nested = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
             assert not nested, f"{module}.{node.name} imports inside its body"
+
+
+def test_cli_import_skips_heavy_modules():
+    # -I -S: no site, no environment, so nothing but the package's own
+    # imports can load these modules
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fibgreedy.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    src = str(PACKAGE.parent)
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, src],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == []

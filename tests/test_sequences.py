@@ -1,4 +1,7 @@
-"""Fibonacci numbers, sequence parameters, term generation, identities."""
+"""Fibonacci numbers, sequence parameters, term generation, identities, and
+what callers can see of the package's records."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -9,11 +12,17 @@ from fibgreedy import (
     LUCAS,
     SequenceParams,
     SequenceValidationError,
+    SuiteResult,
+    XiResult,
     classical_label,
+    classify,
     fib,
+    greedy_prefix,
+    oracle_best,
     parse_sequence_spec,
     seq_term,
     seq_term_from_fibs,
+    xi,
 )
 from fibgreedy.sequences import seq_terms
 
@@ -99,6 +108,80 @@ class TestParams:
         assert (luc_params.a0, luc_params.a1) == (3, 4)
         with pytest.raises(SequenceValidationError, match="chi must be positive"):
             SequenceParams(a0=1, a1=2)
+
+    def test_replace_validates(self):
+        # _replace builds through the constructor, so it validates too
+        with pytest.raises(SequenceValidationError, match="chi must be positive"):
+            FIBONACCI.params._replace(a1=2)
+        assert LUCAS.params._replace(a0=4) == SequenceParams(4, 4)
+
+
+def _records():
+    # one of each of the nine records, from a losing target (27/50 lies in
+    # window 0 of fibonacci), so that every field is filled
+    params = FIBONACCI.params
+    theta = Fraction(27, 50)
+    cls = classify(params, theta)
+    report = oracle_best(params, theta)
+    return [
+        params,
+        FIBONACCI,
+        cls.greedy,
+        greedy_prefix(params, theta, 3),
+        xi(params, 0),
+        cls.witness_interval,
+        cls,
+        report.best,
+        report,
+    ]
+
+
+class TestRecords:
+    def test_repr(self):
+        assert repr(FIBONACCI.params) == "SequenceParams(a0=1, a1=1)"
+        assert repr(xi(FIBONACCI.params, 0)) == "XiResult(n=0, xi=4, bound=30, chi=1)"
+        assert repr(oracle_best(FIBONACCI.params, Fraction(27, 50))) == (
+            "OracleReport(best=TwoTermSum(m=3, n=4, value=Fraction(8, 15)), "
+            "candidates_examined=2)"
+        )
+        for record in _records():
+            fields = ", ".join(f"{name}={value!r}" for name, value in record._asdict().items())
+            assert repr(record) == f"{type(record).__name__}({fields})"
+
+    def test_immutable(self):
+        for record in _records():
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                record.extra = 0
+
+    def test_hashable(self):
+        for record, again in zip(_records(), _records()):
+            assert record == again
+            assert hash(record) == hash(again)
+            assert len({record, again}) == 1
+
+    def test_equal_to_plain_tuples_and_unpack(self):
+        # records are named tuples: a record equals the plain tuple of its
+        # fields, and unpacks into them
+        assert FIBONACCI.params == (1, 1)
+        n, s, bound, chi = xi(FIBONACCI.params, 0)
+        assert (n, s, bound, chi) == (0, 4, 30, 1) == XiResult(0, 4, 30, 1)
+        for record in _records():
+            assert record == tuple(record)
+
+    def test_suite_result_stays_mutable(self):
+        result = SuiteResult("demo")
+        assert (result.name, result.checks, result.failures) == ("demo", 0, 0)
+        assert result.first_counterexample is None and result.passed
+        result.check(True, lambda: "unused")
+        result.check(False, lambda: "first")
+        result.check(False, lambda: "second")
+        assert (result.checks, result.failures, result.first_counterexample) == (3, 2, "first")
+        assert not result.passed
+        result.name = "renamed"
+        assert result.name == "renamed"
 
 
 class TestTerms:
