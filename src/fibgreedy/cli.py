@@ -16,8 +16,6 @@ cross-check failed (classifier and search disagree, which indicates a bug),
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from fractions import Fraction
@@ -35,10 +33,16 @@ __all__ = ["main", "run"]
 
 def _emit(output_format: str, data: object, rows: list[dict], lines: list[str]) -> None:
     """Write one answer to stdout as json ``data``, csv ``rows`` or text ``lines``."""
+    # json and csv load only for the format that needs them: start-up of every
+    # other call skips them
     if output_format == "json":
+        import json
+
         json.dump(data, sys.stdout, indent=2)
         sys.stdout.write("\n")
     elif output_format == "csv":
+        import csv
+
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)

@@ -9,7 +9,9 @@ and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 The two-term pick runs on integers: the remainder theta - 1/a_g1 stays the
 unreduced pair (p*a_g1 - q, q*a_g1) and goes straight to the index search,
 which only compares cross-products. One reduced Fraction is built for the
-returned value.
+returned value. The private ``_greedy_terms`` returns the pick's indices with
+the terms the search found; ``classify`` and ``oracle_best`` start from those
+terms rather than evaluating them again.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ def _require_theta(theta) -> Fraction:
     return t
 
 
+def _greedy_terms(params: SequenceParams, p: int, q: int) -> tuple[int, int, int, int, int]:
+    """(g1, a_g1, a_{g1+1}, g2, a_g2) for theta = p/q, in integers only."""
+    g1, a, b = index_below(params, p, q, 1, params.a1, params.a0 + params.a1)
+    g2, c, _ = index_below(params, p * a - q, q * a, g1, a, b)
+    return g1, a, b, g2, c
+
+
 class GreedyResult(namedtuple("GreedyResult", "g1 g2 value")):
     """The greedy two-term pick: indices g1 <= g2 and the exact sum."""
 
@@ -56,9 +65,7 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     runs until the returned value is built, once and reduced.
     """
     t = _require_theta(theta)
-    p, q = t.numerator, t.denominator
-    g1, a, b = index_below(params, p, q, 1, params.a1, params.a0 + params.a1)
-    g2, c, _ = index_below(params, p * a - q, q * a, g1, a, b)
+    g1, a, _, g2, c = _greedy_terms(params, t.numerator, t.denominator)
     return GreedyResult(g1, g2, Fraction(a + c, a * c))
 
 

@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import SelfCheckError, UnsupportedPresetError
-from .greedy import GreedyResult, _require_theta, greedy_two_term
+from .greedy import GreedyResult, _greedy_terms, _require_theta
 from .oracle import TwoTermSum
 from .rationals import approx_decimal, format_rational
 from .sequences import SequenceParams, SequencePreset, index_below, seq_pair
@@ -50,15 +50,21 @@ class XiResult(namedtuple("XiResult", "n xi bound chi")):
     __slots__ = ()
 
 
-def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int, int, int]:
-    """(a_{2n+2}, a_{2n+3}, a_{2n+4}, xi(n), a_{2n+3+xi(n)}).
-
-    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound, found by one
-    index search from 2n+4; the bound's terms come from one term pair.
-    """
+def _leading_pair(params: SequenceParams, n: int) -> tuple[int, int]:
+    """(a_{2n+2}, a_{2n+3}) for window index n >= 0, from one term pair."""
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
-    a2, a3 = seq_pair(params, 2 * n + 2)
+    return seq_pair(params, 2 * n + 2)
+
+
+def _cutoff(params: SequenceParams, n: int, a2: int, a3: int) -> tuple[int, int, int, int, int]:
+    """(a_{2n+2}, a_{2n+3}, a_{2n+4}, xi(n), a_{2n+3+xi(n)}), given
+    (a2, a3) = (a_{2n+2}, a_{2n+3}).
+
+    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound, found by one
+    index search from 2n+4. The window path takes (a2, a3) from
+    ``_leading_pair``; ``classify`` passes the greedy search's (a_g1, a_{g1+1}).
+    """
     a4 = a2 + a3
     bound = a2 * a3 * a4
     chi = params.chi
@@ -75,7 +81,7 @@ def xi(params: SequenceParams, n: int) -> XiResult:
     Found with integers only, by one index search that predicts the cutoff
     from bit lengths and certifies it exactly.
     """
-    a2, a3, a4, s, _ = _cutoff(params, n)
+    a2, a3, a4, s, _ = _cutoff(params, n, *_leading_pair(params, n))
     return XiResult(n=n, xi=s, bound=a2 * a3 * a4, chi=params.chi)
 
 
@@ -113,7 +119,7 @@ def _window(n: int, a2: int, a3: int, a4: int, x: int, a_cut: int) -> BadInterva
 
 def bad_interval(params: SequenceParams, n: int) -> BadInterval:
     """Endpoints of window n, exactly."""
-    return _window(n, *_cutoff(params, n))
+    return _window(n, *_cutoff(params, n, *_leading_pair(params, n)))
 
 
 def bad_interval_record(interval: BadInterval) -> dict:
@@ -145,17 +151,19 @@ def classify(params: SequenceParams, theta) -> Classification:
     When beaten, the winning competitor is the adjacent pair (2m+3, 2m+4),
     whose value is the window's left endpoint.
 
-    The membership test compares integer cross-products of theta = p/q with
-    the window's terms; the window's exact endpoints are built only when it
-    covers theta.
+    The window's leading terms (a_{2m+2}, a_{2m+3}) are the greedy search's
+    (a_g1, a_{g1+1}), so no term is evaluated again. The membership test
+    compares integer cross-products of theta = p/q with the window's terms;
+    the window's exact endpoints are built only when it covers theta.
     """
     t = _require_theta(theta)
-    gr = greedy_two_term(params, t)
+    p, q = t.numerator, t.denominator
+    g1, a, b, g2, c = _greedy_terms(params, p, q)
+    gr = GreedyResult(g1, g2, Fraction(a + c, a * c))
     witness: BadInterval | None = None
-    if gr.g1 % 2 == 0:
-        m = gr.g1 // 2 - 1
-        a2, a3, a4, x, a_cut = _cutoff(params, m)
-        p, q = t.numerator, t.denominator
+    if g1 % 2 == 0:
+        m = g1 // 2 - 1
+        a2, a3, a4, x, a_cut = _cutoff(params, m, a, b)
         # 1/a3 + 1/a4 < theta <= 1/a2 + 1/a_cut
         if (a3 + a4) * q < p * a3 * a4 and p * a2 * a_cut <= (a2 + a_cut) * q:
             witness = _window(m, a2, a3, a4, x, a_cut)

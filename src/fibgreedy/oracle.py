@@ -13,6 +13,10 @@ The search is therefore exhaustive by that elementary bound alone, not by the
 classifier's theorem. Since a_{g1+2} > 2*a_{g1} and the greedy value exceeds
 1/a_{g1}, the rule always stops by m = g1 + 2: at most two candidates are
 examined, the greedy pair and the one starting at g1 + 1.
+
+The search starts from the greedy search's own integers: its indices, the
+terms a_g1 and a_g2, and a_{g1+1}, from which the walk's first term pair
+follows by one addition. No term is evaluated twice.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .greedy import greedy_two_term
-from .sequences import SequenceParams, index_below, seq_pair
+from .greedy import _greedy_terms, _require_theta
+from .sequences import SequenceParams, index_below
 
 __all__ = [
     "TwoTermSum",
@@ -57,23 +61,19 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     theta = p/q, the partner of a_m is searched under the unreduced remainder
     (p*a_m - q, q*a_m), a candidate 1/a_m + 1/c is compared with the best
     value so far, num/den, as (a_m + c)*den > num*a_m*c, and the stop rule
-    is 2*den <= num*a_m. One reduced Fraction is built, for a winner that is
-    not the greedy pair.
+    is 2*den <= num*a_m. The greedy value enters as the unreduced
+    (a_g1 + a_g2, a_g1*a_g2); the cross-products and the stop rule do not
+    need it reduced. One reduced Fraction is built, for the winner, whichever
+    pair wins.
     """
-    gr = greedy_two_term(params, theta)  # validates theta
-    t = Fraction(theta)
+    t = _require_theta(theta)
     p, q = t.numerator, t.denominator
-    num, den = gr.value.numerator, gr.value.denominator
-    winner = None
-    m = gr.g1 + 1
-    a, b = seq_pair(params, m)
+    g1, a, b, g2, c = _greedy_terms(params, p, q)
+    best, num, den = (g1, g2), a + c, a * c
+    m, a, b = g1 + 1, b, a + b
     while 2 * den > num * a:
         partner, c, _ = index_below(params, p * a - q, q * a, m + 1, b, a + b)
         if (a + c) * den > num * a * c:
-            winner, num, den = (m, partner), a + c, a * c
+            best, num, den = (m, partner), a + c, a * c
         m, a, b = m + 1, b, a + b
-    if winner is None:
-        best = TwoTermSum(gr.g1, gr.g2, gr.value)
-    else:
-        best = TwoTermSum(*winner, Fraction(num, den))
-    return OracleReport(best=best, candidates_examined=m - gr.g1)
+    return OracleReport(best=TwoTermSum(*best, Fraction(num, den)), candidates_examined=m - g1)

@@ -12,7 +12,7 @@ explicitly approximate display helper below.
 from __future__ import annotations
 
 import re
-from decimal import Context, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 
 from .errors import RationalParseError
@@ -22,6 +22,28 @@ __all__ = ["parse_rational", "format_rational", "approx_decimal"]
 # sign allowed on both parts of p/q; decimals need digits on both sides of the dot
 _FRACTION_RE = re.compile(r"\A([+-]?\d+)/([+-]?\d+)\Z")
 _DECIMAL_RE = re.compile(r"\A[+-]?\d+(\.\d+)?\Z")
+
+
+def _display_context(digits: int) -> Context:
+    # Every setting is given (the values are decimal's documented defaults),
+    # so the digits follow neither decimal.DefaultContext nor the caller's
+    # context.
+    return Context(
+        prec=digits,
+        rounding=ROUND_HALF_EVEN,
+        Emin=-999999,
+        Emax=999999,
+        capitals=1,
+        clamp=0,
+        flags=[],
+        traps=[InvalidOperation, DivisionByZero, Overflow],
+    )
+
+
+# Shared by every default-precision call. Its flags accumulate, but a trap
+# fires only on the signals of the current operation, so no result depends on
+# an earlier call.
+_SIX_DIGITS = _display_context(6)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -55,8 +77,11 @@ def approx_decimal(x: Fraction, digits: int = 6) -> str:
 
     Uses exact integer-to-Decimal conversion plus one correctly rounded
     division, so it works at any magnitude without touching binary floats.
-    The division runs in its own context (``digits`` of precision, the
-    module defaults otherwise), so the result does not follow the caller's
-    thread-local decimal context.
+    The division runs in a context that fixes every setting (``digits`` of
+    precision, ROUND_HALF_EVEN, decimal's default exponent limits and traps),
+    so the result depends neither on ``decimal.DefaultContext`` nor on the
+    caller's thread-local context. The default six digits share one context
+    made at import; any other ``digits`` builds its own.
     """
-    return str(Context(prec=digits).divide(Decimal(x.numerator), Decimal(x.denominator)))
+    context = _SIX_DIGITS if digits == 6 else _display_context(digits)
+    return str(context.divide(Decimal(x.numerator), Decimal(x.denominator)))

@@ -1,6 +1,6 @@
 """Exact rational parsing, formatting, and display rounding."""
 
-from decimal import ROUND_DOWN, localcontext
+from decimal import ROUND_DOWN, DefaultContext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -103,6 +103,17 @@ class TestApprox:
             ctx.prec = 2
             ctx.rounding = ROUND_DOWN
             assert approx_decimal(Fraction(2, 3)) == "0.666667"
+
+    def test_ignores_decimal_default_context(self):
+        # a fresh Context copies whatever DefaultContext does not set
+        saved = DefaultContext.rounding, DefaultContext.Emax
+        DefaultContext.rounding, DefaultContext.Emax = ROUND_DOWN, 10
+        try:
+            assert approx_decimal(Fraction(2, 3)) == "0.666667"
+            assert approx_decimal(Fraction(2, 3), digits=3) == "0.667"
+            assert approx_decimal(Fraction(10**30, 3), digits=3) == "3.33E+29"
+        finally:
+            DefaultContext.rounding, DefaultContext.Emax = saved
 
 
 @given(st.integers(), st.integers(min_value=1))

@@ -1,5 +1,6 @@
-"""The predict-then-certify index search, the cutoff built on it, and the
-absence of retained state."""
+"""The predict-then-certify index search, the cutoff built on it, the terms
+the classifier and the search take from it, and the absence of retained
+state."""
 
 import gc
 import tracemalloc
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibgreedy import FIBONACCI, LUCAS, SequenceParams, bad_interval, classify, xi
-from fibgreedy.sequences import index_below, seq_terms
+from fibgreedy import FIBONACCI, LUCAS, SequenceParams, bad_interval, classify, oracle_best, xi
+from fibgreedy import sequences
+from fibgreedy.sequences import index_below, seq_pair, seq_terms
 
 # every valid pair of seeds with a1 < 30
 SEEDS = [
@@ -70,6 +72,56 @@ def test_index_below_matches_linear_scan(params, start, num, den):
 def test_index_below_start_already_below():
     # 1/a_5 = 1/8 < 1/2: the search answers at start without moving
     assert index_below(FIBONACCI.params, 1, 2, 5, 8, 13) == (5, 8, 13)
+
+
+def test_index_below_skips_an_exact_reciprocal():
+    # den == num*a_n: 1/a_n equals num/den rather than sitting strictly below
+    # it, so the answer is n + 1. From start 1 to a far n the bit-length
+    # guess is taken and checked (its proof puts it below n, since
+    # num*a_guess < den); from start n only the walk runs, and its first
+    # comparison is the equality.
+    #
+    # The cutoff's equality a_{2n+3+s}*chi == a_{2n+2}*a_{2n+3}*a_{2n+4}
+    # (verification.xi_literal's boundary) has no known input: a search over
+    # all 430 175 valid seeds with a1 < 1500 at n <= 12 found none. Flipping
+    # xi_literal's strict test therefore stays unkillable by any known input.
+    guessed = walked = 0
+    for params in SEEDS:
+        terms = seq_terms(params, 62)
+        for n in (1, 2, 5, 20, 60):
+            for num in (1, 3, 2**40 + 1):
+                den = num * terms[n]
+                for start in (1, n):
+                    a, b = terms[start], terms[start + 1]
+                    found = index_below(params, num, den, start, a, b)
+                    assert found == (n + 1, terms[n + 1], terms[n + 2])
+                    if guessed_index(num, den, start, a) > start:
+                        guessed += 1
+                    else:
+                        walked += 1
+    assert guessed and walked
+
+
+def test_classify_and_oracle_evaluate_no_term_again(monkeypatch):
+    # Both take every term they need from the greedy search, which at 27/50
+    # walks up from a_1 with no bit-length guess: no fast-doubling
+    # evaluation runs at all.
+    calls = []
+    fib_pair = sequences._fib_pair
+
+    def counted(n):
+        calls.append(n)
+        return fib_pair(n)
+
+    monkeypatch.setattr(sequences, "_fib_pair", counted)
+    seq_pair(FIBONACCI.params, 10)
+    assert calls  # the counter sees an evaluation
+    calls.clear()
+    theta = Fraction(27, 50)
+    assert not classify(FIBONACCI.params, theta).is_best
+    assert calls == []
+    assert oracle_best(FIBONACCI.params, theta).candidates_examined == 2
+    assert calls == []
 
 
 def test_xi_matches_integer_scan():
