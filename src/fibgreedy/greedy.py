@@ -9,9 +9,10 @@ and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 The two-term pick runs on integers: the remainder theta - 1/a_g1 stays the
 unreduced pair (p*a_g1 - q, q*a_g1) and goes straight to the index search,
 which only compares cross-products. One reduced Fraction is built for the
-returned value. The private ``_greedy_terms`` returns the pick's indices with
-the terms the search found; ``classify`` and ``oracle_best`` start from those
-terms rather than evaluating them again.
+returned value. A pick from ``greedy_two_term`` also keeps the terms the
+search found, (a_g1, a_{g1+1}, a_g2); ``classify`` and ``oracle_best`` take
+their pick from ``greedy_two_term`` and read those terms through
+``_terms_of`` rather than evaluating them again.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import TermLimitError, ThetaDomainError
-from .sequences import SequenceParams, index_below, seq_pair
+from .sequences import SequenceParams, index_below, seq_pair, seq_term
 
 __all__ = [
     "GreedyResult",
@@ -42,17 +43,16 @@ def _require_theta(theta) -> Fraction:
     return t
 
 
-def _greedy_terms(params: SequenceParams, p: int, q: int) -> tuple[int, int, int, int, int]:
-    """(g1, a_g1, a_{g1+1}, g2, a_g2) for theta = p/q, in integers only."""
-    g1, a, b = index_below(params, p, q, 1, params.a1, params.a0 + params.a1)
-    g2, c, _ = index_below(params, p * a - q, q * a, g1, a, b)
-    return g1, a, b, g2, c
-
-
 class GreedyResult(namedtuple("GreedyResult", "g1 g2 value")):
     """The greedy two-term pick: indices g1 <= g2 and the exact sum."""
 
-    __slots__ = ()
+    # (a_g1, a_{g1+1}, a_g2): greedy_two_term writes them into the instance
+    # dict, outside the tuple, and _terms_of reads them. Assignment is
+    # refused, so the record stays immutable.
+    _terms = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GreedyResult is immutable, cannot set {name!r}")
 
 
 def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
@@ -65,8 +65,20 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     runs until the returned value is built, once and reduced.
     """
     t = _require_theta(theta)
-    g1, a, _, g2, c = _greedy_terms(params, t.numerator, t.denominator)
-    return GreedyResult(g1, g2, Fraction(a + c, a * c))
+    p, q = t.numerator, t.denominator
+    g1, a, b = index_below(params, p, q, 1, params.a1, params.a0 + params.a1)
+    g2, c, _ = index_below(params, p * a - q, q * a, g1, a, b)
+    pick = GreedyResult(g1, g2, Fraction(a + c, a * c))
+    pick.__dict__["_terms"] = a, b, c
+    return pick
+
+
+def _terms_of(params: SequenceParams, pick: GreedyResult) -> tuple[int, int, int]:
+    """(a_g1, a_{g1+1}, a_g2) of a pick: the terms its search kept, or, for a
+    GreedyResult built any other way, the terms evaluated afresh."""
+    if pick._terms is not None:
+        return pick._terms
+    return (*seq_pair(params, pick.g1), seq_term(params, pick.g2))
 
 
 class GreedyPrefix(namedtuple("GreedyPrefix", "indices partial_sum denominators")):

@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import SelfCheckError, UnsupportedPresetError
-from .greedy import GreedyResult, _greedy_terms, _require_theta
+from .greedy import _require_theta, _terms_of, greedy_two_term
 from .oracle import TwoTermSum
 from .rationals import approx_decimal, format_rational
 from .sequences import SequenceParams, SequencePreset, index_below, seq_pair
@@ -157,13 +157,13 @@ def classify(params: SequenceParams, theta) -> Classification:
     the window's exact endpoints are built only when it covers theta.
     """
     t = _require_theta(theta)
-    p, q = t.numerator, t.denominator
-    g1, a, b, g2, c = _greedy_terms(params, p, q)
-    gr = GreedyResult(g1, g2, Fraction(a + c, a * c))
+    gr = greedy_two_term(params, t)
     witness: BadInterval | None = None
-    if g1 % 2 == 0:
-        m = g1 // 2 - 1
+    if gr.g1 % 2 == 0:
+        m = gr.g1 // 2 - 1
+        a, b, _ = _terms_of(params, gr)
         a2, a3, a4, x, a_cut = _cutoff(params, m, a, b)
+        p, q = t.numerator, t.denominator
         # 1/a3 + 1/a4 < theta <= 1/a2 + 1/a_cut
         if (a3 + a4) * q < p * a3 * a4 and p * a2 * a_cut <= (a2 + a_cut) * q:
             witness = _window(m, a2, a3, a4, x, a_cut)

@@ -14,9 +14,10 @@ classifier's theorem. Since a_{g1+2} > 2*a_{g1} and the greedy value exceeds
 1/a_{g1}, the rule always stops by m = g1 + 2: at most two candidates are
 examined, the greedy pair and the one starting at g1 + 1.
 
-The search starts from the greedy search's own integers: its indices, the
-terms a_g1 and a_g2, and a_{g1+1}, from which the walk's first term pair
-follows by one addition. No term is evaluated twice.
+The search takes its greedy pair from ``greedy_two_term`` and starts from
+that search's own integers: the terms a_g1 and a_g2, and a_{g1+1}, from
+which the walk's first term pair follows by one addition. No term is
+evaluated twice.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .greedy import _greedy_terms, _require_theta
+from .greedy import _require_theta, _terms_of, greedy_two_term
 from .sequences import SequenceParams, index_below
 
 __all__ = [
@@ -63,17 +64,22 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     value so far, num/den, as (a_m + c)*den > num*a_m*c, and the stop rule
     is 2*den <= num*a_m. The greedy value enters as the unreduced
     (a_g1 + a_g2, a_g1*a_g2); the cross-products and the stop rule do not
-    need it reduced. One reduced Fraction is built, for the winner, whichever
-    pair wins.
+    need it reduced. The search builds one reduced Fraction, for a winner
+    that is not the greedy pair; the greedy pair's value is the pick's own.
     """
     t = _require_theta(theta)
     p, q = t.numerator, t.denominator
-    g1, a, b, g2, c = _greedy_terms(params, p, q)
-    best, num, den = (g1, g2), a + c, a * c
-    m, a, b = g1 + 1, b, a + b
+    greedy = greedy_two_term(params, t)
+    a, b, c = _terms_of(params, greedy)
+    winner, num, den = None, a + c, a * c
+    m, a, b = greedy.g1 + 1, b, a + b
     while 2 * den > num * a:
         partner, c, _ = index_below(params, p * a - q, q * a, m + 1, b, a + b)
         if (a + c) * den > num * a * c:
-            best, num, den = (m, partner), a + c, a * c
+            winner, num, den = (m, partner), a + c, a * c
         m, a, b = m + 1, b, a + b
-    return OracleReport(best=TwoTermSum(*best, Fraction(num, den)), candidates_examined=m - g1)
+    if winner is None:
+        best = TwoTermSum(greedy.g1, greedy.g2, greedy.value)
+    else:
+        best = TwoTermSum(*winner, Fraction(num, den))
+    return OracleReport(best=best, candidates_examined=m - greedy.g1)

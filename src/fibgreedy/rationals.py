@@ -40,10 +40,11 @@ def _display_context(digits: int) -> Context:
     )
 
 
+_DEFAULT_DIGITS = 6
 # Shared by every default-precision call. Its flags accumulate, but a trap
 # fires only on the signals of the current operation, so no result depends on
 # an earlier call.
-_SIX_DIGITS = _display_context(6)
+_DEFAULT_CONTEXT = _display_context(_DEFAULT_DIGITS)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -72,7 +73,7 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def approx_decimal(x: Fraction, digits: int = 6) -> str:
+def approx_decimal(x: Fraction, digits: int = _DEFAULT_DIGITS) -> str:
     """Decimal approximation to ``digits`` significant figures, display only.
 
     Uses exact integer-to-Decimal conversion plus one correctly rounded
@@ -83,5 +84,5 @@ def approx_decimal(x: Fraction, digits: int = 6) -> str:
     caller's thread-local context. The default six digits share one context
     made at import; any other ``digits`` builds its own.
     """
-    context = _SIX_DIGITS if digits == 6 else _display_context(digits)
+    context = _DEFAULT_CONTEXT if digits == _DEFAULT_DIGITS else _display_context(digits)
     return str(context.divide(Decimal(x.numerator), Decimal(x.denominator)))

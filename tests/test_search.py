@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibgreedy import FIBONACCI, LUCAS, SequenceParams, bad_interval, classify, oracle_best, xi
-from fibgreedy import sequences
+from fibgreedy import greedy, optimality, oracle, sequences
+from fibgreedy.greedy import GreedyResult
 from fibgreedy.sequences import index_below, seq_pair, seq_terms
 
 # every valid pair of seeds with a1 < 30
@@ -122,6 +123,22 @@ def test_classify_and_oracle_evaluate_no_term_again(monkeypatch):
     assert calls == []
     assert oracle_best(FIBONACCI.params, theta).candidates_examined == 2
     assert calls == []
+
+
+def test_a_pick_built_elsewhere_gives_the_same_answers(monkeypatch):
+    # A GreedyResult built directly carries no terms of its search; classify
+    # and oracle_best then evaluate a_g1, a_{g1+1} and a_g2 themselves.
+    targets = [Fraction(k, 97) for k in range(1, 98)]
+    cases = [(params, theta) for params in SEEDS[::9] for theta in targets]
+    expected = [(classify(*case), oracle_best(*case)) for case in cases]
+    real = greedy.greedy_two_term
+
+    def rebuilt(params, theta):
+        return GreedyResult(*real(params, theta))
+
+    monkeypatch.setattr(optimality, "greedy_two_term", rebuilt)
+    monkeypatch.setattr(oracle, "greedy_two_term", rebuilt)
+    assert [(classify(*case), oracle_best(*case)) for case in cases] == expected
 
 
 def test_xi_matches_integer_scan():
