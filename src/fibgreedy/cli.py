@@ -59,7 +59,7 @@ def cmd_classify(preset: SequencePreset, output_format: str, theta: Fraction) ->
 
     # The two verdicts come from unrelated code paths; a mismatch here is a
     # bug in this package, not bad input.
-    problem = disagreement(theta, result, report)
+    problem = disagreement(params, theta, result, report)
     if problem is not None:
         raise SelfCheckError(
             f"classifier and search disagree at theta={format_rational(theta)}: {problem}"

@@ -13,6 +13,15 @@ Window n sits strictly inside the band (1/a_{2n+2}, 1/a_{2n+1}) of targets
 whose greedy first index is exactly 2n+2, so classification needs only one
 membership test; windows never touch and march strictly downward.
 
+Inside window n the greedy second index is always g2 = 2n+4+xi(n). The left
+end equals 1/a_{2n+2} + chi/bound, where bound = a_{2n+2}a_{2n+3}a_{2n+4},
+so inside the window the remainder theta - 1/a_{2n+2} lies in
+(chi/bound, 1/a_{2n+3+xi(n)}], and 2n+4+xi(n) is the first index whose
+reciprocal fits under it. Conversely, above the left end, a_g2 * chi > bound
+holds exactly when g2 >= 2n+4+xi(n), that is when theta is at most the right
+end. ``classify`` therefore reads the window off the greedy pick and runs no
+cutoff search of its own.
+
 ``xi`` finds the cutoff with one predict-then-certify index search over
 integers. The cutoff also has an equivalent definition through Fibonacci
 factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi;
@@ -29,7 +38,7 @@ from fractions import Fraction
 from .errors import SelfCheckError, UnsupportedPresetError
 from .greedy import _require_theta, _terms_of, greedy_two_term
 from .oracle import TwoTermSum
-from .rationals import approx_decimal, format_rational
+from .rationals import _reciprocal_sum, approx_decimal, format_rational
 from .sequences import SequenceParams, SequencePreset, index_below, seq_pair
 
 __all__ = [
@@ -50,21 +59,16 @@ class XiResult(namedtuple("XiResult", "n xi bound chi")):
     __slots__ = ()
 
 
-def _leading_pair(params: SequenceParams, n: int) -> tuple[int, int]:
-    """(a_{2n+2}, a_{2n+3}) for window index n >= 0, from one term pair."""
-    if n < 0:
-        raise ValueError(f"window index must be nonnegative, got {n}")
-    return seq_pair(params, 2 * n + 2)
-
-
-def _cutoff(params: SequenceParams, n: int, a2: int, a3: int) -> tuple[int, int, int, int, int]:
-    """(a_{2n+2}, a_{2n+3}, a_{2n+4}, xi(n), a_{2n+3+xi(n)}), given
-    (a2, a3) = (a_{2n+2}, a_{2n+3}).
+def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int, int, int, int]:
+    """(a_{2n+2}, a_{2n+3}, a_{2n+4}, bound, xi(n), a_{2n+3+xi(n)}) for window
+    index n >= 0, where bound = a_{2n+2} * a_{2n+3} * a_{2n+4}.
 
     xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound, found by one
-    index search from 2n+4. The window path takes (a2, a3) from
-    ``_leading_pair``; ``classify`` passes the greedy search's (a_g1, a_{g1+1}).
+    index search from 2n+4.
     """
+    if n < 0:
+        raise ValueError(f"window index must be nonnegative, got {n}")
+    a2, a3 = seq_pair(params, 2 * n + 2)
     a4 = a2 + a3
     bound = a2 * a3 * a4
     chi = params.chi
@@ -72,7 +76,7 @@ def _cutoff(params: SequenceParams, n: int, a2: int, a3: int) -> tuple[int, int,
         # equivalent to chi > a_{2n+2}*a_{2n+4}, impossible for valid seeds
         raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
     end, a_end, a_next = index_below(params, chi, bound, 2 * n + 4, a4, a3 + a4)
-    return a2, a3, a4, end - (2 * n + 4), a_next - a_end
+    return a2, a3, a4, bound, end - (2 * n + 4), a_next - a_end
 
 
 def xi(params: SequenceParams, n: int) -> XiResult:
@@ -81,8 +85,8 @@ def xi(params: SequenceParams, n: int) -> XiResult:
     Found with integers only, by one index search that predicts the cutoff
     from bit lengths and certifies it exactly.
     """
-    a2, a3, a4, s, _ = _cutoff(params, n, *_leading_pair(params, n))
-    return XiResult(n=n, xi=s, bound=a2 * a3 * a4, chi=params.chi)
+    _, _, _, bound, s, _ = _cutoff(params, n)
+    return XiResult(n=n, xi=s, bound=bound, chi=params.chi)
 
 
 def xi_closed_form(preset: SequencePreset, n: int) -> int:
@@ -110,16 +114,15 @@ class BadInterval(namedtuple("BadInterval", "n left right xi")):
 
 
 def _window(n: int, a2: int, a3: int, a4: int, x: int, a_cut: int) -> BadInterval:
-    # 1/x + 1/y rather than (x + y)/(x*y): at large n the sum's gcd runs on
-    # the smaller pair of numbers, which is cheaper
-    left = Fraction(1, a3) + Fraction(1, a4)
-    right = Fraction(1, a2) + Fraction(1, a_cut)
+    left = _reciprocal_sum(a3, a4)
+    right = _reciprocal_sum(a2, a_cut)
     return BadInterval(n=n, left=left, right=right, xi=x)
 
 
 def bad_interval(params: SequenceParams, n: int) -> BadInterval:
     """Endpoints of window n, exactly."""
-    return _window(n, *_cutoff(params, n, *_leading_pair(params, n)))
+    a2, a3, a4, _, x, a_cut = _cutoff(params, n)
+    return _window(n, a2, a3, a4, x, a_cut)
 
 
 def bad_interval_record(interval: BadInterval) -> dict:
@@ -151,9 +154,12 @@ def classify(params: SequenceParams, theta) -> Classification:
     When beaten, the winning competitor is the adjacent pair (2m+3, 2m+4),
     whose value is the window's left endpoint.
 
-    The window's leading terms (a_{2m+2}, a_{2m+3}) are the greedy search's
-    (a_g1, a_{g1+1}), so no term is evaluated again. The membership test
-    compares integer cross-products of theta = p/q with the window's terms;
+    The window's terms come from the greedy search: (a_{2m+2}, a_{2m+3}) are
+    (a_g1, a_{g1+1}), and theta = p/q is inside exactly when it is above the
+    left end, (a3 + a4)*q < p*a3*a4, and g2 is the cutoff index 2m+4+xi(m),
+    a_g2 * chi > a2*a3*a4 (see the module docstring). The witness follows
+    from the same terms: xi(m) = g2 - (2m+4) and a_{2m+3+xi(m)} = a_{g2+1} -
+    a_g2. No cutoff or index search runs beyond the greedy pick's own, and
     the window's exact endpoints are built only when it covers theta.
     """
     t = _require_theta(theta)
@@ -161,12 +167,11 @@ def classify(params: SequenceParams, theta) -> Classification:
     witness: BadInterval | None = None
     if gr.g1 % 2 == 0:
         m = gr.g1 // 2 - 1
-        a, b, _ = _terms_of(params, gr)
-        a2, a3, a4, x, a_cut = _cutoff(params, m, a, b)
+        a2, a3, c, d = _terms_of(params, gr)
+        a4 = a2 + a3
         p, q = t.numerator, t.denominator
-        # 1/a3 + 1/a4 < theta <= 1/a2 + 1/a_cut
-        if (a3 + a4) * q < p * a3 * a4 and p * a2 * a_cut <= (a2 + a_cut) * q:
-            witness = _window(m, a2, a3, a4, x, a_cut)
+        if (a3 + a4) * q < p * a3 * a4 and c * params.chi > a2 * a3 * a4:
+            witness = _window(m, a2, a3, a4, gr.g2 - (2 * m + 4), d - c)
     if witness is None:
         return Classification(t, gr, True, None, None)
     competitor = TwoTermSum(2 * witness.n + 3, 2 * witness.n + 4, witness.left)

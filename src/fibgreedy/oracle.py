@@ -23,9 +23,9 @@ evaluated twice.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .greedy import _require_theta, _terms_of, greedy_two_term
+from .rationals import _reciprocal_sum
 from .sequences import SequenceParams, index_below
 
 __all__ = [
@@ -64,22 +64,24 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     value so far, num/den, as (a_m + c)*den > num*a_m*c, and the stop rule
     is 2*den <= num*a_m. The greedy value enters as the unreduced
     (a_g1 + a_g2, a_g1*a_g2); the cross-products and the stop rule do not
-    need it reduced. The search builds one reduced Fraction, for a winner
-    that is not the greedy pair; the greedy pair's value is the pick's own.
+    need it reduced. The search builds one reduced Fraction, by
+    ``rationals._reciprocal_sum``, for a winner that is not the greedy pair;
+    the greedy pair's value is the pick's own.
     """
     t = _require_theta(theta)
     p, q = t.numerator, t.denominator
     greedy = greedy_two_term(params, t)
-    a, b, c = _terms_of(params, greedy)
+    a, b, c, _ = _terms_of(params, greedy)
     winner, num, den = None, a + c, a * c
     m, a, b = greedy.g1 + 1, b, a + b
     while 2 * den > num * a:
         partner, c, _ = index_below(params, p * a - q, q * a, m + 1, b, a + b)
         if (a + c) * den > num * a * c:
-            winner, num, den = (m, partner), a + c, a * c
+            winner, num, den = (m, partner, a, c), a + c, a * c
         m, a, b = m + 1, b, a + b
     if winner is None:
         best = TwoTermSum(greedy.g1, greedy.g2, greedy.value)
     else:
-        best = TwoTermSum(*winner, Fraction(num, den))
+        first, second, x, y = winner
+        best = TwoTermSum(first, second, _reciprocal_sum(x, y))
     return OracleReport(best=best, candidates_examined=m - greedy.g1)

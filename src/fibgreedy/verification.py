@@ -256,11 +256,14 @@ def closed_form_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     return t
 
 
-def disagreement(theta: Fraction, cls: Classification, report: OracleReport) -> str | None:
+def disagreement(
+    params: SequenceParams, theta: Fraction, cls: Classification, report: OracleReport
+) -> str | None:
     """Why the classifier's verdict for theta and the oracle's search
     disagree, or None when they agree: dominance, strict membership, verdict
     equivalence, winner first index <= g1+1, and on a loss the exact adjacent
-    winner whose value is the window's left endpoint."""
+    winner whose value is the window's left endpoint, and a witness equal to
+    the window ``bad_interval`` finds by its own cutoff search."""
     greedy_value = cls.greedy.value
     best = report.best
     if best.value < greedy_value:
@@ -280,6 +283,8 @@ def disagreement(theta: Fraction, cls: Classification, report: OracleReport) -> 
             return f"winner {(best.m, best.n)} is not the adjacent pair"
         if cls.competitor is None or best.value != cls.competitor.value:
             return "winner value differs from the window's left endpoint"
+        if g1 % 2 or cls.witness_interval != bad_interval(params, g1 // 2 - 1):
+            return f"witness differs from bad_interval at first index {g1}"
     return None
 
 
@@ -292,7 +297,7 @@ def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = 1000)
     t = SuiteResult("grid_equivalence")
     for k in range(1, grid_denominator + 1):
         theta = Fraction(k, grid_denominator)
-        problem = disagreement(theta, classify(p, theta), oracle_best(p, theta))
+        problem = disagreement(p, theta, classify(p, theta), oracle_best(p, theta))
         t.check(problem is None, lambda k=k, problem=problem: f"params={p}, theta={k}/{grid_denominator}: {problem}")
     return t
 

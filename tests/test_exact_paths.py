@@ -27,9 +27,11 @@ from fibgreedy import (
     GreedyResult,
     SequenceParams,
     TwoTermSum,
+    bad_interval,
     classify,
     greedy_two_term,
     oracle_best,
+    xi,
 )
 from fibgreedy.verification import xi_literal
 
@@ -176,3 +178,26 @@ def test_named_edges_match_reference():
         assert_same_as_reference(FIBONACCI.params, theta)
     assert not classify(FIBONACCI.params, Fraction(23, 42)).is_best
     assert classify(FIBONACCI.params, Fraction(8, 15)).is_best
+
+
+def test_inside_a_window_g2_is_the_cutoff_index():
+    # classify reads its window off the greedy pick: inside window m the
+    # greedy second index is 2m+4+xi(m), and the witness must be the window
+    # bad_interval finds by its own cutoff search. At both edges and 10^-30
+    # to either side, and at the midpoint, over every seed and m <= 40.
+    tiny = Fraction(1, 10**30)
+    inside = 0
+    for params in SEEDS:
+        for m in range(41):
+            window = bad_interval(params, m)
+            g2 = 2 * m + 4 + xi(params, m).xi
+            ends = [end + d for end in (window.left, window.right) for d in (-tiny, 0, tiny)]
+            for theta in (*ends, (window.left + window.right) / 2):
+                cls = classify(params, theta)
+                if window.covers(theta):
+                    inside += 1
+                    assert greedy_two_term(params, theta).g2 == g2
+                    assert cls.witness_interval == window
+                else:
+                    assert cls.witness_interval is None
+    assert inside > 2 * len(SEEDS) * 41

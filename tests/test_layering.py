@@ -38,7 +38,9 @@ def test_computing_module_layering(module):
 
 def test_cli_import_skips_heavy_modules():
     # -I -S: no site, no environment, so nothing but the package's own
-    # imports can load these modules
+    # imports can load these modules. -B as well: -I ignores
+    # PYTHONDONTWRITEBYTECODE, and bytecode written into the source tree
+    # would be read by every later run from it.
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fibgreedy.cli; "
         "heavy = ('dataclasses', 'inspect', 'typing', 'json', 'csv'); "
@@ -46,7 +48,7 @@ def test_cli_import_skips_heavy_modules():
     )
     src = str(PACKAGE.parent)
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", probe, src],
+        [sys.executable, "-I", "-S", "-B", "-c", probe, src],
         capture_output=True,
         text=True,
         check=True,

@@ -105,4 +105,4 @@ class TestCompetitorShape:
         result = classify(LUC, midpoint)
         assert not result.is_best
         # includes the check that the winner is the adjacent pair (g1+1, g1+2)
-        assert disagreement(midpoint, result, oracle_best(LUC, midpoint)) is None
+        assert disagreement(LUC, midpoint, result, oracle_best(LUC, midpoint)) is None

@@ -1,13 +1,28 @@
 """Exact rational parsing, formatting, and display rounding."""
 
-from decimal import ROUND_DOWN, DefaultContext, localcontext
+from decimal import (
+    ROUND_DOWN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DefaultContext,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+    localcontext,
+)
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibgreedy import RationalParseError, approx_decimal, format_rational, parse_rational
+from fibgreedy.rationals import (
+    _INTEGER_ROUNDING_BITS,
+    _PRODUCT_FORM_BITS,
+    _reciprocal_sum,
+)
 
 
 class TestParse:
@@ -102,7 +117,11 @@ class TestApprox:
         with localcontext() as ctx:
             ctx.prec = 2
             ctx.rounding = ROUND_DOWN
+            ctx.capitals = 0
             assert approx_decimal(Fraction(2, 3)) == "0.666667"
+            # the exponent letter too, on both sides of the integer cut-off
+            assert approx_decimal(Fraction(1, 10**50 + 1)) == "1.00000E-50"
+            assert approx_decimal(Fraction(1, 10**5000 + 1)) == "1.00000E-5000"
 
     def test_ignores_decimal_default_context(self):
         # a fresh Context copies whatever DefaultContext does not set
@@ -114,6 +133,79 @@ class TestApprox:
             assert approx_decimal(Fraction(10**30, 3), digits=3) == "3.33E+29"
         finally:
             DefaultContext.rounding, DefaultContext.Emax = saved
+
+
+def divided(x, digits):
+    # the reference: one Decimal division in a context with every setting given
+    context = Context(
+        prec=digits,
+        rounding=ROUND_HALF_EVEN,
+        Emin=-999999,
+        Emax=999999,
+        capitals=1,
+        clamp=0,
+        flags=[],
+        traps=[InvalidOperation, DivisionByZero, Overflow],
+    )
+    return str(context.divide(Decimal(x.numerator), Decimal(x.denominator)))
+
+
+def sized(max_bits):
+    # integers of every bit length up to max_bits
+    return st.integers(min_value=0, max_value=max_bits).flatmap(
+        lambda bits: st.integers(min_value=0, max_value=2**bits)
+    )
+
+
+# operands on both sides of the integer-rounding cut-off
+SIZED = sized(3 * _INTEGER_ROUNDING_BITS)
+
+
+@st.composite
+def display_values(draw):
+    """Any rational, an exact tie at the digits rounded to, an exact decimal
+    quotient, or an integer, with either sign. Operands reach three times
+    the cut-off and ties are scaled by 10^j, |j| <= 400, so each kind falls
+    on both sides of it."""
+    digits = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(["any", "tie", "exact", "integer"]))
+    if kind == "any":
+        x = Fraction(draw(SIZED), draw(SIZED) + 1)
+    elif kind == "tie":
+        # digits figures, then a 5 with nothing after it
+        c = draw(st.integers(min_value=10 ** (digits - 1), max_value=10**digits - 1))
+        x = (10 * c + 5) * Fraction(10) ** draw(st.integers(min_value=-400, max_value=400))
+    elif kind == "exact":
+        x = Fraction(draw(SIZED), 2 ** draw(st.integers(0, 1500)) * 5 ** draw(st.integers(0, 700)))
+    else:
+        x = Fraction(draw(SIZED))
+    return x if draw(st.booleans()) else -x, digits
+
+
+@settings(max_examples=500, deadline=None)
+@given(display_values())
+def test_approx_matches_one_decimal_division(case):
+    x, digits = case
+    assert approx_decimal(x, digits) == divided(x, digits)
+
+
+def test_approx_reaches_both_sides_of_the_cut_off():
+    for bits in (_INTEGER_ROUNDING_BITS, _INTEGER_ROUNDING_BITS + 1):
+        for x in (Fraction(1, 3 * 2 ** (bits - 2)), Fraction(2**bits - 3, 2**bits - 1)):
+            assert max(x.numerator.bit_length(), x.denominator.bit_length()) == bits
+            for digits in range(1, 13):
+                assert approx_decimal(x, digits) == divided(x, digits)
+                assert approx_decimal(-x, digits) == divided(-x, digits)
+
+
+def test_reciprocal_sum_is_the_reduced_product_form():
+    # on both sides of the cut-off, and with a common factor, which leaves
+    # both reductions work to do
+    for bits in (8, _PRODUCT_FORM_BITS // 2, _PRODUCT_FORM_BITS, 2 * _PRODUCT_FORM_BITS):
+        for common in (1, 6, 2**61 - 1):
+            x, y = common * 3 * 2 ** (bits - 2), common * (2**bits - 1)
+            for u, v in ((x, y), (y, x), (y, y)):
+                assert _reciprocal_sum(u, v) == Fraction(u + v, u * v)
 
 
 @given(st.integers(), st.integers(min_value=1))

@@ -85,7 +85,9 @@ def test_index_below_skips_an_exact_reciprocal():
     # The cutoff's equality a_{2n+3+s}*chi == a_{2n+2}*a_{2n+3}*a_{2n+4}
     # (verification.xi_literal's boundary) has no known input: a search over
     # all 430 175 valid seeds with a1 < 1500 at n <= 12 found none. Flipping
-    # xi_literal's strict test therefore stays unkillable by any known input.
+    # xi_literal's strict test therefore stays unkillable by any known input,
+    # and so does flipping classify's a_g2*chi > bound to >=: the two differ
+    # only at that equality, so the flip is equivalent on every known input.
     guessed = walked = 0
     for params in SEEDS:
         terms = seq_terms(params, 62)
@@ -125,9 +127,31 @@ def test_classify_and_oracle_evaluate_no_term_again(monkeypatch):
     assert calls == []
 
 
+def test_classify_searches_only_for_the_greedy_pick(monkeypatch):
+    # classify reads its window off the greedy pick, so wherever the target
+    # lies it makes exactly greedy_two_term's two index searches: inside a
+    # window, just above one, and at an odd first index.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return index_below(*args)
+
+    monkeypatch.setattr(greedy, "index_below", counted)
+    monkeypatch.setattr(optimality, "index_below", counted)
+    window = bad_interval(FIBONACCI.params, 30)
+    targets = [Fraction(27, 50), Fraction(23, 42) + Fraction(1, 10**30), Fraction(1, 2)]
+    targets += [(window.left + window.right) / 2, window.right + Fraction(1, 10**90)]
+    for theta in targets:
+        calls.clear()
+        classify(FIBONACCI.params, theta)
+        assert len(calls) == 2
+
+
 def test_a_pick_built_elsewhere_gives_the_same_answers(monkeypatch):
     # A GreedyResult built directly carries no terms of its search; classify
-    # and oracle_best then evaluate a_g1, a_{g1+1} and a_g2 themselves.
+    # and oracle_best then evaluate a_g1, a_{g1+1}, a_g2 and a_{g2+1}
+    # themselves.
     targets = [Fraction(k, 97) for k in range(1, 98)]
     cases = [(params, theta) for params in SEEDS[::9] for theta in targets]
     expected = [(classify(*case), oracle_best(*case)) for case in cases]
