@@ -6,14 +6,16 @@ fits strictly under what remains of the target. Strictness matters: a target
 exactly equal to 1/a_n skips index n. Repeating the previous index is legal
 and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 
-The two-term pick runs on integers: the remainder theta - 1/a_g1 stays the
-unreduced pair (p*a_g1 - q, q*a_g1) and goes straight to the index search,
-which only compares cross-products. One reduced Fraction is built for the
-returned value, by ``rationals._reciprocal_sum``. A pick from
-``greedy_two_term`` also keeps the terms the search found, (a_g1, a_{g1+1},
-a_g2, a_{g2+1}); ``classify`` and ``oracle_best`` take their pick from
-``greedy_two_term`` and read those terms through ``_terms_of`` rather than
-evaluating them again.
+Both entry points run on integers: a remainder p/q less the term 1/a stays the
+unreduced pair (p*a - q, q*a) and goes straight to the index search, which
+only compares cross-products. Each builds one reduced Fraction, for the
+returned value: ``greedy_two_term`` by ``rationals._reciprocal_sum``,
+``greedy_prefix`` as theta minus the last remainder. ``greedy_two_term``
+writes out its two steps; a loop shared with ``greedy_prefix`` would cost it
+about 1 us a call. A pick from ``greedy_two_term`` also keeps the terms the
+search found, (a_g1, a_{g1+1}, a_g2, a_{g2+1}); ``classify`` and
+``oracle_best`` take their pick from ``greedy_two_term`` and read those terms
+through ``_terms_of`` rather than evaluating them again.
 """
 
 from __future__ import annotations
@@ -94,21 +96,23 @@ def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
     """First k greedy terms; the first two always match greedy_two_term.
 
     The remainder stays strictly positive forever, so any k is well defined;
-    DEFAULT_TERM_LIMIT merely caps requested work.
+    DEFAULT_TERM_LIMIT merely caps requested work. The partial sum is built
+    once, from the last remainder.
     """
     t = _require_theta(theta)
     if k < 1:
         raise ValueError(f"term count must be at least 1, got {k}")
     if k > DEFAULT_TERM_LIMIT:
         raise TermLimitError(f"term count {k} exceeds the limit of {DEFAULT_TERM_LIMIT}")
+    p, q = t.numerator, t.denominator
     indices: list[int] = []
     denominators: list[int] = []
-    total = Fraction(0)
-    n, a, b = 1, *seq_pair(params, 1)
+    n, a, b = 1, params.a1, params.a0 + params.a1
     for _ in range(k):
-        rest = t - total
-        n, a, b = index_below(params, rest.numerator, rest.denominator, n, a, b)
+        n, a, b = index_below(params, p, q, n, a, b)
         indices.append(n)
         denominators.append(a)
-        total += Fraction(1, a)
+        p, q = p * a - q, q * a
+    # q is theta's denominator times the terms, so theta - p/q is over q too
+    total = Fraction(t.numerator * (q // t.denominator) - p, q)
     return GreedyPrefix(tuple(indices), total, tuple(denominators))

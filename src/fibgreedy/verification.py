@@ -289,16 +289,21 @@ def disagreement(
 
 
 def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = 1000) -> SuiteResult:
-    """Classifier versus oracle over theta = k/grid_denominator, one
-    ``disagreement`` check per target."""
+    """Classifier versus oracle, one ``disagreement`` check per target: theta =
+    k/grid_denominator, then both ends of each window whose left end is above
+    1/grid_denominator, which no grid point need land on."""
     p = preset.params
     if grid_denominator < 2:
         raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
+    targets = [Fraction(k, grid_denominator) for k in range(1, grid_denominator + 1)]
+    n = 0
+    while (window := bad_interval(p, n)).left > targets[0]:
+        targets += window.left, window.right
+        n += 1
     t = SuiteResult("grid_equivalence")
-    for k in range(1, grid_denominator + 1):
-        theta = Fraction(k, grid_denominator)
+    for theta in targets:
         problem = disagreement(p, theta, classify(p, theta), oracle_best(p, theta))
-        t.check(problem is None, lambda k=k, problem=problem: f"params={p}, theta={k}/{grid_denominator}: {problem}")
+        t.check(problem is None, lambda theta=theta, problem=problem: f"params={p}, theta={theta}: {problem}")
     return t
 
 

@@ -18,7 +18,9 @@ from fibgreedy.cli import main
 # stdout, stderr and exit code of a small matrix of calls: three sequences in
 # each format through every subcommand, plus the bad-input cases below, and
 # fibonacci targets with a 1000-digit denominator inside and just above
-# window 716, whose values take the display rounding's integer path.
+# window 716, whose values take the display rounding's integer path, and a
+# four-term greedy expansion of 7/10^300, whose partial sums reach about 4000
+# bits.
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 

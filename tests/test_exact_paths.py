@@ -9,8 +9,10 @@ package but the result types, so the integer cross-products in
 exactly: the same indices and the same reduced values. The reference oracle
 scans a fixed REF_DEPTH first indices past g1 rather than using the
 package's stop rule, so a wrong stop shows as a different winner.
+``greedy_prefix``, which keeps its remainder as an unreduced integer pair,
+is held to the same scans for up to DEFAULT_TERM_LIMIT terms, and
 ``verification.xi_literal``, which tests the cutoff's Fibonacci-factor form
-by integer cross-products, is held to the same form over Fractions.
+by integer cross-products, to the same form over Fractions.
 """
 
 from fractions import Fraction
@@ -22,13 +24,16 @@ from hypothesis import strategies as st
 from fibgreedy import (
     FIBONACCI,
     LUCAS,
+    DEFAULT_TERM_LIMIT,
     BadInterval,
     Classification,
+    GreedyPrefix,
     GreedyResult,
     SequenceParams,
     TwoTermSum,
     bad_interval,
     classify,
+    greedy_prefix,
     greedy_two_term,
     oracle_best,
     xi,
@@ -67,6 +72,18 @@ def ref_greedy(params, theta):
     first = Fraction(1, a)
     g2, c = ref_below(params, theta - first, g1)
     return GreedyResult(g1, g2, first + Fraction(1, c))
+
+
+def ref_prefix(params, theta, k):
+    """k greedy terms, each the first index from the previous one whose
+    reciprocal fits strictly under theta minus the Fraction sum so far."""
+    indices, denominators, total, n = [], [], Fraction(0), 1
+    for _ in range(k):
+        n, a = ref_below(params, theta - total, n)
+        indices.append(n)
+        denominators.append(a)
+        total += Fraction(1, a)
+    return GreedyPrefix(tuple(indices), total, tuple(denominators))
 
 
 def ref_oracle_best(params, theta):
@@ -159,6 +176,17 @@ def test_big_targets_match_reference(params, theta):
 @given(data=st.data(), params=st.sampled_from(SEEDS))
 def test_edge_targets_match_reference(data, params):
     assert_same_as_reference(params, data.draw(edge_thetas(params)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=st.sampled_from(SEEDS),
+    theta=st.just(Fraction(1)) | big_thetas(),
+    k=st.integers(min_value=1, max_value=DEFAULT_TERM_LIMIT),
+)
+def test_prefix_matches_reference(params, theta, k):
+    # theta = 1 repeats an index on some seeds (3, 4 starts 1/4 + 1/4)
+    assert greedy_prefix(params, theta, k) == ref_prefix(params, theta, k)
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,7 +14,8 @@ from fibgreedy import (
     greedy_two_term,
     oracle_best,
 )
-from fibgreedy.verification import disagreement
+from fibgreedy import verification
+from fibgreedy.verification import disagreement, grid_equivalence_suite
 
 FIB = FIBONACCI.params
 LUC = LUCAS.params
@@ -96,6 +97,27 @@ def test_grid_agreement(params):
         if not result.is_best:
             assert (report.best.m, report.best.n) == (greedy.g1 + 1, greedy.g1 + 2)
             assert report.best.value == result.competitor.value
+
+
+def test_grid_suite_reaches_window_left_ends(monkeypatch):
+    # A classifier that also claims each window's left end, which the window
+    # excludes, as a loss. No k/20 lands on a left end, so only the window
+    # ends the suite adds can show it.
+    real = verification.classify
+
+    def claims_left_ends(params, theta):
+        cls = real(params, theta)
+        for n in range(3):
+            window = bad_interval(params, n)
+            if theta == window.left:
+                competitor = TwoTermSum(2 * n + 3, 2 * n + 4, window.left)
+                return cls._replace(is_best=False, witness_interval=window, competitor=competitor)
+        return cls
+
+    monkeypatch.setattr(verification, "classify", claims_left_ends)
+    result = grid_equivalence_suite(FIBONACCI, 20)
+    assert not result.passed
+    assert "theta=8/15:" in result.first_counterexample
 
 
 class TestCompetitorShape:

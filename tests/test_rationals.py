@@ -97,9 +97,6 @@ class TestApprox:
     def test_exact_short_values_stay_short(self):
         assert approx_decimal(Fraction(1, 2)) == "0.5"
 
-    def test_custom_digit_count(self):
-        assert approx_decimal(Fraction(1, 3), digits=3) == "0.333"
-
     def test_plain_and_negative_values(self):
         assert approx_decimal(3) == "3"
         assert approx_decimal(-3) == "-3"
@@ -111,7 +108,6 @@ class TestApprox:
 
     def test_five_thousand_digit_denominator(self):
         assert approx_decimal(Fraction(1, 10**5000 + 1)) == "1.00000E-5000"
-        assert approx_decimal(Fraction(1, 10**5000 + 1), digits=3) == "1.00E-5000"
 
     def test_ignores_the_callers_decimal_context(self):
         with localcontext() as ctx:
@@ -129,16 +125,15 @@ class TestApprox:
         DefaultContext.rounding, DefaultContext.Emax = ROUND_DOWN, 10
         try:
             assert approx_decimal(Fraction(2, 3)) == "0.666667"
-            assert approx_decimal(Fraction(2, 3), digits=3) == "0.667"
-            assert approx_decimal(Fraction(10**30, 3), digits=3) == "3.33E+29"
+            assert approx_decimal(Fraction(10**30, 3)) == "3.33333E+29"
         finally:
             DefaultContext.rounding, DefaultContext.Emax = saved
 
 
-def divided(x, digits):
+def divided(x):
     # the reference: one Decimal division in a context with every setting given
     context = Context(
-        prec=digits,
+        prec=6,
         rounding=ROUND_HALF_EVEN,
         Emin=-999999,
         Emax=999999,
@@ -163,39 +158,57 @@ SIZED = sized(3 * _INTEGER_ROUNDING_BITS)
 
 @st.composite
 def display_values(draw):
-    """Any rational, an exact tie at the digits rounded to, an exact decimal
-    quotient, or an integer, with either sign. Operands reach three times
-    the cut-off and ties are scaled by 10^j, |j| <= 400, so each kind falls
-    on both sides of it."""
-    digits = draw(st.integers(min_value=1, max_value=12))
+    """Any rational, an exact tie at the six figures rounded to, an exact
+    decimal quotient, or an integer, with either sign. Operands reach three
+    times the cut-off and ties are scaled by 10^j, |j| <= 400, so each kind
+    falls on both sides of it."""
     kind = draw(st.sampled_from(["any", "tie", "exact", "integer"]))
     if kind == "any":
         x = Fraction(draw(SIZED), draw(SIZED) + 1)
     elif kind == "tie":
-        # digits figures, then a 5 with nothing after it
-        c = draw(st.integers(min_value=10 ** (digits - 1), max_value=10**digits - 1))
+        # six figures, then a 5 with nothing after it
+        c = draw(st.integers(min_value=10**5, max_value=10**6 - 1))
         x = (10 * c + 5) * Fraction(10) ** draw(st.integers(min_value=-400, max_value=400))
     elif kind == "exact":
         x = Fraction(draw(SIZED), 2 ** draw(st.integers(0, 1500)) * 5 ** draw(st.integers(0, 700)))
     else:
         x = Fraction(draw(SIZED))
-    return x if draw(st.booleans()) else -x, digits
+    return x if draw(st.booleans()) else -x
 
 
 @settings(max_examples=500, deadline=None)
 @given(display_values())
-def test_approx_matches_one_decimal_division(case):
-    x, digits = case
-    assert approx_decimal(x, digits) == divided(x, digits)
+def test_approx_matches_one_decimal_division(x):
+    assert approx_decimal(x) == divided(x)
 
 
 def test_approx_reaches_both_sides_of_the_cut_off():
     for bits in (_INTEGER_ROUNDING_BITS, _INTEGER_ROUNDING_BITS + 1):
         for x in (Fraction(1, 3 * 2 ** (bits - 2)), Fraction(2**bits - 3, 2**bits - 1)):
             assert max(x.numerator.bit_length(), x.denominator.bit_length()) == bits
-            for digits in range(1, 13):
-                assert approx_decimal(x, digits) == divided(x, digits)
-                assert approx_decimal(-x, digits) == divided(-x, digits)
+            assert approx_decimal(x) == divided(x)
+            assert approx_decimal(-x) == divided(-x)
+
+
+@pytest.mark.parametrize(
+    "x, shown",
+    [
+        (Fraction(10**999999), "1.00000E+999999"),
+        (Fraction(10**1000000), Overflow),
+        (Fraction(1, 10**1000004), "1E-1000004"),
+        (Fraction(15, 10**1000005), "2E-1000004"),
+        (Fraction(5, 10**1000005), "0E-1000004"),
+    ],
+    ids=["largest", "overflow", "smallest", "subnormal-tie-up", "subnormal-tie-to-zero"],
+)
+def test_approx_at_the_exponent_limits(x, shown):
+    # Emax = 999999 and Etiny = Emin - prec + 1 = -1000004, as the division
+    # applies them: a larger value overflows, a smaller one loses figures
+    if shown is Overflow:
+        with pytest.raises(Overflow):
+            approx_decimal(x)
+    else:
+        assert approx_decimal(x) == shown
 
 
 def test_reciprocal_sum_is_the_reduced_product_form():
