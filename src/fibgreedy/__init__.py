@@ -11,7 +11,6 @@ from .errors import (
     SequenceValidationError,
     TermLimitError,
     ThetaDomainError,
-    UnsupportedPresetError,
 )
 from .greedy import (
     DEFAULT_TERM_LIMIT,
@@ -70,7 +69,6 @@ __all__ = [
     "TermLimitError",
     "ThetaDomainError",
     "TwoTermSum",
-    "UnsupportedPresetError",
     "XiResult",
     "approx_decimal",
     "bad_interval",

@@ -103,7 +103,6 @@ def cmd_classify(preset: SequencePreset, output_format: str, theta: Fraction) ->
 def cmd_intervals(preset: SequencePreset, output_format: str, count: int) -> int:
     if count < 1:
         raise ValueError(f"interval count must be at least 1, got {count}")
-    is_preset = preset.name in ("fibonacci", "lucas")
     rows, lines = [], []
     for n in range(count):
         interval = bad_interval(preset.params, n)
@@ -112,8 +111,8 @@ def cmd_intervals(preset: SequencePreset, output_format: str, count: int) -> int
             f"n={n}: ({row['left']}, {row['right']}] "
             f"~ ({row['left_approx']}, {row['right_approx']}], xi={interval.xi}"
         )
-        if is_preset:
-            closed = xi_closed_form(preset, n)
+        closed = xi_closed_form(preset, n)
+        if closed is not None:
             row["xi_closed_form"] = closed
             row["closed_form_match"] = interval.xi == closed
             if interval.xi != closed:

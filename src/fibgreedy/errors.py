@@ -26,9 +26,5 @@ class TermLimitError(FibgreedyError, ValueError):
     """More greedy terms requested than the configured cap allows."""
 
 
-class UnsupportedPresetError(FibgreedyError, ValueError):
-    """A closed-form cutoff was requested for a sequence that has none."""
-
-
 class SelfCheckError(FibgreedyError, RuntimeError):
     """An internal consistency check that should never fail did fail."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import SelfCheckError, UnsupportedPresetError
+from .errors import SelfCheckError
 from .greedy import _require_theta, _terms_of, greedy_two_term
 from .oracle import TwoTermSum
 from .rationals import _reciprocal_sum, approx_decimal, format_rational
@@ -89,19 +89,16 @@ def xi(params: SequenceParams, n: int) -> XiResult:
     return XiResult(n=n, xi=s, bound=bound, chi=params.chi)
 
 
-def xi_closed_form(preset: SequencePreset, n: int) -> int:
-    """Closed-form cutoff for presets: 4n+4 (fibonacci) or 4n+6 (lucas).
-
-    Custom seeds have no known closed form; asking for one raises
-    UnsupportedPresetError.
-    """
+def xi_closed_form(preset: SequencePreset, n: int) -> int | None:
+    """Closed-form cutoff: 4n+4 for fibonacci, 4n+6 for lucas, None for every
+    other sequence. The one place that knows which sequences have one."""
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
     if preset.name == "fibonacci":
         return 4 * n + 4
     if preset.name == "lucas":
         return 4 * n + 6
-    raise UnsupportedPresetError(f"no closed-form cutoff for sequence {preset.name!r}")
+    return None
 
 
 class BadInterval(namedtuple("BadInterval", "n left right xi")):

@@ -38,10 +38,12 @@ _DISPLAY = Context(
 
 # Above this many bits in the numerator or the denominator, approx_decimal
 # shortens the operands in integers before the context rounds; below it one
-# Decimal division is cheaper on the small values most displays show
-# (Python 3.11.7, random operands, division against integers: 1.9 against
-# 2.9 us at 7 bits, 2.9 against 3.1 at 300, 5.4 against 3.3 at 800).
-_INTEGER_ROUNDING_BITS = 800
+# Decimal division is cheaper on the small values most displays show. Each
+# path forced on 200 random p < q per size, five runs (Python 3.11.7): the
+# median integers/division time ratio is 1.015 at 350 bits, 0.986 at 375,
+# 0.92-0.97 from 400 to 475 and 0.87 at 500. Near the cut-off the two paths
+# are within a few per cent, so its exact place matters little.
+_INTEGER_ROUNDING_BITS = 360
 
 # Up to this many bits in the larger term, _reciprocal_sum reduces
 # (x + y)/(x*y) directly; above it, it adds Fraction(1, x) and Fraction(1, y),

@@ -14,6 +14,8 @@ F_{n+1}) and "lucas" (seeds 3, 4; a_n equals the classical L_{n+2}).
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import namedtuple
 
 from .errors import SelfCheckError, SequenceValidationError
@@ -172,6 +174,20 @@ FIBONACCI = SequencePreset("fibonacci", SequenceParams(1, 1))  # a_n = F(n+1)
 LUCAS = SequencePreset("lucas", SequenceParams(3, 4))  # a_n = L(n+2)
 
 
+def _seed(text: str, part: str) -> int:
+    """A custom seed as int() reads it. int() refuses a well-formed literal
+    only past the interpreter's digit limit; that error gives the size."""
+    try:
+        return int(part)
+    except ValueError:
+        if re.fullmatch(r"[+-]?\d+(?:_\d+)*", part.strip()) is None:
+            raise SequenceValidationError(f"custom seeds must be integers, got {text!r}") from None
+        raise SequenceValidationError(
+            f"custom seed has {sum(c.isdecimal() for c in part)} digits, over the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} digits for integer conversion"
+        ) from None
+
+
 def parse_sequence_spec(text: str) -> SequencePreset:
     """Parse ``"fibonacci"``, ``"lucas"``, or ``"custom:a0,a1"``."""
     s = text.strip()
@@ -186,13 +202,7 @@ def parse_sequence_spec(text: str) -> SequencePreset:
             raise SequenceValidationError(
                 f"custom sequence must be 'custom:a0,a1', got {text!r}"
             )
-        try:
-            a0, a1 = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise SequenceValidationError(
-                f"custom seeds must be integers, got {text!r}"
-            ) from None
-        return SequencePreset("custom", SequenceParams(a0, a1))
+        return SequencePreset("custom", SequenceParams(*(_seed(text, part) for part in parts)))
     raise SequenceValidationError(
         f"unknown sequence spec {text!r} (expected 'fibonacci', 'lucas', or 'custom:a0,a1')"
     )

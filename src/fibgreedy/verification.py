@@ -7,9 +7,9 @@ check options. ``xi_literal`` is the reference path for ``xi`` and
 Each suite sweeps one family of exact checks and reports how many ran, how
 many failed, and the first counterexample in a human-readable form. The CLI's
 ``verify`` subcommand runs them all; the test suite reuses them at the
-acceptance bounds. Suites with intrinsically fixed ranges (the double-index
-identities and the linear-form equivalence) keep their own defaults; max_n
-drives the single-index sweeps and grid_denominator the target sweep.
+acceptance bounds. The double-index identities and the linear-form
+equivalence run over fixed ranges; max_n drives the single-index sweeps and
+grid_denominator the target sweep.
 """
 
 from __future__ import annotations
@@ -45,17 +45,11 @@ class SuiteResult:
 
     __slots__ = ("name", "checks", "failures", "first_counterexample")
 
-    def __init__(
-        self,
-        name: str,
-        checks: int = 0,
-        failures: int = 0,
-        first_counterexample: str | None = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.checks = checks
-        self.failures = failures
-        self.first_counterexample = first_counterexample
+        self.checks = 0
+        self.failures = 0
+        self.first_counterexample: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -81,13 +75,13 @@ def growth_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     return t
 
 
-def term_formula_suite(preset: SequencePreset, max_n: int = 500) -> SuiteResult:
+def term_formula_suite(preset: SequencePreset) -> SuiteResult:
     """Recurrence terms equal seq_term's fast-doubling linear form
-    a0*F(n-1) + a1*F(n)."""
+    a0*F(n-1) + a1*F(n) for 0 <= n <= 500."""
     p = preset.params
-    a = seq_terms(p, max_n)
+    a = seq_terms(p, 500)
     t = SuiteResult("term_formula")
-    for n in range(0, max_n + 1):
+    for n in range(0, 501):
         rec, lin = a[n], seq_term(p, n)
         t.check(
             rec == lin,
@@ -96,14 +90,14 @@ def term_formula_suite(preset: SequencePreset, max_n: int = 500) -> SuiteResult:
     return t
 
 
-def shift_identity_suite(preset: SequencePreset, bound: int = 50) -> SuiteResult:
-    """a_{n+m} == F(n-1)*a_m + F(n)*a_{m+1} for 0 <= n, m <= bound."""
+def shift_identity_suite(preset: SequencePreset) -> SuiteResult:
+    """a_{n+m} == F(n-1)*a_m + F(n)*a_{m+1} for 0 <= n, m <= 50."""
     p = preset.params
-    a = seq_terms(p, 2 * bound + 1)
+    a = seq_terms(p, 101)
     t = SuiteResult("shift_identity")
-    for n in range(0, bound + 1):
+    for n in range(0, 51):
         f0, f1 = fib(n - 1), fib(n)
-        for m in range(0, bound + 1):
+        for m in range(0, 51):
             t.check(
                 a[n + m] == f0 * a[m] + f1 * a[m + 1],
                 lambda n=n, m=m: f"params={p}, n={n}, m={m}: shift identity violated",
@@ -124,11 +118,11 @@ def cassini_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     return t
 
 
-def fib_addition_suite(bound: int = 30) -> SuiteResult:
-    """F(n+m) == F(n-1)*F(m) + F(n)*F(m+1) for -bound <= n, m <= bound."""
+def fib_addition_suite() -> SuiteResult:
+    """F(n+m) == F(n-1)*F(m) + F(n)*F(m+1) for -30 <= n, m <= 30."""
     t = SuiteResult("fib_addition")
-    for n in range(-bound, bound + 1):
-        for m in range(-bound, bound + 1):
+    for n in range(-30, 31):
+        for m in range(-30, 31):
             t.check(
                 fib(n + m) == fib(n - 1) * fib(m) + fib(n) * fib(m + 1),
                 lambda n=n, m=m: f"n={n}, m={m}: addition formula violated",
@@ -310,7 +304,7 @@ def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = 1000)
 def run_all(
     preset: SequencePreset, max_n: int = 300, grid_denominator: int = 1000
 ) -> list[SuiteResult]:
-    """Every suite at the given bounds; presets add the closed-form sweep."""
+    """Every suite at the given bounds, and the closed-form sweep where one exists."""
     results = [
         growth_suite(preset, max_n),
         term_formula_suite(preset),
@@ -321,7 +315,7 @@ def run_all(
         xi_suite(preset, max_n),
         endpoint_suite(preset, max_n),
     ]
-    if preset.name in ("fibonacci", "lucas"):
+    if xi_closed_form(preset, 0) is not None:
         results.append(closed_form_suite(preset, max_n))
     results.append(grid_equivalence_suite(preset, grid_denominator))
     return results

@@ -144,22 +144,25 @@ def test_criterion_6_identity_suites(capfd):
     for spec in SEQUENCE_SPECS:
         preset = parse_sequence_spec(spec)
         for result in (
-            shift_identity_suite(preset, bound=50),
+            shift_identity_suite(preset),
             cassini_suite(preset, max_n=300),
             positivity_suite(preset, max_n=300),
-            term_formula_suite(preset, max_n=500),
+            term_formula_suite(preset),
         ):
             checks += result.checks
             if not result.passed:
                 failures.append((spec, result.name, result.first_counterexample))
-    addition = fib_addition_suite(bound=30)
+    addition = fib_addition_suite()
     checks += addition.checks
     if not addition.passed:
         failures.append(("-", addition.name, addition.first_counterexample))
     elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 30.0
+    # per sequence 51*51 shift + 301 alternating-product + 3*301 reciprocal +
+    # 501 term-formula checks, and 61*61 addition-formula checks once
+    ok = not failures and checks == 25251 and elapsed < 30.0
     _report(capfd, f"criterion 6: identity suites, {checks} checks", ok, elapsed)
     assert failures == []
+    assert checks == 25251
     assert elapsed < 30.0
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fibgreedy
-from fibgreedy import parse_rational
+from fibgreedy import parse_rational, parse_sequence_spec, run_all
 from fibgreedy.cli import main
 
 # stdout, stderr and exit code of a small matrix of calls: three sequences in
@@ -85,6 +85,20 @@ class TestClassify:
         assert out == ""
         assert "chi must be positive" in err
 
+    def test_seed_past_the_digit_limit(self, capsys):
+        # the error names the seed's size and the limit instead of echoing
+        # thousands of digits
+        digits = sys.get_int_max_str_digits() + 100
+        code, out, err = run_cli(
+            capsys, "--seq", f"custom:1,{'1' * digits}", "intervals"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: custom seed has {digits} digits, over the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer conversion\n"
+        )
+
     def test_theta_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--theta", "3/2")
         assert code == 2
@@ -137,6 +151,16 @@ class TestIntervals:
         assert rows[0]["left"] == "4/15"
         assert rows[0]["right"] == "23/84"
         assert "xi_closed_form" not in rows[0]
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_fibonacci_terms_under_a_custom_name_have_no_closed_form(self, capsys, output_format):
+        code, out, _ = run_cli(
+            capsys, "--seq", "custom:1,1", "--format", output_format, "intervals", "--count", "2"
+        )
+        assert code == 0
+        rows = json.loads(out) if output_format == "json" else list(csv.DictReader(io.StringIO(out)))
+        assert [row["xi"] for row in rows] == ([4, 8] if output_format == "json" else ["4", "8"])
+        assert all(set(row) == {"n", "xi", "left", "right", "left_approx", "right_approx"} for row in rows)
 
     def test_default_count(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "intervals")
@@ -207,6 +231,21 @@ class TestVerify:
         )
         assert code == 0
         assert "closed_form" not in out
+
+    def test_fibonacci_terms_under_a_custom_name_skip_closed_form(self):
+        results = run_all(parse_sequence_spec("custom:1,1"), 4, 20)
+        assert [result.name for result in results] == [
+            "strict_growth",
+            "term_formula",
+            "shift_identity",
+            "cassini_like",
+            "fib_addition",
+            "reciprocal_positivity",
+            "xi_cutoff",
+            "window_geometry",
+            "grid_equivalence",
+        ]
+        assert all(result.passed for result in results)
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "verify", "--max-n", "4", "--grid", "20")

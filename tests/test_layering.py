@@ -2,7 +2,8 @@
 ``verification`` or ``cli``, and none defers an import into a function. The
 command line's import stays light: no module on its path pulls in
 ``dataclasses``, ``inspect`` or ``typing``, and ``json`` and ``csv`` wait for
-the output format that needs them."""
+the output format that needs them. The package exports a fixed set of
+names."""
 
 import ast
 import subprocess
@@ -54,3 +55,24 @@ def test_cli_import_skips_heavy_modules():
         check=True,
     )
     assert result.stdout.split() == []
+
+
+PUBLIC_NAMES = {
+    "BadInterval", "Classification", "DEFAULT_TERM_LIMIT", "FIBONACCI",
+    "FibgreedyError", "GreedyPrefix", "GreedyResult", "LUCAS", "OracleReport",
+    "RationalParseError", "SelfCheckError", "SequenceParams", "SequencePreset",
+    "SequenceValidationError", "SuiteResult", "TermLimitError", "ThetaDomainError",
+    "TwoTermSum", "XiResult", "__version__", "approx_decimal", "bad_interval",
+    "bad_interval_record", "classical_label", "classify", "fib", "format_rational",
+    "greedy_prefix", "greedy_two_term", "oracle_best", "parse_rational",
+    "parse_sequence_spec", "run_all", "seq_term", "seq_term_from_fibs", "xi",
+    "xi_closed_form",
+}
+
+
+def test_public_names():
+    assert len(fibgreedy.__all__) == len(PUBLIC_NAMES) == 37
+    assert set(fibgreedy.__all__) == PUBLIC_NAMES
+    namespace = {}
+    exec("from fibgreedy import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES

@@ -9,7 +9,6 @@ from fibgreedy import (
     LUCAS,
     SequenceParams,
     ThetaDomainError,
-    UnsupportedPresetError,
     bad_interval,
     bad_interval_record,
     classify,
@@ -76,9 +75,13 @@ class TestClosedForm:
             assert xi_closed_form(LUCAS, n) == 4 * n + 6
             assert xi(LUC, n).xi == 4 * n + 6
 
-    def test_rejects_custom(self):
-        with pytest.raises(UnsupportedPresetError):
-            xi_closed_form(parse_sequence_spec("custom:2,3"), 0)
+    def test_custom_has_none(self):
+        # custom:1,1 has fibonacci's terms, but only the presets carry a
+        # closed form
+        for spec in ("custom:2,3", "custom:1,1"):
+            preset = parse_sequence_spec(spec)
+            for n in range(0, 5):
+                assert xi_closed_form(preset, n) is None
 
 
 class TestBadInterval:

@@ -1,6 +1,7 @@
 """Fibonacci numbers, sequence parameters, term generation, identities, and
 what callers can see of the package's records."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,18 @@ class TestParseSpec:
         preset = parse_sequence_spec("custom:2,3")
         assert preset.params == SequenceParams(2, 3)
         assert preset.name == "custom"
+
+    @pytest.mark.parametrize(
+        "spec, seeds",
+        [("custom:+3, 4", (3, 4)), ("custom: 4,5 ", (4, 5)), ("custom:1_0,1_0", (10, 10))],
+    )
+    def test_custom_seeds_read_as_int_reads_them(self, spec, seeds):
+        assert parse_sequence_spec(spec).params == seeds
+
+    def test_long_malformed_seed_is_not_an_integer(self):
+        digits = sys.get_int_max_str_digits() + 100
+        with pytest.raises(SequenceValidationError, match="must be integers"):
+            parse_sequence_spec(f"custom:1,{'7' * digits}x")
 
     @pytest.mark.parametrize("bad", ["fib", "custom:", "custom:1", "custom:1,2,3", "custom:a,b", ""])
     def test_rejects_malformed(self, bad):
