@@ -9,7 +9,8 @@ and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 Both entry points run on integers: a remainder p/q less the term 1/a stays the
 unreduced pair (p*a - q, q*a) and goes straight to the index search, which
 only compares cross-products. Each builds one reduced Fraction, for the
-returned value: ``greedy_two_term`` by ``rationals._reciprocal_sum``,
+returned value: ``greedy_two_term`` by ``rationals._reciprocal_sum``, which
+takes the pick's indices and reduces large terms from their gap g2 - g1,
 ``greedy_prefix`` as theta minus the last remainder. ``greedy_two_term``
 writes out its two steps; a loop shared with ``greedy_prefix`` would cost it
 about 1 us a call. A pick from ``greedy_two_term`` also keeps the terms the
@@ -72,7 +73,7 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     p, q = t.numerator, t.denominator
     g1, a, b = index_below(params, p, q, 1, params.a1, params.a0 + params.a1)
     g2, c, d = index_below(params, p * a - q, q * a, g1, a, b)
-    pick = GreedyResult(g1, g2, _reciprocal_sum(a, c))
+    pick = GreedyResult(g1, g2, _reciprocal_sum(params, g1, a, g2, c))
     pick.__dict__["_terms"] = a, b, c, d
     return pick
 

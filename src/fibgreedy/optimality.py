@@ -110,16 +110,18 @@ class BadInterval(namedtuple("BadInterval", "n left right xi")):
         return self.left < theta <= self.right
 
 
-def _window(n: int, a2: int, a3: int, a4: int, x: int, a_cut: int) -> BadInterval:
-    left = _reciprocal_sum(a3, a4)
-    right = _reciprocal_sum(a2, a_cut)
+def _window(
+    params: SequenceParams, n: int, a2: int, a3: int, a4: int, x: int, a_cut: int
+) -> BadInterval:
+    left = _reciprocal_sum(params, 2 * n + 3, a3, 2 * n + 4, a4)
+    right = _reciprocal_sum(params, 2 * n + 2, a2, 2 * n + 3 + x, a_cut)
     return BadInterval(n=n, left=left, right=right, xi=x)
 
 
 def bad_interval(params: SequenceParams, n: int) -> BadInterval:
     """Endpoints of window n, exactly."""
     a2, a3, a4, _, x, a_cut = _cutoff(params, n)
-    return _window(n, a2, a3, a4, x, a_cut)
+    return _window(params, n, a2, a3, a4, x, a_cut)
 
 
 def bad_interval_record(interval: BadInterval) -> dict:
@@ -168,7 +170,7 @@ def classify(params: SequenceParams, theta) -> Classification:
         a4 = a2 + a3
         p, q = t.numerator, t.denominator
         if (a3 + a4) * q < p * a3 * a4 and c * params.chi > a2 * a3 * a4:
-            witness = _window(m, a2, a3, a4, gr.g2 - (2 * m + 4), d - c)
+            witness = _window(params, m, a2, a3, a4, gr.g2 - (2 * m + 4), d - c)
     if witness is None:
         return Classification(t, gr, True, None, None)
     competitor = TwoTermSum(2 * witness.n + 3, 2 * witness.n + 4, witness.left)

@@ -65,8 +65,9 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     is 2*den <= num*a_m. The greedy value enters as the unreduced
     (a_g1 + a_g2, a_g1*a_g2); the cross-products and the stop rule do not
     need it reduced. The search builds one reduced Fraction, by
-    ``rationals._reciprocal_sum``, for a winner that is not the greedy pair;
-    the greedy pair's value is the pick's own.
+    ``rationals._reciprocal_sum`` from the winner's indices (m, partner),
+    for a winner that is not the greedy pair; the greedy pair's value is the
+    pick's own.
     """
     t = _require_theta(theta)
     p, q = t.numerator, t.denominator
@@ -83,5 +84,5 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
         best = TwoTermSum(greedy.g1, greedy.g2, greedy.value)
     else:
         first, second, x, y = winner
-        best = TwoTermSum(first, second, _reciprocal_sum(x, y))
+        best = TwoTermSum(first, second, _reciprocal_sum(params, first, x, second, y))
     return OracleReport(best=best, candidates_examined=m - greedy.g1)

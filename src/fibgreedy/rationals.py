@@ -5,8 +5,9 @@ to lowest terms at construction, denominator always positive. Fractions
 appear only at the edges of a computation: parsing yields the target, and
 each returned value is one reduced Fraction; in between, the greedy search,
 the window test and the oracle compare unreduced integer cross-products.
-Every returned value of the form 1/x + 1/y is built by ``_reciprocal_sum``,
-which picks the cheaper of two reductions by the size of the terms.
+Every returned value of the form 1/a_i + 1/a_j is built by
+``_reciprocal_sum``: small terms by one ``Fraction`` reduction, larger ones
+from the gcd that the index gap j - i gives, with no second normalisation.
 No float ever enters a computation; the only decimal output is the
 explicitly approximate display helper below, which rounds every value to six
 figures in one fixed decimal context.
@@ -17,8 +18,11 @@ from __future__ import annotations
 import re
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
+from functools import partial
+from math import gcd
 
 from .errors import RationalParseError
+from .sequences import SequenceParams, _fib_pair
 
 __all__ = ["parse_rational", "format_rational", "approx_decimal"]
 
@@ -46,14 +50,28 @@ _DISPLAY = Context(
 _INTEGER_ROUNDING_BITS = 360
 
 # Up to this many bits in the larger term, _reciprocal_sum reduces
-# (x + y)/(x*y) directly; above it, it adds Fraction(1, x) and Fraction(1, y),
-# whose gcd runs on x and y instead of on x + y and x*y. Measured on the term
-# pairs of perfbench's targets and windows (Python 3.11): the product form is
-# faster up to about 4000 bits, and on adjacent terms up to about 17000 (175
-# against 279 us at 6945 bits); from about 5000 bits the sum form is faster
-# when one term has three times the bits of the other (2.3 against 9.3 ms at
-# 27771/55539 bits).
-_PRODUCT_FORM_BITS = 8000
+# (x + y)/(x*y) by one Fraction normalisation; above it, from the index gap.
+# Gap form over product form, median of nine time ratios on fibonacci, lucas
+# and custom:4,5 terms (Python 3.11.7; 3.12.1 alike): adjacent terms 1.08 at
+# 400 bits, 0.86 at 600, 0.81 at 1000 and 0.34 at 8331; gap 4 1.30, 1.08,
+# 0.88 and 0.33. A gap of twice the smaller index, as at a window's right
+# end, pays more for F(j - i): 1.61 at 1000 bits (12.3 against 7.5 us), 1.0
+# at about 3000 and 0.67 at 8331.
+_PRODUCT_FORM_BITS = 1000
+
+# Fraction(n, d) for coprime n and d > 0, skipping the gcd that a Fraction
+# normally runs: the private constructor of Python 3.12+, else the
+# _normalize flag of 3.10-3.11, else the public constructor, which is only
+# slower.
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime = Fraction._from_coprime_ints
+else:
+    try:
+        Fraction(1, 1, _normalize=False)
+    except TypeError:
+        _coprime = Fraction
+    else:
+        _coprime = partial(Fraction, _normalize=False)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -82,11 +100,25 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _reciprocal_sum(x: int, y: int) -> Fraction:
-    """1/x + 1/y in lowest terms, for positive integers x and y."""
-    if x.bit_length() <= _PRODUCT_FORM_BITS and y.bit_length() <= _PRODUCT_FORM_BITS:
+def _reciprocal_sum(params: SequenceParams, i: int, x: int, j: int, y: int) -> Fraction:
+    """1/x + 1/y in lowest terms, for x = a_i and y = a_j with i <= j.
+
+    With g = gcd(a0, a1), gcd(a_i/g, a_{i+1}/g) = 1 and a_j = F(j-i-1)*a_i +
+    F(j-i)*a_{i+1}, so G = gcd(x, y) = g*gcd(x/g, F(j-i)). Above
+    _PRODUCT_FORM_BITS that gcd runs against F(j-i), about y/x, instead of
+    y or x*y: adjacent terms (F(1) = 1) need no big gcd at all, and a
+    repeated index (F(0) = 0) gives G = x. With x' = x/G, y' = y/G and
+    h = gcd(x' + y', G), the sum is (x' + y')/h over (G/h)*x'*y', already in
+    lowest terms, so it is built without a second normalisation.
+    """
+    if y.bit_length() <= _PRODUCT_FORM_BITS:
         return Fraction(x + y, x * y)
-    return Fraction(1, x) + Fraction(1, y)
+    g = gcd(params.a0, params.a1)
+    common = g * gcd(x // g, _fib_pair(j - i)[0])
+    x, y = x // common, y // common
+    s = x + y
+    h = gcd(s, common)
+    return _coprime(s // h, common // h * x * y)
 
 
 def approx_decimal(x: Fraction) -> str:

@@ -132,23 +132,26 @@ def index_below(
 
     Predict, then certify. Since a_{s+1} <= 2*a_s for every valid sequence,
     a_{s+k} <= F(k+2)*a_s < a_s*phi^(k+1), so the bit-length guess
-    k = (bits(den) - bits(num) - bits(a_s) - 2) / log2(phi), rounded down,
-    leaves num*a_{s+k} < 2^(bits(den)-1) <= den: the guess never overshoots.
-    It is still checked exactly, and a guess that already satisfies the bound
-    raises SelfCheckError. From a_{s+k} >= F(k+1)*a_s, the remaining walk up
-    the recurrence is a handful of steps.
+    k = (bits(den) - bits(num) - bits(a_s) - 2) / 0.694242, rounded down,
+    leaves num*a_{s+k} < 2^(bits(den)-1) <= den: the constant sits just above
+    log2(phi) = 0.6942419, so the guess never overshoots. It is still checked
+    exactly, and a guess that already satisfies the bound raises
+    SelfCheckError. From a_{s+k} >= F(k+1)*a_s, the remaining walk up the
+    recurrence is a handful of steps. The check and the walk multiply only
+    near the answer: while bits(num) + bits(a_n) < bits(den), num*a_n <
+    2^(bits(num)+bits(a_n)) <= 2^(bits(den)-1) <= den without the product.
     """
-    # 0.6943 sits just above log2(phi) = 0.69424, so k errs low
-    k = (den.bit_length() - num.bit_length() - a.bit_length() - 2) * 10000 // 6943
+    num_bits, den_bits = num.bit_length(), den.bit_length()
+    k = (den_bits - num_bits - a.bit_length() - 2) * 1000000 // 694242
     n = start
     if k > 0:
         n = start + k
         a, b = seq_pair(params, n)
-        if num * a > den:
+        if num_bits + a.bit_length() >= den_bits and num * a > den:
             raise SelfCheckError(
                 f"index guess {n} from start {start} overshoots for {params}"
             )
-    while num * a <= den:
+    while num_bits + a.bit_length() < den_bits or num * a <= den:
         n, a, b = n + 1, b, a + b
     return n, a, b
 

@@ -31,10 +31,18 @@ class TestFirstIndex:
         assert greedy_two_term(LUC, Fraction(1, 2)).g1 == 1
 
     def test_strict_inequality_at_reciprocal(self):
-        # theta equal to 1/a_n must push the choice one index further.
-        for n in range(1, 12):
+        # theta equal to 1/a_n must push the choice one index further; at
+        # n = 30000 (a_n of 20 800 bits) both searches guess from bit lengths
+        # and decide at a product of the full size.
+        for n in [*range(1, 12), 30000]:
             theta = Fraction(1, seq_term(FIB, n))
-            assert greedy_two_term(FIB, theta).g1 == n + 1
+            pick = greedy_two_term(FIB, theta)
+            assert pick.g1 == n + 1
+            first, second, before = (
+                Fraction(1, seq_term(FIB, k)) for k in (n + 1, pick.g2, pick.g2 - 1)
+            )
+            assert second < theta - first <= before
+            assert pick.value == first + second
 
     @pytest.mark.parametrize("theta", [Fraction(0), Fraction(-1, 2), Fraction(3, 2)])
     def test_domain_errors(self, theta):

@@ -1,5 +1,6 @@
 """Exact rational parsing, formatting, and display rounding."""
 
+import importlib
 from decimal import (
     ROUND_DOWN,
     ROUND_HALF_EVEN,
@@ -12,17 +13,26 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibgreedy import RationalParseError, approx_decimal, format_rational, parse_rational
+from fibgreedy import (
+    RationalParseError,
+    SequenceParams,
+    approx_decimal,
+    format_rational,
+    parse_rational,
+    rationals,
+)
 from fibgreedy.rationals import (
     _INTEGER_ROUNDING_BITS,
     _PRODUCT_FORM_BITS,
     _reciprocal_sum,
 )
+from fibgreedy.sequences import seq_terms
 
 
 class TestParse:
@@ -211,14 +221,70 @@ def test_approx_at_the_exponent_limits(x, shown):
         assert approx_decimal(x) == shown
 
 
-def test_reciprocal_sum_is_the_reduced_product_form():
-    # on both sides of the cut-off, and with a common factor, which leaves
-    # both reductions work to do
-    for bits in (8, _PRODUCT_FORM_BITS // 2, _PRODUCT_FORM_BITS, 2 * _PRODUCT_FORM_BITS):
-        for common in (1, 6, 2**61 - 1):
-            x, y = common * 3 * 2 ** (bits - 2), common * (2**bits - 1)
-            for u, v in ((x, y), (y, x), (y, y)):
-                assert _reciprocal_sum(u, v) == Fraction(u + v, u * v)
+# every valid pair of seeds with a1 < 30, custom:2,2 (gcd 2) among them
+SEEDS = [
+    SequenceParams(a0, a1)
+    for a1 in range(1, 30)
+    for a0 in range(1, a1 + 1)
+    if a0 * a0 + a1 * a0 - a1 * a1 > 0
+]
+
+
+@pytest.fixture(scope="module")
+def term_pairs():
+    # (params, i, a_i, j, a_j) at gaps 0, 1, 2 and 6, and at gap 2i, each
+    # once with a_j just inside the product form's size and once past it
+    cases = []
+    for params in SEEDS:
+        a = seq_terms(params, 3 * _PRODUCT_FORM_BITS)
+        fits = [n for n in range(len(a)) if a[n].bit_length() <= _PRODUCT_FORM_BITS]
+        for gap in (0, 1, 2, 6):
+            for i in (fits[-1] - gap, fits[-1] + 1):
+                cases.append((params, i, a[i], i + gap, a[i + gap]))
+        inside = max(n for n in fits if 3 * n <= fits[-1])
+        for i in (inside, inside + 1):
+            cases.append((params, i, a[i], 3 * i, a[3 * i]))
+    return cases
+
+
+def _assert_reduced_product_forms(reciprocal_sum, term_pairs):
+    for params, i, x, j, y in term_pairs:
+        value = reciprocal_sum(params, i, x, j, y)
+        expected = Fraction(x + y, x * y)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
+def test_reciprocal_sum_is_the_reduced_product_form(term_pairs):
+    assert len(SEEDS) == 181 and SequenceParams(2, 2) in SEEDS
+    sizes = [y.bit_length() > _PRODUCT_FORM_BITS for _, _, _, _, y in term_pairs]
+    assert sizes.count(True) == sizes.count(False)
+    # some pairs share a factor, and some sums share one with it as well
+    assert any(gcd(x, y) > 1 for _, _, x, _, y in term_pairs)
+    assert any(
+        gcd(x + y, x * y) > gcd(x, y) for _, _, x, _, y in term_pairs if gcd(x, y) > 1
+    )
+    _assert_reduced_product_forms(_reciprocal_sum, term_pairs)
+
+
+def test_reciprocal_sum_without_the_private_constructors(monkeypatch, term_pairs):
+    # With neither Fraction._from_coprime_ints nor the _normalize flag, the
+    # module settles on the public constructor and gives the same values.
+    # The hooks are gone only while the module is executed again.
+    public_new = Fraction.__new__
+
+    def new_without_flag(cls, numerator=0, denominator=None):
+        return public_new(cls, numerator, denominator)
+
+    monkeypatch.delattr(Fraction, "_from_coprime_ints", raising=False)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new_without_flag))
+    importlib.reload(rationals)
+    monkeypatch.undo()
+    try:
+        assert rationals._coprime is Fraction
+        _assert_reduced_product_forms(rationals._reciprocal_sum, term_pairs)
+    finally:
+        importlib.reload(rationals)
 
 
 @given(st.integers(), st.integers(min_value=1))

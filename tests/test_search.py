@@ -42,7 +42,7 @@ def linear_index_below(params, num, den, start):
 
 def guessed_index(num, den, start, a_start):
     # The documented bit-length guess, clamped at start.
-    k = (den.bit_length() - num.bit_length() - a_start.bit_length() - 2) * 10000 // 6943
+    k = (den.bit_length() - num.bit_length() - a_start.bit_length() - 2) * 1000000 // 694242
     return start + max(k, 0)
 
 
@@ -103,6 +103,23 @@ def test_index_below_skips_an_exact_reciprocal():
                     else:
                         walked += 1
     assert guessed and walked
+
+
+@pytest.mark.parametrize("params", [FIBONACCI.params, LUCAS.params, SequenceParams(4, 5)])
+def test_index_below_at_an_exact_reciprocal_of_a_large_term(params):
+    # Terms of at least 20 000 bits: num*a_n == den must step past n, and
+    # den one less must stop at n. There bits(num) + bits(a_n) reaches
+    # bits(den), so the walk must multiply rather than skip the product.
+    n = 28900
+    terms = seq_terms(params, n + 2)
+    assert terms[n].bit_length() >= 20000
+    for num in (1, 3, 2**40 + 1):
+        for den, answer in ((num * terms[n], n + 1), (num * terms[n] - 1, n)):
+            expected = (answer, terms[answer], terms[answer + 1])
+            assert linear_index_below(params, num, den, 0) == expected
+            for start in (1, n - 3, n):
+                a, b = terms[start], terms[start + 1]
+                assert index_below(params, num, den, start, a, b) == expected
 
 
 def test_classify_and_oracle_evaluate_no_term_again(monkeypatch):
