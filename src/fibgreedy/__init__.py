@@ -2,90 +2,31 @@
 sequences: compute the greedy sum for a target in (0, 1], decide exactly
 whether it is best possible, and enumerate the windows where it is not.
 All arithmetic is exact; decimal output is for display only.
+
+Each computing module's ``__all__`` declares what the package exports from
+it; ``__all__`` here is their union plus the two names taken from
+``verification`` and the version.
 """
 
-from .errors import (
-    FibgreedyError,
-    RationalParseError,
-    SelfCheckError,
-    SequenceValidationError,
-    TermLimitError,
-    ThetaDomainError,
-)
-from .greedy import (
-    DEFAULT_TERM_LIMIT,
-    GreedyPrefix,
-    GreedyResult,
-    greedy_prefix,
-    greedy_two_term,
-)
-from .optimality import (
-    BadInterval,
-    Classification,
-    XiResult,
-    bad_interval,
-    bad_interval_record,
-    classify,
-    xi,
-    xi_closed_form,
-)
-from .oracle import (
-    OracleReport,
-    TwoTermSum,
-    oracle_best,
-)
-from .rationals import approx_decimal, format_rational, parse_rational
-from .sequences import (
-    FIBONACCI,
-    LUCAS,
-    SequenceParams,
-    SequencePreset,
-    classical_label,
-    fib,
-    parse_sequence_spec,
-    seq_term,
-    seq_term_from_fibs,
-)
+from . import errors, greedy, optimality, oracle, rationals, sequences
+from .errors import *
+from .greedy import *
+from .optimality import *
+from .oracle import *
+from .rationals import *
+from .sequences import *
 from .verification import SuiteResult, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadInterval",
-    "Classification",
-    "DEFAULT_TERM_LIMIT",
-    "FIBONACCI",
-    "FibgreedyError",
-    "GreedyPrefix",
-    "GreedyResult",
-    "LUCAS",
-    "OracleReport",
-    "RationalParseError",
-    "SelfCheckError",
-    "SequenceParams",
-    "SequencePreset",
-    "SequenceValidationError",
+    *errors.__all__,
+    *greedy.__all__,
+    *optimality.__all__,
+    *oracle.__all__,
+    *rationals.__all__,
+    *sequences.__all__,
     "SuiteResult",
-    "TermLimitError",
-    "ThetaDomainError",
-    "TwoTermSum",
-    "XiResult",
-    "approx_decimal",
-    "bad_interval",
-    "bad_interval_record",
-    "classical_label",
-    "classify",
-    "fib",
-    "format_rational",
-    "greedy_prefix",
-    "greedy_two_term",
-    "oracle_best",
-    "parse_rational",
-    "parse_sequence_spec",
     "run_all",
-    "seq_term",
-    "seq_term_from_fibs",
-    "xi",
-    "xi_closed_form",
     "__version__",
 ]

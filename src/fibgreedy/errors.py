@@ -5,6 +5,15 @@ bad input to a single exit code; SelfCheckError marks internal cross-checks
 that should never fire and is reported separately.
 """
 
+__all__ = [
+    "FibgreedyError",
+    "RationalParseError",
+    "SequenceValidationError",
+    "ThetaDomainError",
+    "TermLimitError",
+    "SelfCheckError",
+]
+
 
 class FibgreedyError(Exception):
     """Base class for all package-specific errors."""

@@ -16,7 +16,10 @@ writes out its two steps; a loop shared with ``greedy_prefix`` would cost it
 about 1 us a call. A pick from ``greedy_two_term`` also keeps the terms the
 search found, (a_g1, a_{g1+1}, a_g2, a_{g2+1}); ``classify`` and
 ``oracle_best`` take their pick from ``greedy_two_term`` and read those terms
-through ``_terms_of`` rather than evaluating them again.
+through ``_terms_of`` rather than evaluating them again. ``TwoTermSum``,
+the record for any pair and its value, lives here beside ``GreedyResult``,
+so the classifier and the search both import it from below and neither
+imports the other.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .sequences import SequenceParams, index_below, seq_pair
 
 __all__ = [
     "GreedyResult",
+    "TwoTermSum",
     "GreedyPrefix",
     "DEFAULT_TERM_LIMIT",
     "greedy_two_term",
@@ -58,6 +62,12 @@ class GreedyResult(namedtuple("GreedyResult", "g1 g2 value")):
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GreedyResult is immutable, cannot set {name!r}")
+
+
+class TwoTermSum(namedtuple("TwoTermSum", "m n value")):
+    """A pair of indices m <= n and the exact value 1/a_m + 1/a_n."""
+
+    __slots__ = ()
 
 
 def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:

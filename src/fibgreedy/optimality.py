@@ -36,8 +36,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import SelfCheckError
-from .greedy import _require_theta, _terms_of, greedy_two_term
-from .oracle import TwoTermSum
+from .greedy import TwoTermSum, _require_theta, _terms_of, greedy_two_term
 from .rationals import _reciprocal_sum, approx_decimal, format_rational
 from .sequences import SequenceParams, SequencePreset, index_below, seq_pair
 

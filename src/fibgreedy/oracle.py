@@ -24,21 +24,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .greedy import _require_theta, _terms_of, greedy_two_term
+from .greedy import TwoTermSum, _require_theta, _terms_of, greedy_two_term
 from .rationals import _reciprocal_sum
 from .sequences import SequenceParams, index_below
 
-__all__ = [
-    "TwoTermSum",
-    "OracleReport",
-    "oracle_best",
-]
-
-
-class TwoTermSum(namedtuple("TwoTermSum", "m n value")):
-    """A pair of indices m <= n and the exact value 1/a_m + 1/a_n."""
-
-    __slots__ = ()
+__all__ = ["OracleReport", "oracle_best"]
 
 
 class OracleReport(namedtuple("OracleReport", "best candidates_examined")):

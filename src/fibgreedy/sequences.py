@@ -27,10 +27,7 @@ __all__ = [
     "FIBONACCI",
     "LUCAS",
     "seq_term",
-    "seq_pair",
-    "seq_terms",
     "seq_term_from_fibs",
-    "index_below",
     "parse_sequence_spec",
     "classical_label",
 ]

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -337,3 +338,10 @@ def test_version_module_entry():
     import fibgreedy
 
     assert fibgreedy.__version__ == "0.1.0"
+
+
+def test_version_matches_pyproject():
+    # read with a regex: tomllib is new in Python 3.11
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.findall(r'^version = "([^"]*)"$', pyproject, re.MULTILINE)
+    assert declared == [fibgreedy.__version__]

@@ -38,6 +38,7 @@ from fibgreedy import (
     oracle_best,
     xi,
 )
+from fibgreedy.rationals import _PRODUCT_FORM_BITS
 from fibgreedy.verification import xi_literal
 
 REF_DEPTH = 10
@@ -151,16 +152,30 @@ def big_thetas(draw):
     return Fraction(draw(st.integers(min_value=10 ** (d - 1), max_value=min(q, 10**d - 1))), q)
 
 
+def near_reciprocal(params, n, k):
+    # k/(k*a_n - 1) lies about 1/(k*a_n^2) above 1/a_n, so g1 = n and the
+    # greedy gap g2 - g1 is about n: the greedy value 1/a_g1 + 1/a_g2 then
+    # has F(g2 - g1) about as large as a_g1, the index-gap reduction's
+    # worst case for its gcd
+    return Fraction(k, k * next(terms_from(params, n))[1] - 1)
+
+
 @st.composite
 def edge_thetas(draw, params):
-    """theta = 1, theta = 1/a_n, or an endpoint of window 0..40, exactly or
-    10^-30 to either side."""
-    kind = draw(st.sampled_from(["one", "reciprocal", "endpoint"]))
+    """theta = 1, theta = 1/a_n, k/(k*a_n - 1) for k = 2 or 7, or an endpoint
+    of window 0..40, exactly or 10^-30 to either side."""
+    kind = draw(st.sampled_from(["one", "reciprocal", "above_reciprocal", "endpoint"]))
     if kind == "one":
         return Fraction(1)
     if kind == "reciprocal":
         n = draw(st.integers(min_value=1, max_value=60))
         return Fraction(1, next(terms_from(params, n))[1])
+    if kind == "above_reciprocal":
+        return near_reciprocal(
+            params,
+            draw(st.integers(min_value=2, max_value=800)),
+            draw(st.sampled_from([2, 7])),
+        )
     window = ref_window(params, draw(st.integers(min_value=0, max_value=40)))
     end = draw(st.sampled_from([window.left, window.right]))
     return end + draw(st.sampled_from([Fraction(0), Fraction(1, 10**30), Fraction(-1, 10**30)]))
@@ -198,7 +213,7 @@ def test_xi_literal_matches_reference(params, n):
 def test_named_edges_match_reference():
     # theta = 1 on every seed, including seeds (3, 4), where the greedy pair
     # repeats index 1 (1/4 + 1/4); fibonacci at both ends of window 0,
-    # (8/15, 23/42]
+    # (8/15, 23/42]; targets just above 1/a_n
     for params in SEEDS:
         assert_same_as_reference(params, Fraction(1))
     assert greedy_two_term(LUCAS.params, Fraction(1)) == GreedyResult(1, 1, Fraction(1, 2))
@@ -206,6 +221,17 @@ def test_named_edges_match_reference():
         assert_same_as_reference(FIBONACCI.params, theta)
     assert not classify(FIBONACCI.params, Fraction(23, 42)).is_best
     assert classify(FIBONACCI.params, Fraction(8, 15)).is_best
+    # targets just above 1/a_n at first indices n = 2m+2, whose greedy values
+    # fall on both sides of the product form's size
+    for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5), SequenceParams(2, 2)):
+        for m in (3, 20, 400, 800):
+            for k in (2, 7):
+                theta = near_reciprocal(params, 2 * m + 2, k)
+                assert_same_as_reference(params, theta)
+                pick = greedy_two_term(params, theta)
+                assert pick.g1 == 2 * m + 2 and pick.g1 < pick.g2 - pick.g1 < pick.g1 + 8
+                a_g2 = next(terms_from(params, pick.g2))[1]
+                assert (a_g2.bit_length() > _PRODUCT_FORM_BITS) == (m >= 400)
 
 
 def test_inside_a_window_g2_is_the_cutoff_index():

@@ -2,8 +2,9 @@
 ``verification`` or ``cli``, and none defers an import into a function. The
 command line's import stays light: no module on its path pulls in
 ``dataclasses``, ``inspect`` or ``typing``, and ``json`` and ``csv`` wait for
-the output format that needs them. The package exports a fixed set of
-names."""
+the output format that needs them. The computing modules import one another
+only downward through fixed layers, so the classifier and the search are
+siblings. The package exports a fixed set of names."""
 
 import ast
 import subprocess
@@ -35,6 +36,21 @@ def test_computing_module_layering(module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             nested = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
             assert not nested, f"{module}.{node.name} imports inside its body"
+
+
+# errors < sequences < rationals < greedy < {oracle, optimality}: a module
+# imports only from a lower layer, so oracle and optimality never import
+# each other
+LAYER = {"errors": 0, "sequences": 1, "rationals": 2, "greedy": 3, "oracle": 4, "optimality": 4}
+
+
+@pytest.mark.parametrize("module", COMPUTING)
+def test_computing_modules_import_only_lower_layers(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y
+            for name in _imported_modules(node):
+                assert LAYER[name] < LAYER[module], f"{module} imports {name}"
 
 
 def test_cli_import_skips_heavy_modules():

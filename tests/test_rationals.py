@@ -232,8 +232,10 @@ SEEDS = [
 
 @pytest.fixture(scope="module")
 def term_pairs():
-    # (params, i, a_i, j, a_j) at gaps 0, 1, 2 and 6, and at gap 2i, each
-    # once with a_j just inside the product form's size and once past it
+    # (params, i, a_i, j, a_j) at gaps 0, 1, 2 and 6, and at gaps i and 2i,
+    # each once with a_j just inside the product form's size and once past
+    # it. At gap i, F(j - i) is as large as a_i, and gcd(a_i/g, F(j - i))
+    # runs Euclid's worst case on Fibonacci-structured operands.
     cases = []
     for params in SEEDS:
         a = seq_terms(params, 3 * _PRODUCT_FORM_BITS)
@@ -241,9 +243,10 @@ def term_pairs():
         for gap in (0, 1, 2, 6):
             for i in (fits[-1] - gap, fits[-1] + 1):
                 cases.append((params, i, a[i], i + gap, a[i + gap]))
-        inside = max(n for n in fits if 3 * n <= fits[-1])
-        for i in (inside, inside + 1):
-            cases.append((params, i, a[i], 3 * i, a[3 * i]))
+        for times in (2, 3):
+            inside = max(n for n in fits if times * n <= fits[-1])
+            for i in (inside, inside + 1):
+                cases.append((params, i, a[i], times * i, a[times * i]))
     return cases
 
 
