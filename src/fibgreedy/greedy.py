@@ -8,7 +8,9 @@ and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 
 Both entry points run on integers: a remainder p/q less the term 1/a stays the
 unreduced pair (p*a - q, q*a) and goes straight to the index search, which
-only compares cross-products. Each builds one reduced Fraction, for the
+only compares cross-products; ``greedy_two_term`` keeps a big q*a as its two
+factors, which the search compares without multiplying them out unless the
+leading bits cannot decide. Each builds one reduced Fraction, for the
 returned value: ``greedy_two_term`` by ``rationals._reciprocal_sum``, which
 takes the pick's indices and reduces large terms from their gap g2 - g1,
 ``greedy_prefix`` as theta minus the last remainder. ``greedy_two_term``
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from .errors import TermLimitError, ThetaDomainError
 from .rationals import _reciprocal_sum
-from .sequences import SequenceParams, index_below, seq_pair
+from .sequences import _NEAR_TIE_BITS, SequenceParams, _factored_index_below, index_below, seq_pair
 
 __all__ = [
     "GreedyResult",
@@ -82,10 +84,25 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     t = _require_theta(theta)
     p, q = t.numerator, t.denominator
     g1, a, b = index_below(params, p, q, 1, params.a1, params.a0 + params.a1)
-    g2, c, d = index_below(params, p * a - q, q * a, g1, a, b)
+    g2, c, d = _remainder_below(params, p, q, a, g1, a, b)
     pick = GreedyResult(g1, g2, _reciprocal_sum(params, g1, a, g2, c))
     pick.__dict__["_terms"] = a, b, c, d
     return pick
+
+
+def _remainder_below(
+    params: SequenceParams, p: int, q: int, a: int, start: int, x: int, y: int
+) -> tuple[int, int, int]:
+    """``index_below`` for the remainder p/q - 1/a, unreduced as
+    (p*a - q)/(q*a), from start with (x, y) = (a_start, a_{start+1}).
+
+    Past _NEAR_TIE_BITS in a the denominator stays as its factors (q, a),
+    so q*a is formed only on a near-tie. Since 1/a sits under p/q, a > q/p,
+    and a big term means a big denominator q*a; the terms the search
+    compares with it are no smaller than a."""
+    if a.bit_length() > _NEAR_TIE_BITS:
+        return _factored_index_below(params, p * a - q, (q, a), start, x, y)
+    return index_below(params, p * a - q, q * a, start, x, y)
 
 
 def _terms_of(params: SequenceParams, pick: GreedyResult) -> tuple[int, int, int, int]:

@@ -25,9 +25,9 @@ cutoff search of its own.
 ``xi`` finds the cutoff with one predict-then-certify index search over
 integers. The cutoff also has an equivalent definition through Fibonacci
 factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi;
-``verification.xi_literal`` evaluates that form, as the integer
-cross-product with chi, by a plain walk up from s = 0 and serves as an
-independent reference for ``xi``.
+``verification.xi_literal`` evaluates that form against the integer
+bound // chi, by a plain walk up from s = 0, and serves as an independent
+reference for ``xi``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,14 @@ from fractions import Fraction
 from .errors import SelfCheckError
 from .greedy import TwoTermSum, _require_theta, _terms_of, greedy_two_term
 from .rationals import _reciprocal_sum, approx_decimal, format_rational
-from .sequences import SequenceParams, SequencePreset, index_below, seq_pair
+from .sequences import (
+    _NEAR_TIE_BITS,
+    SequenceParams,
+    SequencePreset,
+    _exceeds,
+    index_below,
+    seq_pair,
+)
 
 __all__ = [
     "XiResult",
@@ -155,7 +162,13 @@ def classify(params: SequenceParams, theta) -> Classification:
     The window's terms come from the greedy search: (a_{2m+2}, a_{2m+3}) are
     (a_g1, a_{g1+1}), and theta = p/q is inside exactly when it is above the
     left end, (a3 + a4)*q < p*a3*a4, and g2 is the cutoff index 2m+4+xi(m),
-    a_g2 * chi > a2*a3*a4 (see the module docstring). The witness follows
+    a_g2 * chi > a2*a3*a4 (see the module docstring). Past _NEAR_TIE_BITS in
+    a2 both tests go through ``sequences._exceeds``, the first in its
+    remainder form (p*a2 - q)*a3*a4 > chi*q: theta - 1/a2 above chi/bound,
+    which the left end's form gives. Near a window, theta and the left end
+    agree to about twice a2's bits, a near-tie for the first form; inside
+    it, theta - 1/a2 lies between chi/bound and 1/a_{2m+3+xi(m)}, less than
+    twice chi/bound, which leading bits decide. The witness follows
     from the same terms: xi(m) = g2 - (2m+4) and a_{2m+3+xi(m)} = a_{g2+1} -
     a_g2. No cutoff or index search runs beyond the greedy pick's own, and
     the window's exact endpoints are built only when it covers theta.
@@ -167,8 +180,12 @@ def classify(params: SequenceParams, theta) -> Classification:
         m = gr.g1 // 2 - 1
         a2, a3, c, d = _terms_of(params, gr)
         a4 = a2 + a3
-        p, q = t.numerator, t.denominator
-        if (a3 + a4) * q < p * a3 * a4 and c * params.chi > a2 * a3 * a4:
+        p, q, chi = t.numerator, t.denominator, params.chi
+        if a2.bit_length() <= _NEAR_TIE_BITS:
+            inside = (a3 + a4) * q < p * a3 * a4 and c * chi > a2 * a3 * a4
+        else:
+            inside = _exceeds((p * a2 - q, a3, a4), (chi, q)) and _exceeds((c, chi), (a2, a3, a4))
+        if inside:
             witness = _window(params, m, a2, a3, a4, gr.g2 - (2 * m + 4), d - c)
     if witness is None:
         return Classification(t, gr, True, None, None)

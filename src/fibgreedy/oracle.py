@@ -17,16 +17,18 @@ examined, the greedy pair and the one starting at g1 + 1.
 The search takes its greedy pair from ``greedy_two_term`` and starts from
 that search's own integers: the terms a_g1 and a_g2, and a_{g1+1}, from
 which the walk's first term pair follows by one addition. No term is
-evaluated twice.
+evaluated twice. Every comparison is exact; for big terms the
+cross-products are compared by ``sequences._exceeds``, which multiplies out
+only a near-tie that the factors' leading bits cannot decide.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .greedy import TwoTermSum, _require_theta, _terms_of, greedy_two_term
+from .greedy import TwoTermSum, _remainder_below, _require_theta, _terms_of, greedy_two_term
 from .rationals import _reciprocal_sum
-from .sequences import SequenceParams, index_below
+from .sequences import _NEAR_TIE_BITS, SequenceParams, _exceeds
 
 __all__ = ["OracleReport", "oracle_best"]
 
@@ -54,7 +56,13 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     value so far, num/den, as (a_m + c)*den > num*a_m*c, and the stop rule
     is 2*den <= num*a_m. The greedy value enters as the unreduced
     (a_g1 + a_g2, a_g1*a_g2); the cross-products and the stop rule do not
-    need it reduced. The search builds one reduced Fraction, by
+    need it reduced. Past _NEAR_TIE_BITS in a_g2 the best value so far stays
+    as its two terms, 1/x + 1/y: the candidate test is (a_m + c)*x*y >
+    (x + y)*a_m*c and the stop rule 2*x*y <= (x + y)*a_m, both decided by
+    ``sequences._exceeds``, and the remainder's q*a_m stays factored too, so
+    no product of two big terms is formed unless leading bits cannot decide
+    (a candidate that ties the best value to within ~1/a_g1^2 can need
+    one). The search builds one reduced Fraction, by
     ``rationals._reciprocal_sum`` from the winner's indices (m, partner),
     for a winner that is not the greedy pair; the greedy pair's value is the
     pick's own.
@@ -63,13 +71,22 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     p, q = t.numerator, t.denominator
     greedy = greedy_two_term(params, t)
     a, b, c, _ = _terms_of(params, greedy)
-    winner, num, den = None, a + c, a * c
+    winner, x = None, a
     m, a, b = greedy.g1 + 1, b, a + b
-    while 2 * den > num * a:
-        partner, c, _ = index_below(params, p * a - q, q * a, m + 1, b, a + b)
-        if (a + c) * den > num * a * c:
-            winner, num, den = (m, partner, a, c), a + c, a * c
-        m, a, b = m + 1, b, a + b
+    if c.bit_length() <= _NEAR_TIE_BITS:
+        num, den = x + c, x * c
+        while 2 * den > num * a:
+            partner, c, _ = _remainder_below(params, p, q, a, m + 1, b, a + b)
+            if (a + c) * den > num * a * c:
+                winner, num, den = (m, partner, a, c), a + c, a * c
+            m, a, b = m + 1, b, a + b
+    else:
+        y = c  # the best value so far is 1/x + 1/y
+        while _exceeds((2 * x, y), (x + y, a)):
+            partner, c, _ = _remainder_below(params, p, q, a, m + 1, b, a + b)
+            if _exceeds((a + c, x, y), (x + y, a, c)):
+                winner, x, y = (m, partner, a, c), a, c
+            m, a, b = m + 1, b, a + b
     if winner is None:
         best = TwoTermSum(greedy.g1, greedy.g2, greedy.value)
     else:

@@ -5,6 +5,9 @@ to lowest terms at construction, denominator always positive. Fractions
 appear only at the edges of a computation: parsing yields the target, and
 each returned value is one reduced Fraction; in between, the greedy search,
 the window test and the oracle compare unreduced integer cross-products.
+Small ones are multiplied out; past ``sequences._NEAR_TIE_BITS`` a
+comparison is decided from the factors' bit lengths and leading bits, and
+the products are formed only on a near-tie.
 Every returned value of the form 1/a_i + 1/a_j is built by
 ``_reciprocal_sum``: small terms by one ``Fraction`` reduction, larger ones
 from the gcd that the index gap j - i gives, with no second normalisation.

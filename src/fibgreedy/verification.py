@@ -156,29 +156,25 @@ def positivity_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
 
 def xi_literal(params: SequenceParams, n: int) -> int:
     """Cutoff via the defining form: largest s with
-    a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi, tested exactly as the
-    integer cross-product (a_{2n+2}*F(s) + a_{2n+3}*F(s+1))*chi <= bound.
+    z_s = a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi, tested exactly as
+    z_s <= bound // chi, which for positive integers is z_s*chi <= bound.
 
     Kept deliberately independent of the integer index search: it walks s up
-    from 0 with no guess, and the products a_{2n+2}*F(s) and a_{2n+3}*F(s+1)
-    each advance by the Fibonacci recurrence, by additions alone.
+    from 0 with no guess. z_s obeys the recurrence itself, from z_0 = a_{2n+3}
+    and z_1 = a_{2n+2} + a_{2n+3}, so one pair advances by additions alone.
     """
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
     a2, a3 = seq_pair(params, 2 * n + 2)
-    bound = a2 * a3 * (a2 + a3)
-    chi = params.chi
-    x, x1 = 0, a2  # a2*F(s), a2*F(s+1) at s = 0
-    y, y1 = a3, a3  # a3*F(s+1), a3*F(s+2) at s = 0
-    if (x + y) * chi > bound:
+    limit = a2 * a3 * (a2 + a3) // params.chi
+    z, z1 = a3, a2 + a3  # z_s, z_{s+1} at s = 0
+    if z > limit:
         raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
     s = 0
-    while True:
-        x, x1 = x1, x + x1
-        y, y1 = y1, y + y1
-        if (x + y) * chi > bound:
-            return s
+    while z1 <= limit:
+        z, z1 = z1, z + z1
         s += 1
+    return s
 
 
 def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:

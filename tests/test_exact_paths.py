@@ -1,18 +1,19 @@
 """The integer-only classify pipeline against a Fraction reference.
 
 The reference below is the Fraction form of the same algorithms: linear
-scans for g1, g2 and every oracle partner, Fraction remainders, sums and
-comparisons, and a window test that builds the BadInterval and calls
-``covers``. It takes its terms from the recurrence and nothing from the
-package but the result types, so the integer cross-products in
-``greedy_two_term``, ``oracle_best`` and ``classify`` must reproduce it
-exactly: the same indices and the same reduced values. The reference oracle
-scans a fixed REF_DEPTH first indices past g1 rather than using the
-package's stop rule, so a wrong stop shows as a different winner.
-``greedy_prefix``, which keeps its remainder as an unreduced integer pair,
-is held to the same scans for up to DEFAULT_TERM_LIMIT terms, and
-``verification.xi_literal``, which tests the cutoff's Fibonacci-factor form
-by integer cross-products, to the same form over Fractions.
+scans for g1, g2 and every oracle partner (each tests 1/a_n < x as
+a_n > floor(1/x)), Fraction remainders, sums and comparisons, and a window
+test that builds the BadInterval and calls ``covers``. It takes its terms
+from the recurrence and nothing from the package but the result types, so
+the integer cross-products in ``greedy_two_term``, ``oracle_best`` and
+``classify`` must reproduce it exactly: the same indices and the same
+reduced values. The reference oracle scans a fixed REF_DEPTH first indices
+past g1 rather than using the package's stop rule, so a wrong stop shows as
+a different winner. ``greedy_prefix``, which keeps its remainder as an
+unreduced integer pair, is held to the same scans for up to
+DEFAULT_TERM_LIMIT terms, and ``verification.xi_literal``, which tests the
+cutoff's Fibonacci-factor form against bound // chi, to the same form over
+Fractions.
 """
 
 from fractions import Fraction
@@ -39,6 +40,7 @@ from fibgreedy import (
     xi,
 )
 from fibgreedy.rationals import _PRODUCT_FORM_BITS
+from fibgreedy.sequences import _NEAR_TIE_BITS
 from fibgreedy.verification import xi_literal
 
 REF_DEPTH = 10
@@ -62,9 +64,12 @@ def terms_from(params, start):
 
 
 def ref_below(params, x, start):
-    # smallest n >= start with 1/a_n < x, scanning one index at a time
+    # smallest n >= start with 1/a_n < x, scanning one index at a time; for
+    # x > 0, 1/a < x exactly when a > floor(1/x), a comparison of integers
+    # with no product
+    floor = x.denominator // x.numerator
     for n, a in terms_from(params, start):
-        if Fraction(1, a) < x:
+        if a > floor:
             return n, a
 
 
@@ -87,9 +92,9 @@ def ref_prefix(params, theta, k):
     return GreedyPrefix(tuple(indices), total, tuple(denominators))
 
 
-def ref_oracle_best(params, theta):
-    """The best of the greedy pair and the first indices g1+1..g1+REF_DEPTH."""
-    gr = ref_greedy(params, theta)
+def ref_oracle_best(params, theta, gr):
+    """The best of the greedy pair gr and the first indices
+    g1+1..g1+REF_DEPTH."""
     best = TwoTermSum(gr.g1, gr.g2, gr.value)
     for m, a in islice(terms_from(params, gr.g1 + 1), REF_DEPTH):
         first = Fraction(1, a)
@@ -123,8 +128,7 @@ def ref_xi_literal(params, n):
     return s
 
 
-def ref_classify(params, theta):
-    gr = ref_greedy(params, theta)
+def ref_classify(params, theta, gr):
     if gr.g1 % 2 == 0:
         window = ref_window(params, gr.g1 // 2 - 1)
         if window.covers(theta):
@@ -136,10 +140,11 @@ def ref_classify(params, theta):
 
 
 def assert_same_as_reference(params, theta):
-    assert greedy_two_term(params, theta) == ref_greedy(params, theta)
-    assert classify(params, theta) == ref_classify(params, theta)
+    gr = ref_greedy(params, theta)
+    assert greedy_two_term(params, theta) == gr
+    assert classify(params, theta) == ref_classify(params, theta, gr)
     report = oracle_best(params, theta)
-    assert report.best == ref_oracle_best(params, theta)
+    assert report.best == ref_oracle_best(params, theta, gr)
     assert 1 <= report.candidates_examined <= 2
 
 
@@ -255,3 +260,18 @@ def test_inside_a_window_g2_is_the_cutoff_index():
                 else:
                     assert cls.witness_interval is None
     assert inside > 2 * len(SEEDS) * 41
+
+
+def test_big_windows_match_reference():
+    # Windows 1500 and 3000, whose terms are past _NEAR_TIE_BITS: at both
+    # ends and the midpoint the greedy search, the window test and the
+    # oracle run the factored comparisons of sequences._exceeds. At an end
+    # the remainder ties chi/bound exactly, and the oracle's candidate ties
+    # the greedy value to within about 1/a_g1^2, so the full products decide.
+    for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5), SequenceParams(2, 2)):
+        for n in (1500, 3000):
+            window = bad_interval(params, n)
+            assert window == ref_window(params, n)
+            assert next(terms_from(params, 2 * n + 2))[1].bit_length() > _NEAR_TIE_BITS
+            for theta in (window.left, (window.left + window.right) / 2, window.right):
+                assert_same_as_reference(params, theta)

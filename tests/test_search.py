@@ -5,6 +5,7 @@ state."""
 import gc
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,16 @@ from hypothesis import strategies as st
 from fibgreedy import FIBONACCI, LUCAS, SequenceParams, bad_interval, classify, oracle_best, xi
 from fibgreedy import greedy, optimality, oracle, sequences
 from fibgreedy.greedy import GreedyResult
-from fibgreedy.sequences import index_below, seq_pair, seq_terms
+from fibgreedy.sequences import (
+    _NEAR_TIE_BITS,
+    _exceeds,
+    _factored_index_below,
+    _lead,
+    index_below,
+    seq_pair,
+    seq_terms,
+)
+from fibgreedy.verification import xi_literal
 
 # every valid pair of seeds with a1 < 30
 SEEDS = [
@@ -30,12 +40,13 @@ BIG = st.integers(min_value=0, max_value=800).flatmap(
 
 
 def linear_index_below(params, num, den, start):
-    # Reference: walk the recurrence one index at a time from a_0.
+    # Reference: walk the recurrence one index at a time from a_0; for
+    # positive integers num*a <= den exactly when a <= den // num.
     a, b = params.a0, params.a1
     for _ in range(start):
         a, b = b, a + b
-    n = start
-    while num * a <= den:
+    n, floor = start, den // num
+    while a <= floor:
         n, a, b = n + 1, b, a + b
     return n, a, b
 
@@ -83,11 +94,13 @@ def test_index_below_skips_an_exact_reciprocal():
     # comparison is the equality.
     #
     # The cutoff's equality a_{2n+3+s}*chi == a_{2n+2}*a_{2n+3}*a_{2n+4}
-    # (verification.xi_literal's boundary) has no known input: a search over
-    # all 430 175 valid seeds with a1 < 1500 at n <= 12 found none. Flipping
-    # xi_literal's strict test therefore stays unkillable by any known input,
-    # and so does flipping classify's a_g2*chi > bound to >=: the two differ
+    # has no known input: a search over all 430 175 valid seeds with
+    # a1 < 1500 at n <= 12 found none. Flipping classify's a_g2*chi > bound
+    # to >= therefore stays unkillable by any known input: the two differ
     # only at that equality, so the flip is equivalent on every known input.
+    # verification.xi_literal tests z_s against bound // chi instead, where a
+    # flip differs whenever z_s equals that floor, a wider boundary with
+    # known inputs (test_xi_literal_counts_a_shift_at_the_floor).
     guessed = walked = 0
     for params in SEEDS:
         terms = seq_terms(params, 62)
@@ -113,13 +126,117 @@ def test_index_below_at_an_exact_reciprocal_of_a_large_term(params):
     n = 28900
     terms = seq_terms(params, n + 2)
     assert terms[n].bit_length() >= 20000
-    for num in (1, 3, 2**40 + 1):
+    # a numerator past _NEAR_TIE_BITS, with terms past it too, takes the
+    # _exceeds path, where num*a_n == den is a near-tie only the full
+    # products decide
+    assert (3**1300).bit_length() > _NEAR_TIE_BITS
+    for num in (1, 3, 2**40 + 1, 3**1300):
         for den, answer in ((num * terms[n], n + 1), (num * terms[n] - 1, n)):
             expected = (answer, terms[answer], terms[answer + 1])
             assert linear_index_below(params, num, den, 0) == expected
             for start in (1, n - 3, n):
                 a, b = terms[start], terms[start + 1]
                 assert index_below(params, num, den, start, a, b) == expected
+
+
+# positive integers of every size up to 10^3000, one to three per side
+FACTOR = st.integers(min_value=0, max_value=3000).flatmap(
+    lambda e: st.integers(min_value=1, max_value=10**e)
+)
+FACTORS = st.lists(FACTOR, min_size=1, max_size=3).map(tuple)
+
+
+def leading_bounds_overlap(xs, ys):
+    # the leading-bit bounds of the two products overlap, so only the full
+    # products can decide
+    _, lo_x, hi_x, sx = _lead(xs)
+    _, lo_y, hi_y, sy = _lead(ys)
+    return lo_x << sx <= hi_y << sy and lo_y << sy <= hi_x << sx
+
+
+@settings(max_examples=400, deadline=None)
+@given(FACTORS, FACTORS)
+def test_exceeds_matches_products(xs, ys):
+    assert _exceeds(xs, ys) == (prod(xs) > prod(ys))
+    assert _exceeds(ys, xs) == (prod(ys) > prod(xs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(FACTORS, st.data())
+def test_exceeds_on_factors_with_the_same_leading_bits(xs, data):
+    # each factor moved by a random amount of up to its own size, so the
+    # products share many, some or none of their leading bits
+    ys = []
+    for x in xs:
+        step = data.draw(st.integers(min_value=0, max_value=x.bit_length()))
+        ys.append(max(1, x + data.draw(st.integers(min_value=-(2**step), max_value=2**step))))
+    ys = tuple(ys)
+    assert _exceeds(xs, ys) == (prod(xs) > prod(ys))
+    assert _exceeds(ys, xs) == (prod(ys) > prod(xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FACTOR, min_size=2, max_size=3).map(tuple), st.sampled_from([-1, 0, 1]))
+def test_exceeds_on_near_ties(xs, delta):
+    # equal products grouped differently, and a product one away: the
+    # leading bits cannot decide, and the full products must
+    total = prod(xs)
+    regrouped = (xs[0] * xs[1], *xs[2:])
+    assert not _exceeds(xs, regrouped) and not _exceeds(regrouped, xs)
+    if total + delta > 0:
+        near = (total + delta,)
+        assert _exceeds(xs, near) == (delta < 0)
+        assert _exceeds(near, xs) == (delta > 0)
+
+
+def test_exceeds_near_ties_reach_the_full_products():
+    # products of up to 10^3000 that tie or differ by one, whose leading-bit
+    # bounds overlap; one side ending in many zero bits, so its bounds are
+    # exact and the other side's upper bound alone separates them
+    u, v = 3**4000 + 1, 7**2500 << 300
+    assert min(u.bit_length(), v.bit_length()) > 6000
+    cases = [
+        ((u, v), (u * v,)),
+        ((u, v), (u * v + 1,)),
+        ((u, v), (u * v - 1,)),
+        ((u * v + 1,), (u, v)),
+        ((v,), (v + 1,)),
+        ((v + 1,), (v,)),
+        ((2 * u, v), (u, 2 * v)),
+        ((u, v, 3), (3 * u, v + 1)),
+    ]
+    for xs, ys in cases:
+        assert leading_bounds_overlap(xs, ys)
+        assert _exceeds(xs, ys) == (prod(xs) > prod(ys))
+        assert _exceeds(ys, xs) == (prod(ys) > prod(xs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SEEDS),
+    st.integers(min_value=0, max_value=300),
+    BIG,
+    st.lists(BIG, min_size=1, max_size=2).map(tuple),
+)
+def test_factored_index_below_matches_linear_scan(params, start, num, dens):
+    # the denominator left as one or two factors; for two, the guess takes
+    # its bit length one low
+    x, y = seq_terms(params, start + 1)[start:]
+    found = _factored_index_below(params, num, dens, start, x, y)
+    assert found == linear_index_below(params, num, prod(dens), start)
+
+
+def test_xi_literal_counts_a_shift_at_the_floor():
+    # For seeds (53, 56) at n = 0, bound = 109*165*274 = 4927890 and chi =
+    # 2641: z_5 = 1865 equals bound // chi with z_5*chi < bound, so shift 5
+    # still fits. Seeds with a1 < 400 at n <= 12 give five such inputs, all
+    # at n = 0; a1 < 30 at n <= 60 gives none.
+    params = SequenceParams(53, 56)
+    a2, a3 = seq_pair(params, 2)
+    bound = a2 * a3 * (a2 + a3)
+    assert (bound, params.chi) == (4927890, 2641)
+    assert bound // params.chi == 1865 and 1865 * params.chi < bound
+    assert xi_literal(params, 0) == xi(params, 0).xi == scanned_xi(params, 0) == 5
 
 
 def test_classify_and_oracle_evaluate_no_term_again(monkeypatch):
