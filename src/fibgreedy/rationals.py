@@ -55,11 +55,12 @@ _INTEGER_ROUNDING_BITS = 360
 # Up to this many bits in the larger term, _reciprocal_sum reduces
 # (x + y)/(x*y) by one Fraction normalisation; above it, from the index gap.
 # Gap form over product form, median of nine time ratios on fibonacci, lucas
-# and custom:4,5 terms (Python 3.11.7; 3.12.1 alike): adjacent terms 1.08 at
-# 400 bits, 0.86 at 600, 0.81 at 1000 and 0.34 at 8331; gap 4 1.30, 1.08,
-# 0.88 and 0.33. A gap of twice the smaller index, as at a window's right
-# end, pays more for F(j - i): 1.61 at 1000 bits (12.3 against 7.5 us), 1.0
-# at about 3000 and 0.67 at 8331.
+# and custom:4,5 terms, two runs (Python 3.11.7): adjacent terms 1.06-1.11
+# at 400 bits, 0.87-0.97 at 600, 0.71-0.83 at 1000 and 0.33-0.42 at 8331;
+# gap 4 1.21-1.23, 1.06-1.08, 0.86-0.87 and 0.33-0.43. A gap of twice the
+# smaller index, as at a window's right end, pays more for F(j - i):
+# 1.48-1.50 at 1000 bits (7.5 against 4.9 us), 0.98-0.99 at 2000 and
+# 0.54-0.62 at 8331.
 _PRODUCT_FORM_BITS = 1000
 
 # Fraction(n, d) for coprime n and d > 0, skipping the gcd that a Fraction

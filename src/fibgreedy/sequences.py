@@ -35,15 +35,19 @@ __all__ = [
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
-    # fast doubling: (F(n), F(n+1)) for n >= 0, O(log n) big-int operations
+    # fast doubling: (F(n), F(n+1)) for n >= 0, two squarings per level.
+    # With a, b = F(k), F(k+1) and k = n >> 1:
+    #   F(2k+1) = a^2 + b^2,  F(2k+3) = 4b^2 - a^2 + 2(-1)^(k+1),
+    # so F(2k+2) = F(2k+3) - F(2k+1) = 3b^2 - 2a^2 + 2(-1)^(k+1) and
+    # F(2k) = F(2k+2) - F(2k+1) = 2b^2 - 3a^2 + 2(-1)^(k+1).
     if n == 0:
         return 0, 1
     a, b = _fib_pair(n >> 1)
-    c = a * (2 * b - a)
-    d = a * a + b * b
+    a, b = a * a, b * b
+    sign = 2 if n & 2 else -2  # 2(-1)^(k+1)
     if n & 1:
-        return d, c + d
-    return c, d
+        return a + b, 3 * b - 2 * a + sign
+    return 2 * b - 3 * a + sign, a + b
 
 
 def fib(n: int) -> int:

@@ -128,15 +128,21 @@ def test_index_below_at_an_exact_reciprocal_of_a_large_term(params):
     assert terms[n].bit_length() >= 20000
     # a numerator past _NEAR_TIE_BITS, with terms past it too, takes the
     # _exceeds path, where num*a_n == den is a near-tie only the full
-    # products decide
+    # products decide. The terms are too long for a readable assertion
+    # report, so the index is asserted first, then the bit lengths, then
+    # the terms themselves.
     assert (3**1300).bit_length() > _NEAR_TIE_BITS
     for num in (1, 3, 2**40 + 1, 3**1300):
         for den, answer in ((num * terms[n], n + 1), (num * terms[n] - 1, n)):
             expected = (answer, terms[answer], terms[answer + 1])
-            assert linear_index_below(params, num, den, 0) == expected
+            got = [linear_index_below(params, num, den, 0)]
             for start in (1, n - 3, n):
                 a, b = terms[start], terms[start + 1]
-                assert index_below(params, num, den, start, a, b) == expected
+                got.append(index_below(params, num, den, start, a, b))
+            for found in got:
+                assert found[0] == answer
+                assert [x.bit_length() for x in found[1:]] == [x.bit_length() for x in expected[1:]]
+                assert found == expected
 
 
 # positive integers of every size up to 10^3000, one to three per side

@@ -25,7 +25,7 @@ from fibgreedy import (
     seq_term_from_fibs,
     xi,
 )
-from fibgreedy.sequences import seq_terms
+from fibgreedy.sequences import seq_pair, seq_terms
 
 
 def naive_fib(n):
@@ -220,6 +220,16 @@ class TestTerms:
         terms = seq_terms(params, 119)
         assert [seq_term(params, n) for n in range(120)] == terms
         assert [seq_term_from_fibs(params, n) for n in range(120)] == terms
+
+    @pytest.mark.parametrize("params", [FIBONACCI.params, SequenceParams(4, 5)])
+    def test_fast_doubling_at_every_depth(self, params):
+        # F(2k+3) carries 2(-1)^(k+1), so each recursion level needs k of both
+        # parities: every n <= 3000, and 2^k - 1, 2^k, 2^k + 1 up to k = 14,
+        # whose halvings run through all-ones, single-one and 1...01 bits.
+        # Mismatches are reported as indices, not as the terms' digits.
+        indices = sorted({*range(3001), *(2**k + d for k in range(15) for d in (-1, 0, 1))})
+        terms = seq_terms(params, indices[-1] + 1)
+        assert [n for n in indices if seq_pair(params, n) != (terms[n], terms[n + 1])] == []
 
 
 class TestIdentities:
