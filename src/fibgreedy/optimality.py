@@ -23,14 +23,11 @@ end. ``classify`` therefore reads the window off the greedy pick and runs no
 cutoff search of its own.
 
 ``xi`` finds the cutoff with one predict-then-certify index search over
-integers. Past ``sequences._NEAR_TIE_BITS`` in a_{2n+2} that search keeps
-the bound as its three factors and compares through ``sequences._exceeds``;
-there only ``xi``, which returns the bound, forms the product, and
-``bad_interval`` never does. The cutoff also has an equivalent definition
-through Fibonacci factors, the largest s with
-a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi; ``verification.xi_literal``
-evaluates that form against the integer bound // chi, by a plain walk up
-from s = 0, and serves as an independent reference for ``xi``.
+integers. The cutoff also has an equivalent definition through Fibonacci
+factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi;
+``verification.xi_literal`` evaluates that form against the integer
+bound // chi, by a plain walk up from s = 0, and serves as an independent
+reference for ``xi``.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from .sequences import (
     SequenceParams,
     SequencePreset,
     _exceeds,
-    _factored_index_below,
     index_below,
     seq_pair,
 )
@@ -69,35 +65,23 @@ class XiResult(namedtuple("XiResult", "n xi bound chi")):
     __slots__ = ()
 
 
-def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int, int | None, int, int]:
+def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int, int, int, int]:
     """(a_{2n+2}, a_{2n+3}, a_{2n+4}, bound, xi(n), a_{2n+3+xi(n)}) for window
     index n >= 0, where bound = a_{2n+2} * a_{2n+3} * a_{2n+4}.
 
     xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound, found by one
-    index search from 2n+4. Up to _NEAR_TIE_BITS in a_{2n+2} the bound is
-    formed; past it, it stays as its three factors, the search and the self
-    check compare factored products through ``sequences._exceeds``, and the
-    bound comes back as None.
+    index search from 2n+4.
     """
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
     a2, a3 = seq_pair(params, 2 * n + 2)
     a4 = a2 + a3
+    bound = a2 * a3 * a4
     chi = params.chi
-    # a3*chi > bound is equivalent to chi > a_{2n+2}*a_{2n+4}, impossible
-    # for valid seeds
-    if a2.bit_length() <= _NEAR_TIE_BITS:
-        bound = a2 * a3 * a4
-        if a3 * chi > bound:
-            raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
-        end, a_end, a_next = index_below(params, chi, bound, 2 * n + 4, a4, a3 + a4)
-    else:
-        bound = None
-        if _exceeds((a3, chi), (a2, a3, a4)):
-            raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
-        end, a_end, a_next = _factored_index_below(
-            params, chi, (a2, a3, a4), 2 * n + 4, a4, a3 + a4
-        )
+    if a3 * chi > bound:
+        # equivalent to chi > a_{2n+2}*a_{2n+4}, impossible for valid seeds
+        raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
+    end, a_end, a_next = index_below(params, chi, bound, 2 * n + 4, a4, a3 + a4)
     return a2, a3, a4, bound, end - (2 * n + 4), a_next - a_end
 
 
@@ -105,13 +89,9 @@ def xi(params: SequenceParams, n: int) -> XiResult:
     """Cutoff xi(n): largest s with a_{2n+3+s} * chi <= the product bound.
 
     Found with integers only, by one index search that predicts the cutoff
-    from bit lengths and certifies it exactly. The returned bound is the
-    one ``_cutoff`` formed, or, past _NEAR_TIE_BITS, the product of its
-    factors formed here; ``bad_interval`` never forms it there.
+    from bit lengths and certifies it exactly.
     """
-    a2, a3, a4, bound, s, _ = _cutoff(params, n)
-    if bound is None:
-        bound = a2 * a3 * a4
+    _, _, _, bound, s, _ = _cutoff(params, n)
     return XiResult(n=n, xi=s, bound=bound, chi=params.chi)
 
 

@@ -138,7 +138,10 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
 # decide: 2.7 against 1.9 us at 1000 bits, 10 against 3.2 at 2000, 1036
 # against 1.8 at 33 000. The cut-off sits past the crossover, near
 # Karatsuba's; small targets (under 200 bits) and the cutoff search, whose
-# num is chi, stay on the plain products.
+# num is chi, stay on the plain products. A factored cutoff search over the
+# plain one (same seeds, median of nine): bad_interval 1.04-1.05 at 2000
+# bits, 0.94-0.95 at 3000 and 0.83-0.85 at 28 000; xi, which returns the
+# bound and so forms it anyway, 1.31-1.38 and 0.92-1.01.
 _NEAR_TIE_BITS = 2000
 
 

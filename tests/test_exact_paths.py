@@ -268,37 +268,16 @@ def test_big_windows_match_reference():
     # oracle run the factored comparisons of sequences._exceeds. At an end
     # the remainder ties chi/bound exactly, and the oracle's candidate ties
     # the greedy value to within about 1/a_g1^2, so the full products decide.
+    # The cutoff must equal the independent walk of xi_literal, and its bound
+    # the product of the recurrence's terms (compared as a flag, since a
+    # failing report could not print the integers).
     for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5), SequenceParams(2, 2)):
         for n in (1500, 3000):
             window = bad_interval(params, n)
             assert window == ref_window(params, n)
-            assert next(terms_from(params, 2 * n + 2))[1].bit_length() > _NEAR_TIE_BITS
+            a2, a3 = [a for _, a in islice(terms_from(params, 2 * n + 2), 2)]
+            assert a2.bit_length() > _NEAR_TIE_BITS
+            res = xi(params, n)
+            assert (res.xi, res.bound == a2 * a3 * (a2 + a3)) == (xi_literal(params, n), True)
             for theta in (window.left, (window.left + window.right) / 2, window.right):
                 assert_same_as_reference(params, theta)
-
-
-def test_cutoff_across_the_near_tie_switch():
-    # Up to _NEAR_TIE_BITS in a_{2n+2} the cutoff search forms its bound;
-    # past it the bound stays as its three factors and xi forms it alone.
-    # At the last window before the switch, the first past it and window
-    # 3000, xi must equal the independent walk of xi_literal, XiResult.bound
-    # the full product and bad_interval the Fraction reference. Failures are
-    # listed as (seeds, n, what), not as the integers' digits.
-    failures = []
-    for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5), SequenceParams(2, 2)):
-        first = next(
-            (n - 2) // 2
-            for n, a in terms_from(params, 2)
-            if n % 2 == 0 and a.bit_length() > _NEAR_TIE_BITS
-        )
-        for n in (first - 1, first, 3000):
-            a2, a3 = [a for _, a in islice(terms_from(params, 2 * n + 2), 2)]
-            assert (a2.bit_length() > _NEAR_TIE_BITS) == (n >= first)
-            res = xi(params, n)
-            if res.xi != xi_literal(params, n):
-                failures.append((params, n, "xi"))
-            if res.bound != a2 * a3 * (a2 + a3):
-                failures.append((params, n, "bound"))
-            if bad_interval(params, n) != ref_window(params, n):
-                failures.append((params, n, "window"))
-    assert failures == []
