@@ -6,22 +6,22 @@ fits strictly under what remains of the target. Strictness matters: a target
 exactly equal to 1/a_n skips index n. Repeating the previous index is legal
 and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 
-Both entry points run on integers: a remainder p/q less the term 1/a stays the
-unreduced pair (p*a - q, q*a) and goes straight to the index search, which
-only compares cross-products; ``greedy_two_term`` keeps a big q*a as its two
-factors, which the search compares without multiplying them out unless the
-leading bits cannot decide. Each builds one reduced Fraction, for the
-returned value: ``greedy_two_term`` by ``rationals._reciprocal_sum``, which
-takes the pick's indices and reduces large terms from their gap g2 - g1,
-``greedy_prefix`` as theta minus the last remainder. ``greedy_two_term``
-writes out its two steps; a loop shared with ``greedy_prefix`` would cost it
-about 1 us a call. A pick from ``greedy_two_term`` also keeps the terms the
-search found, (a_g1, a_{g1+1}, a_g2, a_{g2+1}); ``classify`` and
-``oracle_best`` take their pick from ``greedy_two_term`` and read those terms
-through ``_terms_of`` rather than evaluating them again. ``TwoTermSum``,
-the record for any pair and its value, lives here beside ``GreedyResult``,
-so the classifier and the search both import it from below and neither
-imports the other.
+Both entry points run on integers: a remainder p/q less the term 1/a stays
+unreduced, as p*a - q over q*a, and goes straight to the index search, which
+only compares cross-products. ``greedy_two_term`` hands the search q*a as its
+factors (q, a), and the search alone decides whether to multiply them out;
+``greedy_prefix`` carries q*a to its next step. Each builds one reduced
+Fraction, for the returned value: ``greedy_two_term`` by
+``rationals._reciprocal_sum``, which takes the pick's indices and reduces
+large terms from their gap g2 - g1, ``greedy_prefix`` as theta minus the last
+remainder. ``greedy_two_term`` writes out its two steps; a loop shared with
+``greedy_prefix`` would cost it about 1 us a call. A pick from
+``greedy_two_term`` also keeps the terms the search found, (a_g1, a_{g1+1},
+a_g2, a_{g2+1}); ``classify`` and ``oracle_best`` take their pick from
+``greedy_two_term`` and read those terms through ``_terms_of`` rather than
+evaluating them again. ``TwoTermSum``, the record for any pair and its
+value, lives here beside ``GreedyResult``, so the classifier and the search
+both import it from below and neither imports the other.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import TermLimitError, ThetaDomainError
 from .rationals import _reciprocal_sum
-from .sequences import _NEAR_TIE_BITS, SequenceParams, _factored_index_below, index_below, seq_pair
+from .sequences import SequenceParams, index_below, seq_pair
 
 __all__ = [
     "GreedyResult",
@@ -83,26 +83,11 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     """
     t = _require_theta(theta)
     p, q = t.numerator, t.denominator
-    g1, a, b = index_below(params, p, q, 1, params.a1, params.a0 + params.a1)
-    g2, c, d = _remainder_below(params, p, q, a, g1, a, b)
+    g1, a, b = index_below(params, p, (q,), 1, params.a1, params.a0 + params.a1)
+    g2, c, d = index_below(params, p * a - q, (q, a), g1, a, b)
     pick = GreedyResult(g1, g2, _reciprocal_sum(params, g1, a, g2, c))
     pick.__dict__["_terms"] = a, b, c, d
     return pick
-
-
-def _remainder_below(
-    params: SequenceParams, p: int, q: int, a: int, start: int, x: int, y: int
-) -> tuple[int, int, int]:
-    """``index_below`` for the remainder p/q - 1/a, unreduced as
-    (p*a - q)/(q*a), from start with (x, y) = (a_start, a_{start+1}).
-
-    Past _NEAR_TIE_BITS in a the denominator stays as its factors (q, a),
-    so q*a is formed only on a near-tie. Since 1/a sits under p/q, a > q/p,
-    and a big term means a big denominator q*a; the terms the search
-    compares with it are no smaller than a."""
-    if a.bit_length() > _NEAR_TIE_BITS:
-        return _factored_index_below(params, p * a - q, (q, a), start, x, y)
-    return index_below(params, p * a - q, q * a, start, x, y)
 
 
 def _terms_of(params: SequenceParams, pick: GreedyResult) -> tuple[int, int, int, int]:
@@ -137,7 +122,7 @@ def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
     denominators: list[int] = []
     n, a, b = 1, params.a1, params.a0 + params.a1
     for _ in range(k):
-        n, a, b = index_below(params, p, q, n, a, b)
+        n, a, b = index_below(params, p, (q,), n, a, b)
         indices.append(n)
         denominators.append(a)
         p, q = p * a - q, q * a

@@ -81,7 +81,7 @@ def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int, int, int, in
     if a3 * chi > bound:
         # equivalent to chi > a_{2n+2}*a_{2n+4}, impossible for valid seeds
         raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
-    end, a_end, a_next = index_below(params, chi, bound, 2 * n + 4, a4, a3 + a4)
+    end, a_end, a_next = index_below(params, chi, (bound,), 2 * n + 4, a4, a3 + a4)
     return a2, a3, a4, bound, end - (2 * n + 4), a_next - a_end
 
 
@@ -161,17 +161,15 @@ def classify(params: SequenceParams, theta) -> Classification:
 
     The window's terms come from the greedy search: (a_{2m+2}, a_{2m+3}) are
     (a_g1, a_{g1+1}), and theta = p/q is inside exactly when it is above the
-    left end, (a3 + a4)*q < p*a3*a4, and g2 is the cutoff index 2m+4+xi(m),
-    a_g2 * chi > a2*a3*a4 (see the module docstring). Past _NEAR_TIE_BITS in
-    a2 both tests go through ``sequences._exceeds``, the first in its
-    remainder form (p*a2 - q)*a3*a4 > chi*q: theta - 1/a2 above chi/bound,
-    which the left end's form gives. Near a window, theta and the left end
-    agree to about twice a2's bits, a near-tie for the first form; inside
-    it, theta - 1/a2 lies between chi/bound and 1/a_{2m+3+xi(m)}, less than
-    twice chi/bound, which leading bits decide. The witness follows
-    from the same terms: xi(m) = g2 - (2m+4) and a_{2m+3+xi(m)} = a_{g2+1} -
-    a_g2. No cutoff or index search runs beyond the greedy pick's own, and
-    the window's exact endpoints are built only when it covers theta.
+    left end 1/a2 + chi/bound, (p*a2 - q)*a3*a4 > chi*q, and g2 is the
+    cutoff index 2m+4+xi(m), a_g2 * chi > a2*a3*a4 (see the module
+    docstring). Past _NEAR_TIE_BITS in a2 both tests go through
+    ``sequences._exceeds``: inside a window, theta - 1/a2 lies between
+    chi/bound and 1/a_{2m+3+xi(m)}, less than twice chi/bound, which leading
+    bits decide. The witness follows from the same terms: xi(m) = g2 -
+    (2m+4) and a_{2m+3+xi(m)} = a_{g2+1} - a_g2. No cutoff or index search
+    runs beyond the greedy pick's own, and the window's exact endpoints are
+    built only when it covers theta.
     """
     t = _require_theta(theta)
     gr = greedy_two_term(params, t)
@@ -182,7 +180,7 @@ def classify(params: SequenceParams, theta) -> Classification:
         a4 = a2 + a3
         p, q, chi = t.numerator, t.denominator, params.chi
         if a2.bit_length() <= _NEAR_TIE_BITS:
-            inside = (a3 + a4) * q < p * a3 * a4 and c * chi > a2 * a3 * a4
+            inside = (p * a2 - q) * a3 * a4 > chi * q and c * chi > a2 * a3 * a4
         else:
             inside = _exceeds((p * a2 - q, a3, a4), (chi, q)) and _exceeds((c, chi), (a2, a3, a4))
         if inside:

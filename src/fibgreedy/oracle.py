@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .greedy import TwoTermSum, _remainder_below, _require_theta, _terms_of, greedy_two_term
+from .greedy import TwoTermSum, _require_theta, _terms_of, greedy_two_term
 from .rationals import _reciprocal_sum
-from .sequences import _NEAR_TIE_BITS, SequenceParams, _exceeds
+from .sequences import _NEAR_TIE_BITS, SequenceParams, _exceeds, index_below
 
 __all__ = ["OracleReport", "oracle_best"]
 
@@ -52,18 +52,19 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
 
     Everything between the target and the result is integer work: with
     theta = p/q, the partner of a_m is searched under the unreduced remainder
-    (p*a_m - q, q*a_m), a candidate 1/a_m + 1/c is compared with the best
-    value so far, num/den, as (a_m + c)*den > num*a_m*c, and the stop rule
-    is 2*den <= num*a_m. The greedy value enters as the unreduced
+    p*a_m - q over q*a_m, whose denominator goes to the search as its
+    factors (q, a_m), a candidate 1/a_m + 1/c is compared with the best value
+    so far, num/den, as (a_m + c)*den > num*a_m*c, and the stop rule is
+    2*den <= num*a_m. The greedy value enters as the unreduced
     (a_g1 + a_g2, a_g1*a_g2); the cross-products and the stop rule do not
     need it reduced. Past _NEAR_TIE_BITS in a_g2 the best value so far stays
     as its two terms, 1/x + 1/y: the candidate test is (a_m + c)*x*y >
     (x + y)*a_m*c and the stop rule 2*x*y <= (x + y)*a_m, both decided by
-    ``sequences._exceeds``, and the remainder's q*a_m stays factored too, so
-    no product of two big terms is formed unless leading bits cannot decide
-    (a candidate that ties the best value to within ~1/a_g1^2 can need
-    one). The search builds one reduced Fraction, by
-    ``rationals._reciprocal_sum`` from the winner's indices (m, partner),
+    ``sequences._exceeds``; the partner search keeps (q, a_m) factored past
+    _NEAR_TIE_BITS in a_m. So no product of two big terms is formed unless
+    leading bits cannot decide (a candidate that ties the best value to
+    within ~1/a_g1^2 can need one). The search builds one reduced Fraction,
+    by ``rationals._reciprocal_sum`` from the winner's indices (m, partner),
     for a winner that is not the greedy pair; the greedy pair's value is the
     pick's own.
     """
@@ -76,14 +77,14 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     if c.bit_length() <= _NEAR_TIE_BITS:
         num, den = x + c, x * c
         while 2 * den > num * a:
-            partner, c, _ = _remainder_below(params, p, q, a, m + 1, b, a + b)
+            partner, c, _ = index_below(params, p * a - q, (q, a), m + 1, b, a + b)
             if (a + c) * den > num * a * c:
                 winner, num, den = (m, partner, a, c), a + c, a * c
             m, a, b = m + 1, b, a + b
     else:
         y = c  # the best value so far is 1/x + 1/y
         while _exceeds((2 * x, y), (x + y, a)):
-            partner, c, _ = _remainder_below(params, p, q, a, m + 1, b, a + b)
+            partner, c, _ = index_below(params, p * a - q, (q, a), m + 1, b, a + b)
             if _exceeds((a + c, x, y), (x + y, a, c)):
                 winner, x, y = (m, partner, a, c), a, c
             m, a, b = m + 1, b, a + b

@@ -126,10 +126,11 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
     return terms
 
 
-# Above this many bits in both num and den/num for the index search, in the
-# term a of a greedy or oracle remainder p/q - 1/a, in the oracle's a_g2 and
-# in the classifier's a_g1, comparisons go through _exceeds instead of
-# forming the products.
+# Above this many bits, comparisons go through _exceeds instead of forming
+# the products: in index_below, in both num and den/num, or in the last of
+# several factors (the term a of the remainder p/q - 1/a that greedy_two_term
+# and oracle_best pass as (q, a)); in the oracle's a_g2; and in the
+# classifier's a_g1.
 # classify + oracle_best over six targets k/10^d and a window's two ends and
 # midpoint at each size, every path forced, best of seven (Python 3.11.7;
 # fibonacci, lucas, custom:4,5): factored over plain 1.11-1.14 at 1000 bits,
@@ -191,63 +192,63 @@ def _exceeds(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
 
 
 def index_below(
-    params: SequenceParams, num: int, den: int, start: int, a: int, b: int
+    params: SequenceParams, num: int, dens: tuple[int, ...], start: int, a: int, b: int
 ) -> tuple[int, int, int]:
     """Smallest n >= start with num*a_n > den, i.e. 1/a_n < num/den, as
-    (n, a_n, a_{n+1}); (a, b) must be (a_start, a_{start+1}) and num, den > 0.
+    (n, a_n, a_{n+1}), where den is the product of the factors dens; (a, b)
+    must be (a_start, a_{start+1}) and num and every factor positive.
 
     Predict, then certify. Since a_{s+1} <= 2*a_s for every valid sequence,
     a_{s+k} <= F(k+2)*a_s < a_s*phi^(k+1), so the bit-length guess
     k = (bits(den) - bits(num) - bits(a_s) - 2) / 0.694242, rounded down,
     leaves num*a_{s+k} < 2^(bits(den)-1) <= den: the constant sits just above
     log2(phi) = 0.6942419, so the guess never overshoots. It is still checked
-    exactly, and a guess that already satisfies the bound raises
-    SelfCheckError. From a_{s+k} >= F(k+1)*a_s, the remaining walk up the
-    recurrence is a handful of steps. The check and the walk multiply only
-    near the answer: while bits(num) + bits(a_n) < bits(den), num*a_n <
-    2^(bits(num)+bits(a_n)) <= 2^(bits(den)-1) <= den without the product.
-    Where num and the answer's term, about den/num, are both past
-    _NEAR_TIE_BITS, each comparison goes through ``_exceeds``, which forms
-    num*a_n only on a near-tie.
+    exactly: a guess that already satisfies the bound at the walk's first
+    comparison raises SelfCheckError. From a_{s+k} >= F(k+1)*a_s, the
+    remaining walk up the recurrence is a handful of steps.
+
+    Each comparison num*a_n > den takes one of two forms. Factored: it goes
+    through ``_exceeds``, which forms the products only on a near-tie; the
+    guess then takes for bits(den) the factors' bit lengths summed less one
+    per factor after the first, a lower bound, which only lowers the guess.
+    Plain: den is formed once, and num*a_n is multiplied only near the
+    answer, since while bits(num) + bits(a_n) < bits(den), num*a_n <
+    2^(bits(num)+bits(a_n)) <= 2^(bits(den)-1) <= den. The walk is factored
+    when there are several factors and the last has more than _NEAR_TIE_BITS
+    bits, or when num and the answer's term, about den/num, both have;
+    otherwise it is plain. A remainder p/q - 1/a comes as num = p*a - q over
+    (q, a), and every term its search compares is at least a, so a big a
+    means big products on both sides.
     """
-    num_bits, den_bits = num.bit_length(), den.bit_length()
-    if num_bits > _NEAR_TIE_BITS and den_bits - num_bits > _NEAR_TIE_BITS:
-        return _factored_index_below(params, num, (den,), start, a, b)
+    num_bits = num.bit_length()
+    # den stays None for the factored walk, and is formed for the plain one
+    if len(dens) == 1:
+        den = dens[0]
+    elif dens[-1].bit_length() > _NEAR_TIE_BITS:
+        den = None
+    else:
+        den = 1
+        for d in dens:  # not math.prod, whose first call in a process costs ~4 us
+            den *= d
+    if den is None:
+        den_bits = sum(d.bit_length() for d in dens) - len(dens) + 1
+    else:
+        den_bits = den.bit_length()
+        if num_bits > _NEAR_TIE_BITS and den_bits - num_bits > _NEAR_TIE_BITS:
+            den, dens = None, (den,)
     k = (den_bits - num_bits - a.bit_length() - 2) * 1000000 // 694242
     n = start
     if k > 0:
         n = start + k
         a, b = seq_pair(params, n)
-        if num_bits + a.bit_length() >= den_bits and num * a > den:
-            raise SelfCheckError(
-                f"index guess {n} from start {start} overshoots for {params}"
-            )
-    while num_bits + a.bit_length() < den_bits or num * a <= den:
-        n, a, b = n + 1, b, a + b
-    return n, a, b
-
-
-def _factored_index_below(
-    params: SequenceParams, num: int, dens: tuple[int, ...], start: int, a: int, b: int
-) -> tuple[int, int, int]:
-    """``index_below`` with den the product of dens: every num*a_n > den goes
-    through ``_exceeds``, so den is formed only on a near-tie. The guess takes bits(den)
-    as its lower bound, the bit lengths of dens summed less one per factor
-    after the first; a smaller bits(den) only lowers the guess, so it still
-    never overshoots.
-    """
-    den_bits = sum(d.bit_length() for d in dens) - len(dens) + 1
-    k = (den_bits - num.bit_length() - a.bit_length() - 2) * 1000000 // 694242
-    n = start
-    if k > 0:
-        n = start + k
-        a, b = seq_pair(params, n)
-        if _exceeds((num, a), dens):
-            raise SelfCheckError(
-                f"index guess {n} from start {start} overshoots for {params}"
-            )
-    while not _exceeds((num, a), dens):
-        n, a, b = n + 1, b, a + b
+    if den is None:
+        while not _exceeds((num, a), dens):
+            n, a, b = n + 1, b, a + b
+    else:
+        while num_bits + a.bit_length() < den_bits or num * a <= den:
+            n, a, b = n + 1, b, a + b
+    if k > 0 and n == start + k:
+        raise SelfCheckError(f"index guess {n} from start {start} overshoots for {params}")
     return n, a, b
 
 

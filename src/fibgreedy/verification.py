@@ -121,10 +121,11 @@ def cassini_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
 def fib_addition_suite() -> SuiteResult:
     """F(n+m) == F(n-1)*F(m) + F(n)*F(m+1) for -30 <= n, m <= 30."""
     t = SuiteResult("fib_addition")
+    f = {k: fib(k) for k in range(-61, 62)}
     for n in range(-30, 31):
         for m in range(-30, 31):
             t.check(
-                fib(n + m) == fib(n - 1) * fib(m) + fib(n) * fib(m + 1),
+                f[n + m] == f[n - 1] * f[m] + f[n] * f[m + 1],
                 lambda n=n, m=m: f"n={n}, m={m}: addition formula violated",
             )
     return t

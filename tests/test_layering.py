@@ -4,7 +4,8 @@ command line's import stays light: no module on its path pulls in
 ``dataclasses``, ``inspect`` or ``typing``, and ``json`` and ``csv`` wait for
 the output format that needs them. The computing modules import one another
 only downward through fixed layers, so the classifier and the search are
-siblings. The package exports a fixed set of names."""
+siblings. Only the modules that compare big products read the near-tie
+switch. The package exports a fixed set of names."""
 
 import ast
 import subprocess
@@ -51,6 +52,25 @@ def test_computing_modules_import_only_lower_layers(module):
         if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y
             for name in _imported_modules(node):
                 assert LAYER[name] < LAYER[module], f"{module} imports {name}"
+
+
+def _reads(path, name):
+    # a name, an attribute or an imported alias; docstrings and comments do
+    # not count
+    return any(
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_near_tie_switch_readers():
+    # the index search alone chooses plain or factored comparisons for its
+    # callers; the oracle's and the classifier's own cross-products are the
+    # only other forks at the switch
+    readers = {path.stem for path in PACKAGE.glob("*.py") if _reads(path, "_NEAR_TIE_BITS")}
+    assert readers == {"sequences", "oracle", "optimality"}
 
 
 def test_cli_import_skips_heavy_modules():

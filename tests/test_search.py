@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from fibgreedy import FIBONACCI, LUCAS, SequenceParams, bad_interval, classify, oracle_best, xi
 from fibgreedy import greedy, optimality, oracle, sequences
+from fibgreedy.errors import SelfCheckError
 from fibgreedy.greedy import GreedyResult
 from fibgreedy.sequences import (
     _NEAR_TIE_BITS,
     _exceeds,
-    _factored_index_below,
     _lead,
     index_below,
     seq_pair,
@@ -73,17 +73,26 @@ def test_seed_set():
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(SEEDS), st.integers(min_value=0, max_value=300), BIG, BIG)
-def test_index_below_matches_linear_scan(params, start, num, den):
+@given(
+    st.sampled_from(SEEDS),
+    st.integers(min_value=0, max_value=300),
+    BIG,
+    st.lists(BIG, min_size=1, max_size=3).map(tuple),
+)
+def test_index_below_matches_linear_scan(params, start, num, dens):
+    # the denominator as one to three factors; past _NEAR_TIE_BITS in the
+    # last of several, the guess takes its bit length up to one low per
+    # factor after the first
     a, b = seq_terms(params, start + 1)[start:]
-    found = index_below(params, num, den, start, a, b)
+    found = index_below(params, num, dens, start, a, b)
+    den = prod(dens)
     assert found == linear_index_below(params, num, den, start)
     assert found[0] - guessed_index(num, den, start, a) <= 8
 
 
 def test_index_below_start_already_below():
     # 1/a_5 = 1/8 < 1/2: the search answers at start without moving
-    assert index_below(FIBONACCI.params, 1, 2, 5, 8, 13) == (5, 8, 13)
+    assert index_below(FIBONACCI.params, 1, (2,), 5, 8, 13) == (5, 8, 13)
 
 
 def test_index_below_skips_an_exact_reciprocal():
@@ -109,7 +118,7 @@ def test_index_below_skips_an_exact_reciprocal():
                 den = num * terms[n]
                 for start in (1, n):
                     a, b = terms[start], terms[start + 1]
-                    found = index_below(params, num, den, start, a, b)
+                    found = index_below(params, num, (den,), start, a, b)
                     assert found == (n + 1, terms[n + 1], terms[n + 2])
                     if guessed_index(num, den, start, a) > start:
                         guessed += 1
@@ -138,7 +147,7 @@ def test_index_below_at_an_exact_reciprocal_of_a_large_term(params):
             got = [linear_index_below(params, num, den, 0)]
             for start in (1, n - 3, n):
                 a, b = terms[start], terms[start + 1]
-                got.append(index_below(params, num, den, start, a, b))
+                got.append(index_below(params, num, (den,), start, a, b))
             for found in got:
                 assert found[0] == answer
                 assert [x.bit_length() for x in found[1:]] == [x.bit_length() for x in expected[1:]]
@@ -217,19 +226,87 @@ def test_exceeds_near_ties_reach_the_full_products():
         assert _exceeds(ys, xs) == (prod(ys) > prod(xs))
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(SEEDS),
-    st.integers(min_value=0, max_value=300),
-    BIG,
-    st.lists(BIG, min_size=1, max_size=2).map(tuple),
+def bits(n):
+    # an n-bit integer that is not a power of two
+    return (1 << (n - 1)) + 3
+
+
+NT = _NEAR_TIE_BITS
+
+
+def remainder_near_a_term(gap):
+    # A remainder p/q - 1/a just above zero, in the form greedy_two_term and
+    # oracle_best pass it: num = p*a - q over (q, a), with a below the switch,
+    # num past it and bits(q*a) - bits(num) = gap, so the answer's term has
+    # about gap bits.
+    a, p = bits(NT - 100), 3 << (NT - 1)
+    num = bits((p * a * a).bit_length() - gap)
+    q = p * a - num
+    assert num.bit_length() > NT and (q * a).bit_length() - num.bit_length() == gap
+    return num, (q, a)
+
+
+# (num, dens, factored) on each side of the switch for each shape a caller
+# passes. One factor (greedy's first pick, greedy_prefix, the cutoff):
+# factored when num and den/num both have more than _NEAR_TIE_BITS bits.
+# The remainder's (q, a): factored past _NEAR_TIE_BITS in a; with a at or
+# below the switch, q*a is formed and the one-factor rule decides.
+SWITCH_CASES = [
+    *[
+        (bits(nb), (bits(nb + gap),), nb > NT and gap > NT)
+        for nb in (NT, NT + 1)
+        for gap in (NT, NT + 1)
+    ],
+    (7, (bits(2 * NT + 5),), False),
+    *[(3 * bits(ab) - 1000, (1000, bits(ab)), ab > NT) for ab in (NT, NT + 1)],
+    *[(*remainder_near_a_term(gap), gap > NT) for gap in (NT, NT + 1)],
+]
+
+
+def bit_lengths(num, dens):
+    return f"{num.bit_length()}-over-{'x'.join(str(d.bit_length()) for d in dens)}-bits"
+
+
+@pytest.mark.parametrize("params", [FIBONACCI.params, SequenceParams(4, 5)])
+@pytest.mark.parametrize(
+    "num, dens, factored", SWITCH_CASES, ids=[bit_lengths(*case[:2]) for case in SWITCH_CASES]
 )
-def test_factored_index_below_matches_linear_scan(params, start, num, dens):
-    # the denominator left as one or two factors; for two, the guess takes
-    # its bit length one low
-    x, y = seq_terms(params, start + 1)[start:]
-    found = _factored_index_below(params, num, dens, start, x, y)
-    assert found == linear_index_below(params, num, prod(dens), start)
+def test_index_below_takes_the_factored_walk_only_past_the_switch(
+    monkeypatch, params, num, dens, factored
+):
+    calls = []
+    exceeds = sequences._exceeds
+
+    def counted(xs, ys):
+        calls.append(len(ys))
+        return exceeds(xs, ys)
+
+    monkeypatch.setattr(sequences, "_exceeds", counted)
+    for start in (1, 40):
+        a, b = seq_terms(params, start + 1)[start:]
+        calls.clear()
+        found = index_below(params, num, dens, start, a, b)
+        assert found == linear_index_below(params, num, prod(dens), start)
+        assert bool(calls) == factored
+        # a factored walk compares against the factors it was given when
+        # their last is past the switch, and against their product otherwise
+        if factored:
+            assert set(calls) == {len(dens) if dens[-1].bit_length() > NT else 1}
+
+
+OVERSHOOT_CASES = [(1, (bits(3000),))] + [case[:2] for case in SWITCH_CASES if case[2]]
+
+
+@pytest.mark.parametrize(
+    "num, dens", OVERSHOOT_CASES, ids=[bit_lengths(*case) for case in OVERSHOOT_CASES]
+)
+def test_index_below_refuses_a_guess_that_overshoots(monkeypatch, num, dens):
+    # terms from 20 indices past the one asked for put the guess past the
+    # answer, on the plain walk and on each factored one
+    pair = sequences.seq_pair
+    monkeypatch.setattr(sequences, "seq_pair", lambda params, n: pair(params, n + 20))
+    with pytest.raises(SelfCheckError, match="overshoots"):
+        index_below(FIBONACCI.params, num, dens, 1, 1, 2)
 
 
 def test_xi_literal_counts_a_shift_at_the_floor():
