@@ -67,7 +67,14 @@ def cmd_classify(preset: SequencePreset, output_format: str, theta: Fraction) ->
 
     theta_s, theta_a = format_rational(theta), approx_decimal(theta)
     greedy_s, greedy_a = format_rational(greedy.value), approx_decimal(greedy.value)
-    best_s, best_a = format_rational(best.value), approx_decimal(best.value)
+    # With the verdicts agreed, the best value is greedy's on a win and the
+    # window's left end on a loss: each distinct value renders once.
+    if result.witness_interval is None:
+        record = None
+        best_s, best_a = greedy_s, greedy_a
+    else:
+        record = bad_interval_record(result.witness_interval)
+        best_s, best_a = record["left"], record["left_approx"]
     data: dict[str, object] = {
         "sequence": preset.name,
         "a0": params.a0,
@@ -90,8 +97,7 @@ def cmd_classify(preset: SequencePreset, output_format: str, theta: Fraction) ->
         f"greedy: 1/a_{greedy.g1} + 1/a_{greedy.g2} = {greedy_s} ~ {greedy_a}",
         f"verdict: {'best possible' if result.is_best else 'not best possible'}",
     ]
-    if result.witness_interval is not None:
-        record = bad_interval_record(result.witness_interval)
+    if record is not None:
         data["bad_interval"] = record
         row |= {f"interval_{key}": record[key] for key in ("n", "left", "right")}
         lines.append(f"inside window n={record['n']}: ({record['left']}, {record['right']}]")

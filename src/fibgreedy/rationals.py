@@ -19,7 +19,7 @@ figures in one fixed decimal context.
 from __future__ import annotations
 
 import re
-from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
+from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -129,17 +129,18 @@ def approx_decimal(x: Fraction) -> str:
     """Six significant figures of x, display only: x rounded half-even as one
     Decimal division in _DISPLAY gives it, at any magnitude and with no float.
 
-    Small values are divided as Decimals. Above _INTEGER_ROUNDING_BITS one
-    divmod, scaled by a power of ten from the bit lengths, shortens the
-    quotient exactly to seven or more figures. A nonzero remainder becomes a
-    trailing 1 digit (sticky: it rounds as the lost tail does); an exact
-    quotient sheds its trailing zeros down to the units place, as a division
-    would. _DISPLAY then rounds that short Decimal, by the division's own
-    precision, exponent limits and traps.
+    Small values go straight to _DISPLAY.divide, which takes the integers
+    exactly. Above _INTEGER_ROUNDING_BITS one divmod, scaled by a power of
+    ten from the bit lengths, shortens the quotient exactly to seven or more
+    figures. A nonzero remainder becomes a trailing 1 digit (sticky: it
+    rounds as the lost tail does); an exact quotient sheds its trailing
+    zeros down to the units place, as a division would. _DISPLAY then rounds
+    that short Decimal, by the division's own precision, exponent limits and
+    traps.
     """
     p, q = x.numerator, x.denominator
     if p.bit_length() <= _INTEGER_ROUNDING_BITS and q.bit_length() <= _INTEGER_ROUNDING_BITS:
-        return _DISPLAY.to_sci_string(_DISPLAY.divide(Decimal(p), Decimal(q)))
+        return _DISPLAY.to_sci_string(_DISPLAY.divide(p, q))
     a = abs(p)
     d = a.bit_length() - q.bit_length() - 1  # a/q >= 2^d
     # 10^k <= 2^d: log10(2) lies between 0.30102 and 0.30103, so k errs low

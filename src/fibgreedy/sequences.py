@@ -34,14 +34,36 @@ __all__ = [
 ]
 
 
+def _fibs_below(limit: int) -> tuple[int, ...]:
+    """F(0), F(1), ... up to the last Fibonacci number below limit."""
+    fibs, a, b = [], 0, 1
+    while a < limit:
+        fibs.append(a)
+        a, b = b, a + b
+    return tuple(fibs)
+
+
+# F(0)..F(93), every Fibonacci number below 2^64: the base case of
+# _fib_pair. At these sizes a doubling level's cost is the interpreter's
+# call and tuple overhead, not arithmetic: a lookup at n = 64 costs about
+# 0.1 us against 1.9 us for the recursion down to n = 0, and a larger n
+# loses its six or seven lowest levels (Python 3.11.7). The bound keeps the
+# table to 94 integers of at most 64 bits (3.6 KB); each doubling of its
+# length would cut only one more level. Fixed in size, and read by nothing
+# but _fib_pair.
+_SMALL_FIBS = _fibs_below(1 << 64)
+_SMALL_TOP = len(_SMALL_FIBS) - 1  # pairs (F(n), F(n+1)) for n < 93 are lookups
+
+
 def _fib_pair(n: int) -> tuple[int, int]:
-    # fast doubling: (F(n), F(n+1)) for n >= 0, two squarings per level.
+    # fast doubling: (F(n), F(n+1)) for n >= 0, two squarings per level,
+    # recursing down to n < _SMALL_TOP and its two table lookups.
     # With a, b = F(k), F(k+1) and k = n >> 1:
     #   F(2k+1) = a^2 + b^2,  F(2k+3) = 4b^2 - a^2 + 2(-1)^(k+1),
     # so F(2k+2) = F(2k+3) - F(2k+1) = 3b^2 - 2a^2 + 2(-1)^(k+1) and
     # F(2k) = F(2k+2) - F(2k+1) = 2b^2 - 3a^2 + 2(-1)^(k+1).
-    if n == 0:
-        return 0, 1
+    if n < _SMALL_TOP:
+        return _SMALL_FIBS[n], _SMALL_FIBS[n + 1]
     a, b = _fib_pair(n >> 1)
     a, b = a * a, b * b
     sign = 2 if n & 2 else -2  # 2(-1)^(k+1)
@@ -100,7 +122,8 @@ class SequenceParams(namedtuple("SequenceParams", "a0 a1")):
 
 
 def seq_pair(params: SequenceParams, n: int) -> tuple[int, int]:
-    """(a_n, a_{n+1}) from one fast-doubling call; nothing is retained."""
+    """(a_n, a_{n+1}) from one ``_fib_pair`` call: two table lookups for
+    n < 93, else fast doubling down to the table; nothing is retained."""
     if n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {n}")
     f, g = _fib_pair(n)  # F(n), F(n+1); F(n-1) = F(n+1) - F(n)

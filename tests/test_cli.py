@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import fibgreedy
-from fibgreedy import parse_rational, parse_sequence_spec, run_all
+from fibgreedy import format_rational, parse_rational, parse_sequence_spec, run_all
 from fibgreedy.cli import main
 
 # stdout, stderr and exit code of a small matrix of calls: three sequences in
@@ -63,6 +63,25 @@ class TestClassify:
         payload = json.loads(out)
         assert payload["is_best"] is True
         assert "bad_interval" not in payload
+
+    @pytest.mark.parametrize("theta, is_best, rendered", [("27/50", False, 4), ("1/2", True, 2)])
+    def test_each_distinct_value_renders_once(self, capsys, monkeypatch, theta, is_best, rendered):
+        # theta and greedy's value, plus on a loss the window's two ends: the
+        # best value is the left end on a loss and greedy's value on a win
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return format_rational(x)
+
+        monkeypatch.setattr(fibgreedy.cli, "format_rational", counting)
+        monkeypatch.setattr(fibgreedy.optimality, "format_rational", counting)
+        code, out, _ = run_cli(capsys, "--format", "json", "classify", "--theta", theta)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["is_best"] is is_best
+        assert len(calls) == rendered
+        assert len(set(calls)) == rendered
 
     def test_decimal_theta(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "classify", "--theta", "0.54")

@@ -200,6 +200,48 @@ def test_approx_reaches_both_sides_of_the_cut_off():
             assert approx_decimal(-x) == divided(-x)
 
 
+# the integer cut-off falls between 360 and 361 bits
+EDGE_BITS = (_INTEGER_ROUNDING_BITS - 1, _INTEGER_ROUNDING_BITS, _INTEGER_ROUNDING_BITS + 1)
+
+
+def edge_operands():
+    # p/q in lowest terms, p and q of every pairing of the EDGE_BITS sizes
+    cases = []
+    for p_bits in EDGE_BITS:
+        for q_bits in EDGE_BITS:
+            q = 2**q_bits - 1
+            p = 2 ** (p_bits - 1) + 1
+            while gcd(p, q) != 1:
+                p += 2
+            cases.append(Fraction(p, q))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        *edge_operands(),
+        Fraction(2**_INTEGER_ROUNDING_BITS - 1, 2**_INTEGER_ROUNDING_BITS - 1),  # p = q: 1
+        Fraction(1, 8),
+        Fraction(3, 2**361),
+        Fraction(2**361 + 1, 8),
+        Fraction(10**109 + 1, 10**109),
+        Fraction(2**360 + 1, 2**359),
+    ],
+)
+def test_approx_matches_the_decimal_operand_form(x):
+    # divided() converts p and q with Decimal() before dividing, while
+    # approx_decimal hands small integers to the context as they are and
+    # shortens large ones first; at the cut-off all three must agree
+    assert approx_decimal(x) == divided(x)
+    assert approx_decimal(-x) == divided(-x)
+
+
+def test_edge_operands_have_the_sizes_they_name():
+    sizes = [(x.numerator.bit_length(), x.denominator.bit_length()) for x in edge_operands()]
+    assert sizes == [(p, q) for p in EDGE_BITS for q in EDGE_BITS]
+
+
 @pytest.mark.parametrize(
     "x, shown",
     [

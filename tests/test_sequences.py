@@ -25,7 +25,7 @@ from fibgreedy import (
     seq_term_from_fibs,
     xi,
 )
-from fibgreedy.sequences import seq_pair, seq_terms
+from fibgreedy.sequences import _SMALL_FIBS, seq_pair, seq_terms
 
 
 def naive_fib(n):
@@ -54,8 +54,14 @@ class TestFib:
         assert fib(n) == value
 
     def test_matches_iteration(self):
-        for n in range(-30, 101):
+        # past three times the small table, so fib's first two doubling
+        # levels above it are checked too
+        for n in range(-30, 3 * len(_SMALL_FIBS) + 2):
             assert fib(n) == naive_fib(n)
+
+    def test_small_table_holds_every_fibonacci_number_below_2_64(self):
+        assert _SMALL_FIBS == tuple(naive_fib(n) for n in range(len(_SMALL_FIBS)))
+        assert _SMALL_FIBS[-1] < 1 << 64 <= naive_fib(len(_SMALL_FIBS))
 
     @pytest.mark.usefixtures("unlimited_int_strings")
     def test_large_index(self):
