@@ -22,12 +22,17 @@ holds exactly when g2 >= 2n+4+xi(n), that is when theta is at most the right
 end. ``classify`` therefore reads the window off the greedy pick and runs no
 cutoff search of its own.
 
-``xi`` finds the cutoff with one predict-then-certify index search over
-integers. The cutoff also has an equivalent definition through Fibonacci
-factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi;
-``verification.xi_literal`` evaluates that form against the integer
-bound // chi, by a plain walk up from s = 0, and serves as an independent
-reference for ``xi``.
+``xi`` and ``bad_interval`` find the cutoff with integers only. Past
+_NEAR_TIE_BITS in a_{2n+3}, bounds from leading bits decide it: one doubling
+step from the exact F(2n+2), F(2n+3) bounds the terms near index 6n+6, the
+recurrence walks those bounds to the cutoff, and neither the term
+a_{2n+3+xi(n)} nor, for ``bad_interval``, the bound is formed for the
+search. Below the switch, and on a near-tie the bounds cannot decide, one
+predict-then-certify index search runs against the formed bound. The cutoff
+also has an equivalent definition through Fibonacci factors, the largest s
+with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi; ``verification.xi_literal``
+evaluates that form against the integer bound // chi, by a plain walk up
+from s = 0, and serves as an independent reference for ``xi``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from .sequences import (
     SequenceParams,
     SequencePreset,
     _exceeds,
+    _fib_pair,
+    _lead,
     index_below,
     seq_pair,
 )
@@ -65,33 +72,103 @@ class XiResult(namedtuple("XiResult", "n xi bound chi")):
     __slots__ = ()
 
 
-def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int, int, int, int]:
+def _leading_cutoff(chi: int, m: int, f: int, g: int, a2: int, a3: int, a4: int) -> int | None:
+    """Smallest index k with a_k * chi > a2 * a3 * a4, decided from leading
+    bits, or None where they cannot decide it. (f, g) is (F(m), F(m+1)) and
+    (a2, a3, a4) is (a_m, a_{m+1}, a_{m+2}).
+
+    128-bit floor leads x >> s <= x / 2^s < (x >> s) + 1 of F(m-1), F(m),
+    F(m+1), a_m and a_{m+1} bound, after one doubling step,
+
+        a_{3m}   = F(2m-1) * a_m + F(2m) * a_{m+1},
+        a_{3m+1} = F(2m) * a_m + F(2m+1) * a_{m+1},
+
+    where F(2m-1) = F(m-1)^2 + F(m)^2, F(2m) = F(m) * (F(m) + 2F(m-1)) and
+    F(2m+1) = F(m)^2 + F(m+1)^2. Every coefficient is positive, so the floors
+    give lower bounds and the floors plus one upper bounds. The pair jumps by
+    ``index_below``'s bit-length guess t, which never overshoots, through
+    a_{3m+t} = F(t-1) * a_{3m} + F(t) * a_{3m+1}, and then walks up the
+    recurrence, lower bounds adding to lower bounds and upper to upper. The
+    product's bounds come from ``_lead``. The first index must be certified
+    at or below the product, and each later one on one side of it.
+    """
+    total, b_lo, b_hi, b_shift = _lead((a2, a3, a4))
+    s = max(g.bit_length() - 128, 0)
+    r = max(a3.bit_length() - 128, 0)
+    # F(m-1), F(m), F(m+1) in units of 2^s; a_m, a_{m+1} in units of 2^r
+    leads = ((g - f) >> s, f >> s, g >> s, a2 >> r, a3 >> r)
+    pairs = []
+    for e in (0, 1):  # lower bounds, then upper ones, in units of 2^(2s+r)
+        u, v, w, x, y = (lead + e for lead in leads)
+        p, q, z = u * u + v * v, v * (v + 2 * u), v * v + w * w  # F(2m-1), F(2m), F(2m+1)
+        pairs.append((p * x + q * y, q * x + z * y))
+    (lo, lo1), (hi, hi1) = pairs
+    # bits(bound) >= total - 2 and bits(a_{3m}) <= bits(hi) + 2s + r
+    t = (total - chi.bit_length() - hi.bit_length() - 2 * s - r - 4) * 1000000 // 694242
+    t = max(t, 0)
+    ft, ft1 = _fib_pair(t)
+    ft0 = ft1 - ft  # F(t-1)
+    lo, lo1 = ft0 * lo + ft * lo1, ft * lo + ft1 * lo1
+    hi, hi1 = ft0 * hi + ft * hi1, ft * hi + ft1 * hi1
+    shift = 2 * s + r - b_shift
+    if shift >= 0:
+        chi <<= shift
+    else:
+        b_lo, b_hi = b_lo << -shift, b_hi << -shift
+    if chi * hi > b_lo:
+        return None
+    k = 3 * m + t
+    while True:
+        k, lo, hi, lo1, hi1 = k + 1, lo1, hi1, lo + lo1, hi + hi1
+        if chi * lo > b_hi:
+            return k
+        if chi * hi > b_lo:
+            return None
+
+
+def _cutoff(
+    params: SequenceParams, n: int
+) -> tuple[int, int, int, int | None, int, int | None]:
     """(a_{2n+2}, a_{2n+3}, a_{2n+4}, bound, xi(n), a_{2n+3+xi(n)}) for window
     index n >= 0, where bound = a_{2n+2} * a_{2n+3} * a_{2n+4}.
 
-    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound, found by one
-    index search from 2n+4.
+    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound. Past
+    _NEAR_TIE_BITS in a_{2n+3}, ``_leading_cutoff`` decides it from leading
+    bits, and bound and a_{2n+3+xi(n)} come back as None, neither formed.
+    Otherwise, and wherever leading bits cannot decide, one index search
+    from 2n+4 finds it against the formed bound.
     """
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
-    a2, a3 = seq_pair(params, 2 * n + 2)
+    m = 2 * n + 2
+    f, g = _fib_pair(m)  # F(m), F(m+1), kept for _leading_cutoff
+    a2, a3 = params.a0 * (g - f) + params.a1 * f, params.a0 * f + params.a1 * g
     a4 = a2 + a3
-    bound = a2 * a3 * a4
     chi = params.chi
+    if a3.bit_length() > _NEAR_TIE_BITS:
+        end = _leading_cutoff(chi, m, f, g, a2, a3, a4)
+        if end is not None:
+            return a2, a3, a4, None, end - (m + 2), None
+    bound = a2 * a3 * a4
     if a3 * chi > bound:
         # equivalent to chi > a_{2n+2}*a_{2n+4}, impossible for valid seeds
         raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
-    end, a_end, a_next = index_below(params, chi, (bound,), 2 * n + 4, a4, a3 + a4)
-    return a2, a3, a4, bound, end - (2 * n + 4), a_next - a_end
+    end, a_end, a_next = index_below(params, chi, (bound,), m + 2, a4, a3 + a4)
+    return a2, a3, a4, bound, end - (m + 2), a_next - a_end
 
 
 def xi(params: SequenceParams, n: int) -> XiResult:
     """Cutoff xi(n): largest s with a_{2n+3+s} * chi <= the product bound.
 
-    Found with integers only, by one index search that predicts the cutoff
-    from bit lengths and certifies it exactly.
+    Found with integers only: past _NEAR_TIE_BITS in a_{2n+3} from leading
+    bits, which leave the term a_{2n+3+xi(n)} unformed; otherwise, or on a
+    near-tie, by one index search that predicts the cutoff from bit lengths
+    and certifies it exactly. The bound is formed either way, since it is
+    part of the result.
     """
-    _, _, _, bound, s, _ = _cutoff(params, n)
+    a2, a3, a4, bound, s, _ = _cutoff(params, n)
+    if bound is None:
+        bound = a2 * a3 * a4
     return XiResult(n=n, xi=s, bound=bound, chi=params.chi)
 
 
@@ -127,6 +204,8 @@ def _window(
 def bad_interval(params: SequenceParams, n: int) -> BadInterval:
     """Endpoints of window n, exactly."""
     a2, a3, a4, _, x, a_cut = _cutoff(params, n)
+    if a_cut is None:
+        a_cut = seq_pair(params, 2 * n + 3 + x)[0]
     return _window(params, n, a2, a3, a4, x, a_cut)
 
 

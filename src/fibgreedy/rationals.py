@@ -45,12 +45,15 @@ _DISPLAY = Context(
 
 # Above this many bits in the numerator or the denominator, approx_decimal
 # shortens the operands in integers before the context rounds; below it one
-# Decimal division is cheaper on the small values most displays show. Each
-# path forced on 200 random p < q per size, five runs (Python 3.11.7): the
-# median integers/division time ratio is 1.015 at 350 bits, 0.986 at 375,
-# 0.92-0.97 from 400 to 475 and 0.87 at 500. Near the cut-off the two paths
-# are within a few per cent, so its exact place matters little.
-_INTEGER_ROUNDING_BITS = 360
+# Decimal division of the integers is cheaper on the small values most
+# displays show. Each path forced on 200 random p < q per size, integers over
+# division time, each run the best of two alternating rounds (Python 3.11.7):
+# 1.06-1.14 at 360 bits (6 runs), 1.02-1.15 at 370 (8), 1.02-1.32 at 380
+# (14); from 390 some runs go the other way (3 of 8 there, 1 of 20 at 400),
+# 0.93-1.14 at 440, 0.88-0.93 at 520 and 0.78-0.80 at 560 (6 runs each). The
+# cut-off is the largest size at which every run found the division cheaper;
+# near it the two paths are within a few per cent either way.
+_INTEGER_ROUNDING_BITS = 380
 
 # Up to this many bits in the larger term, _reciprocal_sum reduces
 # (x + y)/(x*y) by one Fraction normalisation; above it, from the index gap.

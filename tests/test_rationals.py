@@ -200,7 +200,7 @@ def test_approx_reaches_both_sides_of_the_cut_off():
             assert approx_decimal(-x) == divided(-x)
 
 
-# the integer cut-off falls between 360 and 361 bits
+# the integer cut-off falls between _INTEGER_ROUNDING_BITS and one bit more
 EDGE_BITS = (_INTEGER_ROUNDING_BITS - 1, _INTEGER_ROUNDING_BITS, _INTEGER_ROUNDING_BITS + 1)
 
 
@@ -223,10 +223,10 @@ def edge_operands():
         *edge_operands(),
         Fraction(2**_INTEGER_ROUNDING_BITS - 1, 2**_INTEGER_ROUNDING_BITS - 1),  # p = q: 1
         Fraction(1, 8),
-        Fraction(3, 2**361),
-        Fraction(2**361 + 1, 8),
-        Fraction(10**109 + 1, 10**109),
-        Fraction(2**360 + 1, 2**359),
+        Fraction(3, 2 ** (_INTEGER_ROUNDING_BITS + 1)),
+        Fraction(2 ** (_INTEGER_ROUNDING_BITS + 1) + 1, 8),
+        Fraction(10**115 + 1, 10**115),  # 383 bits, just past the cut-off
+        Fraction(2**_INTEGER_ROUNDING_BITS + 1, 2 ** (_INTEGER_ROUNDING_BITS - 1)),
     ],
 )
 def test_approx_matches_the_decimal_operand_form(x):

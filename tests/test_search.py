@@ -1,6 +1,6 @@
-"""The predict-then-certify index search, the cutoff built on it, the terms
-the classifier and the search take from it, and the absence of retained
-state."""
+"""The predict-then-certify index search, the cutoff built on it and, past
+the near-tie switch, on leading-bit bounds, the terms the classifier and the
+search take from it, and the absence of retained state."""
 
 import gc
 import tracemalloc
@@ -399,12 +399,137 @@ def test_xi_closed_forms_far_out(n):
     assert xi(LUCAS.params, n).xi == 4 * n + 6
 
 
+def exact_cutoff(params, n):
+    # The exact search _cutoff runs at or below the switch: the bound formed,
+    # one index search from 2n+4. (a_{2n+2}, a_{2n+3}, xi(n), bound,
+    # a_{2n+3+xi(n)})
+    a2, a3 = seq_pair(params, 2 * n + 2)
+    bound = a2 * a3 * (a2 + a3)
+    end, a, b = index_below(params, params.chi, (bound,), 2 * n + 4, a2 + a3, a2 + 2 * a3)
+    return a2, a3, end - (2 * n + 4), bound, b - a
+
+
+def first_window_past_the_switch(params):
+    # the first n whose a_{2n+3} has more than _NEAR_TIE_BITS bits
+    terms = seq_terms(params, 3 * NT)
+    return next(n for n in range(NT) if terms[2 * n + 3].bit_length() > NT)
+
+
+def mismatched_windows(cases):
+    # (a0, a1, n) wherever xi or bad_interval differs from the exact search;
+    # the terms are too long for a readable assertion report
+    wrong = []
+    for params, n in cases:
+        a2, a3, x, bound, a_cut = exact_cutoff(params, n)
+        window = optimality._window(params, n, a2, a3, a2 + a3, x, a_cut)
+        if xi(params, n) != (n, x, bound, params.chi) or bad_interval(params, n) != window:
+            wrong.append((params.a0, params.a1, n))
+    return wrong
+
+
+def test_cutoff_from_leading_bits_only_past_the_switch(monkeypatch):
+    # Past _NEAR_TIE_BITS in a_{2n+3}, xi and bad_interval each take the
+    # cutoff from _leading_cutoff and run no index search; at or below it,
+    # each runs one index search. Every seed at the first window past the
+    # switch and on either side of it, and window 3000 on three seeds: both
+    # must equal the exact search.
+    calls = []
+    leading, search = optimality._leading_cutoff, optimality.index_below
+
+    def counted_leading(*args):
+        calls.append("leading")
+        return leading(*args)
+
+    def counted_search(*args):
+        calls.append("search")
+        return search(*args)
+
+    cases = [
+        (params, first_window_past_the_switch(params) + d) for params in SEEDS for d in (-1, 0, 1)
+    ]
+    cases += [(params, 3000) for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5))]
+    expected_paths = [
+        ["leading"] * 2 if seq_pair(params, 2 * n + 3)[0].bit_length() > NT else ["search"] * 2
+        for params, n in cases
+    ]
+    assert expected_paths.count(["search"] * 2) == len(SEEDS)
+    monkeypatch.setattr(optimality, "_leading_cutoff", counted_leading)
+    monkeypatch.setattr(optimality, "index_below", counted_search)
+    paths = []
+    for case in cases:
+        calls.clear()
+        xi(*case)
+        bad_interval(*case)
+        paths.append(list(calls))
+    assert paths == expected_paths
+    monkeypatch.undo()
+    assert mismatched_windows(cases) == []
+
+
+@pytest.mark.parametrize("loosen", ["low", "high"])
+def test_cutoff_falls_back_where_leading_bits_cannot_decide(monkeypatch, loosen):
+    # _lead's bounds on the product, loosened by a factor of four on one
+    # side: the terms then pass through a range of more than phi that the
+    # bounds cannot place, so _leading_cutoff gives up, at its first index
+    # (a low end too low) or on the walk (a high end too high), and the exact
+    # search must give the same XiResult and BadInterval.
+    cases = [(params, first_window_past_the_switch(params)) for params in SEEDS[::30]]
+    cases += [(params, 3000) for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5))]
+    expected = [(xi(*case), bad_interval(*case)) for case in cases]
+    lead, leading = optimality._lead, optimality._leading_cutoff
+    answers = []
+
+    def loosened(xs):
+        total, lo, hi, shift = lead(xs)
+        return (total, lo >> 2, hi, shift) if loosen == "low" else (total, lo, hi << 2, shift)
+
+    def counted(*args):
+        answers.append(leading(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(optimality, "_lead", loosened)
+    monkeypatch.setattr(optimality, "_leading_cutoff", counted)
+    assert [(xi(*case), bad_interval(*case)) for case in cases] == expected
+    assert answers == [None] * 2 * len(cases)
+
+
+def test_leading_cutoff_gives_up_or_answers_exactly_on_a_near_tie(monkeypatch):
+    # A product within one of chi*a_k, far closer than leading bits resolve,
+    # with _lead replaced by exact bounds (the product itself on both sides),
+    # so that the terms' own bounds alone must decide: _leading_cutoff
+    # answers the smallest index whose term times chi exceeds the product,
+    # or None, and on these ties always None. Windows 1500 and 3000, k from
+    # 3m, where the walk's jump starts, to a dozen past it.
+    answered = 0
+    for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5)):
+        for n in (1500, 3000):
+            m, chi = 2 * n + 2, params.chi
+            f, g = sequences._fib_pair(m)
+            terms = seq_terms(params, 3 * m + 14)
+            a2, a3 = terms[m], terms[m + 1]
+            for k in range(3 * m, 3 * m + 12):
+                z = chi * terms[k]
+                # halfway to chi*a_{k+1} is near no tie, and must be decided
+                for product in (z - 1, z, z + 1, z + chi * terms[k - 1] // 2):
+                    monkeypatch.setattr(
+                        optimality, "_lead", lambda xs, p=product: (p.bit_length(), p, p, 0)
+                    )
+                    got = optimality._leading_cutoff(chi, m, f, g, a2, a3, a2 + a3)
+                    if product > z + 1:
+                        assert got == k + 1
+                    else:
+                        assert got in (None, k if product < z else k + 1)
+                        answered += got is not None
+    assert answered == 0
+
+
 def test_no_state_retained():
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         xi(FIBONACCI.params, 5000)
+        bad_interval(FIBONACCI.params, 5000)
         classify(FIBONACCI.params, Fraction(7, 10**3000))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
