@@ -8,20 +8,22 @@ and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 
 Both entry points run on integers: a remainder p/q less the term 1/a stays
 unreduced, as p*a - q over q*a, and goes straight to the index search, which
-only compares cross-products. ``greedy_two_term`` hands the search q*a as its
-factors (q, a), and the search alone decides whether to multiply them out;
-``greedy_prefix`` carries q*a to its next step. Each builds one reduced
-Fraction, for the returned value: ``greedy_two_term`` by
-``rationals._reciprocal_sum``, which takes the pick's indices and reduces
-large terms from their gap g2 - g1, ``greedy_prefix`` as theta minus the last
-remainder. ``greedy_two_term`` writes out its two steps; a loop shared with
-``greedy_prefix`` would cost it about 1 us a call. A pick from
-``greedy_two_term`` also keeps the terms the search found, (a_g1, a_{g1+1},
-a_g2, a_{g2+1}); ``classify`` and ``oracle_best`` take their pick from
-``greedy_two_term`` and read those terms through ``_terms_of`` rather than
-evaluating them again. ``TwoTermSum``, the record for any pair and its
-value, lives here beside ``GreedyResult``, so the classifier and the search
-both import it from below and neither imports the other.
+only compares cross-products. The search takes a denominator as two factors:
+``greedy_two_term`` hands it q*a as (q, a), and the search alone decides
+whether to multiply them out; a first pick, and every step of
+``greedy_prefix``, which carries q*a to its next step, pass (q, 1). Each
+entry point builds one reduced Fraction, for the returned value:
+``greedy_two_term`` by ``rationals._reciprocal_sum``, which takes the pick's
+indices and reduces large terms from their gap g2 - g1, ``greedy_prefix`` as
+theta minus the last remainder. ``greedy_two_term`` writes out its two
+steps; a loop shared with ``greedy_prefix`` would cost it about 1 us a call.
+A pick from ``greedy_two_term`` also keeps the terms the search found,
+(a_g1, a_{g1+1}, a_g2, a_{g2+1}); ``classify`` and ``oracle_best`` take
+their pick from ``greedy_two_term`` and read those terms through
+``_terms_of`` rather than evaluating them again. ``TwoTermSum``, the record
+for any pair and its value, lives here beside ``GreedyResult``, so the
+classifier and the search both import it from below and neither imports the
+other.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     """
     t = _require_theta(theta)
     p, q = t.numerator, t.denominator
-    g1, a, b = index_below(params, p, (q,), 1, params.a1, params.a0 + params.a1)
-    g2, c, d = index_below(params, p * a - q, (q, a), g1, a, b)
+    g1, a, b = index_below(params, p, q, 1, 1, params.a1, params.a0 + params.a1)
+    g2, c, d = index_below(params, p * a - q, q, a, g1, a, b)
     pick = GreedyResult(g1, g2, _reciprocal_sum(params, g1, a, g2, c))
     pick.__dict__["_terms"] = a, b, c, d
     return pick
@@ -122,7 +124,7 @@ def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
     denominators: list[int] = []
     n, a, b = 1, params.a1, params.a0 + params.a1
     for _ in range(k):
-        n, a, b = index_below(params, p, (q,), n, a, b)
+        n, a, b = index_below(params, p, q, 1, n, a, b)
         indices.append(n)
         denominators.append(a)
         p, q = p * a - q, q * a

@@ -153,7 +153,7 @@ def _cutoff(
     if a3 * chi > bound:
         # equivalent to chi > a_{2n+2}*a_{2n+4}, impossible for valid seeds
         raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
-    end, a_end, a_next = index_below(params, chi, (bound,), m + 2, a4, a3 + a4)
+    end, a_end, a_next = index_below(params, chi, bound, 1, m + 2, a4, a3 + a4)
     return a2, a3, a4, bound, end - (m + 2), a_next - a_end
 
 

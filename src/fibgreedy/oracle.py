@@ -17,9 +17,11 @@ examined, the greedy pair and the one starting at g1 + 1.
 The search takes its greedy pair from ``greedy_two_term`` and starts from
 that search's own integers: the terms a_g1 and a_g2, and a_{g1+1}, from
 which the walk's first term pair follows by one addition. No term is
-evaluated twice. Every comparison is exact; for big terms the
-cross-products are compared by ``sequences._exceeds``, which multiplies out
-only a near-tie that the factors' leading bits cannot decide.
+evaluated twice. The best value so far is always the pair of terms
+1/x + 1/y, so one walk serves every size: small terms multiply its
+cross-products out, and for big ones ``sequences._exceeds`` compares them,
+multiplying out only a near-tie that the factors' leading bits cannot
+decide. Every comparison is exact.
 """
 
 from __future__ import annotations
@@ -52,45 +54,36 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
 
     Everything between the target and the result is integer work: with
     theta = p/q, the partner of a_m is searched under the unreduced remainder
-    p*a_m - q over q*a_m, whose denominator goes to the search as its
-    factors (q, a_m), a candidate 1/a_m + 1/c is compared with the best value
-    so far, num/den, as (a_m + c)*den > num*a_m*c, and the stop rule is
-    2*den <= num*a_m. The greedy value enters as the unreduced
-    (a_g1 + a_g2, a_g1*a_g2); the cross-products and the stop rule do not
-    need it reduced. Past _NEAR_TIE_BITS in a_g2 the best value so far stays
-    as its two terms, 1/x + 1/y: the candidate test is (a_m + c)*x*y >
-    (x + y)*a_m*c and the stop rule 2*x*y <= (x + y)*a_m, both decided by
-    ``sequences._exceeds``; the partner search keeps (q, a_m) factored past
-    _NEAR_TIE_BITS in a_m. So no product of two big terms is formed unless
-    leading bits cannot decide (a candidate that ties the best value to
-    within ~1/a_g1^2 can need one). The search builds one reduced Fraction,
-    by ``rationals._reciprocal_sum`` from the winner's indices (m, partner),
-    for a winner that is not the greedy pair; the greedy pair's value is the
-    pick's own.
+    p*a_m - q over q*a_m, whose denominator goes to the search as its two
+    factors q and a_m. The best value so far is held at every size as its two
+    terms, 1/x + 1/y, starting from the greedy pair (a_g1, a_g2), so it is
+    never reduced: a candidate 1/a_m + 1/c replaces it when
+    (a_m + c)*x*y > (x + y)*a_m*c, and the walk stops once 2*x*y <=
+    (x + y)*a_m. Up to _NEAR_TIE_BITS in a_g2 both tests are multiplied out;
+    past it both go through ``sequences._exceeds``, and the partner search
+    keeps (q, a_m) factored past _NEAR_TIE_BITS in a_m. So no product of two
+    big terms is formed unless leading bits cannot decide (a candidate that
+    ties the best value to within ~1/a_g1^2 can need one). The winner is kept
+    as its indices (m, partner) with its terms (x, y); for a winner that is
+    not the greedy pair the search builds one reduced Fraction from them, by
+    ``rationals._reciprocal_sum``, and the greedy pair's value is the pick's
+    own.
     """
     t = _require_theta(theta)
     p, q = t.numerator, t.denominator
     greedy = greedy_two_term(params, t)
-    a, b, c, _ = _terms_of(params, greedy)
-    winner, x = None, a
-    m, a, b = greedy.g1 + 1, b, a + b
-    if c.bit_length() <= _NEAR_TIE_BITS:
-        num, den = x + c, x * c
-        while 2 * den > num * a:
-            partner, c, _ = index_below(params, p * a - q, (q, a), m + 1, b, a + b)
-            if (a + c) * den > num * a * c:
-                winner, num, den = (m, partner, a, c), a + c, a * c
-            m, a, b = m + 1, b, a + b
-    else:
-        y = c  # the best value so far is 1/x + 1/y
-        while _exceeds((2 * x, y), (x + y, a)):
-            partner, c, _ = index_below(params, p * a - q, (q, a), m + 1, b, a + b)
-            if _exceeds((a + c, x, y), (x + y, a, c)):
-                winner, x, y = (m, partner, a, c), a, c
-            m, a, b = m + 1, b, a + b
+    x, b, y, _ = _terms_of(params, greedy)  # the best value so far is 1/x + 1/y
+    big = y.bit_length() > _NEAR_TIE_BITS
+    winner = None
+    m, a, b = greedy.g1 + 1, b, x + b
+    while _exceeds((2 * x, y), (x + y, a)) if big else 2 * x * y > (x + y) * a:
+        partner, c, _ = index_below(params, p * a - q, q, a, m + 1, b, a + b)
+        if _exceeds((a + c, x, y), (x + y, a, c)) if big else (a + c) * x * y > (x + y) * a * c:
+            winner, x, y = (m, partner), a, c
+        m, a, b = m + 1, b, a + b
     if winner is None:
         best = TwoTermSum(greedy.g1, greedy.g2, greedy.value)
     else:
-        first, second, x, y = winner
+        first, second = winner
         best = TwoTermSum(first, second, _reciprocal_sum(params, first, x, second, y))
     return OracleReport(best=best, candidates_examined=m - greedy.g1)

@@ -150,10 +150,9 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
 
 
 # Above this many bits, comparisons go through _exceeds instead of forming
-# the products: in index_below, in both num and den/num, or in the last of
-# several factors (the term a of the remainder p/q - 1/a that greedy_two_term
-# and oracle_best pass as (q, a)); in the oracle's a_g2; and in the
-# classifier's a_g1.
+# the products: in index_below, in both num and q*r/num, or in r (the term a
+# of the remainder p/q - 1/a that greedy_two_term and oracle_best pass as
+# (q, a)); in the oracle's a_g2; and in the classifier's a_g1.
 # classify + oracle_best over six targets k/10^d and a window's two ends and
 # midpoint at each size, every path forced, best of seven (Python 3.11.7;
 # fibonacci, lucas, custom:4,5): factored over plain 1.11-1.14 at 1000 bits,
@@ -219,60 +218,53 @@ def _exceeds(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
 
 
 def index_below(
-    params: SequenceParams, num: int, dens: tuple[int, ...], start: int, a: int, b: int
+    params: SequenceParams, num: int, q: int, r: int, start: int, a: int, b: int
 ) -> tuple[int, int, int]:
-    """Smallest n >= start with num*a_n > den, i.e. 1/a_n < num/den, as
-    (n, a_n, a_{n+1}), where den is the product of the factors dens; (a, b)
-    must be (a_start, a_{start+1}) and num and every factor positive.
+    """Smallest n >= start with num*a_n > q*r, i.e. 1/a_n < num/(q*r), as
+    (n, a_n, a_{n+1}); (a, b) must be (a_start, a_{start+1}) and num, q and r
+    positive. A remainder p/q - 1/a comes as num = p*a - q over (q, a); a
+    one-factor bound comes as (q, 1).
 
     Predict, then certify. Since a_{s+1} <= 2*a_s for every valid sequence,
     a_{s+k} <= F(k+2)*a_s < a_s*phi^(k+1), so the bit-length guess
-    k = (bits(den) - bits(num) - bits(a_s) - 2) / 0.694242, rounded down,
-    leaves num*a_{s+k} < 2^(bits(den)-1) <= den: the constant sits just above
+    k = (bits(q*r) - bits(num) - bits(a_s) - 2) / 0.694242, rounded down,
+    leaves num*a_{s+k} < 2^(bits(q*r)-1) <= q*r: the constant sits just above
     log2(phi) = 0.6942419, so the guess never overshoots. It is still checked
     exactly: a guess that already satisfies the bound at the walk's first
     comparison raises SelfCheckError. From a_{s+k} >= F(k+1)*a_s, the
     remaining walk up the recurrence is a handful of steps.
 
-    Each comparison num*a_n > den takes one of two forms. Factored: it goes
-    through ``_exceeds``, which forms the products only on a near-tie; the
-    guess then takes for bits(den) the factors' bit lengths summed less one
-    per factor after the first, a lower bound, which only lowers the guess.
-    Plain: den is formed once, and num*a_n is multiplied only near the
+    Each comparison num*a_n > q*r takes one of two forms. Factored: it goes
+    through ``_exceeds``, which forms the products only on a near-tie. Plain:
+    den = q*r is formed once, and num*a_n is multiplied only near the
     answer, since while bits(num) + bits(a_n) < bits(den), num*a_n <
     2^(bits(num)+bits(a_n)) <= 2^(bits(den)-1) <= den. The walk is factored
-    when there are several factors and the last has more than _NEAR_TIE_BITS
-    bits, or when num and the answer's term, about den/num, both have;
-    otherwise it is plain. A remainder p/q - 1/a comes as num = p*a - q over
-    (q, a), and every term its search compares is at least a, so a big a
-    means big products on both sides.
+    against (q, r) when r has more than _NEAR_TIE_BITS bits, and the guess
+    then takes bits(q) + bits(r) - 1, a lower bound on bits(q*r), which only
+    lowers it; every term a remainder's search compares is at least r, so a
+    big r means big products on both sides. It is factored against the
+    formed den when num and the answer's term, about den/num, both have more
+    than _NEAR_TIE_BITS bits; otherwise it is plain.
     """
     num_bits = num.bit_length()
-    # den stays None for the factored walk, and is formed for the plain one
-    if len(dens) == 1:
-        den = dens[0]
-    elif dens[-1].bit_length() > _NEAR_TIE_BITS:
-        den = None
+    # dens stays None for the plain walk, and holds the factors for the factored one
+    if r.bit_length() > _NEAR_TIE_BITS:
+        dens, den_bits = (q, r), q.bit_length() + r.bit_length() - 1
     else:
-        den = 1
-        for d in dens:  # not math.prod, whose first call in a process costs ~4 us
-            den *= d
-    if den is None:
-        den_bits = sum(d.bit_length() for d in dens) - len(dens) + 1
-    else:
+        den = q * r
         den_bits = den.bit_length()
-        if num_bits > _NEAR_TIE_BITS and den_bits - num_bits > _NEAR_TIE_BITS:
-            den, dens = None, (den,)
+        big = num_bits > _NEAR_TIE_BITS and den_bits - num_bits > _NEAR_TIE_BITS
+        dens = (den,) if big else None
     k = (den_bits - num_bits - a.bit_length() - 2) * 1000000 // 694242
     n = start
     if k > 0:
         n = start + k
         a, b = seq_pair(params, n)
-    if den is None:
-        while not _exceeds((num, a), dens):
+    if dens is None:
+        while num_bits + a.bit_length() < den_bits or num * a <= den:
             n, a, b = n + 1, b, a + b
     else:
-        while num_bits + a.bit_length() < den_bits or num * a <= den:
+        while not _exceeds((num, a), dens):
             n, a, b = n + 1, b, a + b
     if k > 0 and n == start + k:
         raise SelfCheckError(f"index guess {n} from start {start} overshoots for {params}")

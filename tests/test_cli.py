@@ -83,6 +83,24 @@ class TestClassify:
         assert len(calls) == rendered
         assert len(set(calls)) == rendered
 
+    def test_disagreement_exits_3(self, capsys, monkeypatch):
+        # a search that claims the greedy pair wins where the classifier
+        # finds it beaten: an internal error, with nothing on stdout
+        real = fibgreedy.cli.oracle_best
+
+        def greedy_wins(params, theta):
+            report = real(params, theta)
+            greedy = fibgreedy.greedy_two_term(params, theta)
+            return report._replace(best=fibgreedy.TwoTermSum(*greedy))
+
+        monkeypatch.setattr(fibgreedy.cli, "oracle_best", greedy_wins)
+        code, out, err = run_cli(capsys, "classify", "--theta", "27/50")
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal error: classifier and search disagree at theta=27/50: "
+            "verdict is_best=False but oracle best 9/17 vs greedy 9/17\n"
+        )
+
     def test_decimal_theta(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "classify", "--theta", "0.54")
         assert code == 0

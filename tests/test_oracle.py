@@ -128,3 +128,42 @@ class TestCompetitorShape:
         assert not result.is_best
         # includes the check that the winner is the adjacent pair (g1+1, g1+2)
         assert disagreement(LUC, midpoint, result, oracle_best(LUC, midpoint)) is None
+
+
+WORKED = Fraction(27, 50)  # fibonacci: greedy 1/2 + 1/34 = 9/17, best 1/3 + 1/5 = 8/15
+
+
+def with_best(pair, value):
+    return lambda cls, report: (cls, report._replace(best=TwoTermSum(*pair, value)))
+
+
+# one crafted fault per way the classifier and the search can disagree at
+# the worked example, and the reason disagreement must give for it
+FAULTS = [
+    (with_best((2, 9), Fraction(1, 2)), "oracle 1/2 below greedy 9/17"),
+    (with_best((3, 4), WORKED), "oracle value 27/50 not strictly below theta"),
+    (
+        lambda cls, report: (cls._replace(is_best=True), report),
+        "verdict is_best=True but oracle best 8/15 vs greedy 9/17",
+    ),
+    (with_best((4, 4), Fraction(8, 15)), "winner first index 4 beyond g1+1"),
+    (with_best((3, 5), Fraction(8, 15)), "winner (3, 5) is not the adjacent pair"),
+    (
+        lambda cls, report: (
+            cls._replace(competitor=cls.competitor._replace(value=Fraction(17, 32))),
+            report,
+        ),
+        "winner value differs from the window's left endpoint",
+    ),
+    (
+        lambda cls, report: (cls._replace(witness_interval=bad_interval(FIB, 1)), report),
+        "witness differs from bad_interval at first index 2",
+    ),
+]
+
+
+@pytest.mark.parametrize("fault, reason", FAULTS, ids=[reason for _, reason in FAULTS])
+def test_disagreement_names_each_fault(fault, reason):
+    cls, report = classify(FIB, WORKED), oracle_best(FIB, WORKED)
+    assert disagreement(FIB, WORKED, cls, report) is None
+    assert disagreement(FIB, WORKED, *fault(cls, report)) == reason

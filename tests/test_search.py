@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibgreedy import FIBONACCI, LUCAS, SequenceParams, bad_interval, classify, oracle_best, xi
+from fibgreedy import (
+    FIBONACCI,
+    LUCAS,
+    SequenceParams,
+    bad_interval,
+    classify,
+    greedy_prefix,
+    oracle_best,
+    xi,
+)
 from fibgreedy import greedy, optimality, oracle, sequences
 from fibgreedy.errors import SelfCheckError
 from fibgreedy.greedy import GreedyResult
@@ -77,22 +86,23 @@ def test_seed_set():
     st.sampled_from(SEEDS),
     st.integers(min_value=0, max_value=300),
     BIG,
-    st.lists(BIG, min_size=1, max_size=3).map(tuple),
+    st.lists(BIG, min_size=1, max_size=2).map(prod),
+    st.one_of(st.just(1), BIG),
 )
-def test_index_below_matches_linear_scan(params, start, num, dens):
-    # the denominator as one to three factors; past _NEAR_TIE_BITS in the
-    # last of several, the guess takes its bit length up to one low per
-    # factor after the first
+def test_index_below_matches_linear_scan(params, start, num, q, r):
+    # the denominator as q*r, with r = 1 as a one-factor bound passes it and
+    # r of any size; past _NEAR_TIE_BITS in r, the guess takes the bit length
+    # of q*r up to one low
     a, b = seq_terms(params, start + 1)[start:]
-    found = index_below(params, num, dens, start, a, b)
-    den = prod(dens)
+    found = index_below(params, num, q, r, start, a, b)
+    den = q * r
     assert found == linear_index_below(params, num, den, start)
     assert found[0] - guessed_index(num, den, start, a) <= 8
 
 
 def test_index_below_start_already_below():
     # 1/a_5 = 1/8 < 1/2: the search answers at start without moving
-    assert index_below(FIBONACCI.params, 1, (2,), 5, 8, 13) == (5, 8, 13)
+    assert index_below(FIBONACCI.params, 1, 2, 1, 5, 8, 13) == (5, 8, 13)
 
 
 def test_index_below_skips_an_exact_reciprocal():
@@ -118,7 +128,7 @@ def test_index_below_skips_an_exact_reciprocal():
                 den = num * terms[n]
                 for start in (1, n):
                     a, b = terms[start], terms[start + 1]
-                    found = index_below(params, num, (den,), start, a, b)
+                    found = index_below(params, num, den, 1, start, a, b)
                     assert found == (n + 1, terms[n + 1], terms[n + 2])
                     if guessed_index(num, den, start, a) > start:
                         guessed += 1
@@ -147,7 +157,7 @@ def test_index_below_at_an_exact_reciprocal_of_a_large_term(params):
             got = [linear_index_below(params, num, den, 0)]
             for start in (1, n - 3, n):
                 a, b = terms[start], terms[start + 1]
-                got.append(index_below(params, num, (den,), start, a, b))
+                got.append(index_below(params, num, den, 1, start, a, b))
             for found in got:
                 assert found[0] == answer
                 assert [x.bit_length() for x in found[1:]] == [x.bit_length() for x in expected[1:]]
@@ -243,36 +253,37 @@ def remainder_near_a_term(gap):
     num = bits((p * a * a).bit_length() - gap)
     q = p * a - num
     assert num.bit_length() > NT and (q * a).bit_length() - num.bit_length() == gap
-    return num, (q, a)
+    return num, q, a
 
 
-# (num, dens, factored) on each side of the switch for each shape a caller
-# passes. One factor (greedy's first pick, greedy_prefix, the cutoff):
-# factored when num and den/num both have more than _NEAR_TIE_BITS bits.
-# The remainder's (q, a): factored past _NEAR_TIE_BITS in a; with a at or
-# below the switch, q*a is formed and the one-factor rule decides.
+# (num, q, r, factored) on each side of the switch for each shape a caller
+# passes. A one-factor bound (q, 1) (greedy's first pick, greedy_prefix, the
+# cutoff): factored when num and q/num both have more than _NEAR_TIE_BITS
+# bits. The remainder's (q, a): factored past _NEAR_TIE_BITS in a; with a at
+# or below the switch, q*a is formed and the one-factor rule decides.
 SWITCH_CASES = [
     *[
-        (bits(nb), (bits(nb + gap),), nb > NT and gap > NT)
+        (bits(nb), bits(nb + gap), 1, nb > NT and gap > NT)
         for nb in (NT, NT + 1)
         for gap in (NT, NT + 1)
     ],
-    (7, (bits(2 * NT + 5),), False),
-    *[(3 * bits(ab) - 1000, (1000, bits(ab)), ab > NT) for ab in (NT, NT + 1)],
+    (7, bits(2 * NT + 5), 1, False),
+    *[(3 * bits(ab) - 1000, 1000, bits(ab), ab > NT) for ab in (NT, NT + 1)],
     *[(*remainder_near_a_term(gap), gap > NT) for gap in (NT, NT + 1)],
 ]
 
 
-def bit_lengths(num, dens):
-    return f"{num.bit_length()}-over-{'x'.join(str(d.bit_length()) for d in dens)}-bits"
+def bit_lengths(num, q, r):
+    den = q.bit_length() if r == 1 else f"{q.bit_length()}x{r.bit_length()}"
+    return f"{num.bit_length()}-over-{den}-bits"
 
 
 @pytest.mark.parametrize("params", [FIBONACCI.params, SequenceParams(4, 5)])
 @pytest.mark.parametrize(
-    "num, dens, factored", SWITCH_CASES, ids=[bit_lengths(*case[:2]) for case in SWITCH_CASES]
+    "num, q, r, factored", SWITCH_CASES, ids=[bit_lengths(*case[:3]) for case in SWITCH_CASES]
 )
 def test_index_below_takes_the_factored_walk_only_past_the_switch(
-    monkeypatch, params, num, dens, factored
+    monkeypatch, params, num, q, r, factored
 ):
     calls = []
     exceeds = sequences._exceeds
@@ -285,28 +296,60 @@ def test_index_below_takes_the_factored_walk_only_past_the_switch(
     for start in (1, 40):
         a, b = seq_terms(params, start + 1)[start:]
         calls.clear()
-        found = index_below(params, num, dens, start, a, b)
-        assert found == linear_index_below(params, num, prod(dens), start)
+        found = index_below(params, num, q, r, start, a, b)
+        assert found == linear_index_below(params, num, q * r, start)
         assert bool(calls) == factored
-        # a factored walk compares against the factors it was given when
-        # their last is past the switch, and against their product otherwise
+        # a factored walk compares against (q, r) when r is past the switch,
+        # and against their product otherwise
         if factored:
-            assert set(calls) == {len(dens) if dens[-1].bit_length() > NT else 1}
+            assert set(calls) == {2 if r.bit_length() > NT else 1}
 
 
-OVERSHOOT_CASES = [(1, (bits(3000),))] + [case[:2] for case in SWITCH_CASES if case[2]]
+OVERSHOOT_CASES = [(1, bits(3000), 1)] + [case[:3] for case in SWITCH_CASES if case[3]]
 
 
 @pytest.mark.parametrize(
-    "num, dens", OVERSHOOT_CASES, ids=[bit_lengths(*case) for case in OVERSHOOT_CASES]
+    "num, q, r", OVERSHOOT_CASES, ids=[bit_lengths(*case) for case in OVERSHOOT_CASES]
 )
-def test_index_below_refuses_a_guess_that_overshoots(monkeypatch, num, dens):
+def test_index_below_refuses_a_guess_that_overshoots(monkeypatch, num, q, r):
     # terms from 20 indices past the one asked for put the guess past the
     # answer, on the plain walk and on each factored one
     pair = sequences.seq_pair
     monkeypatch.setattr(sequences, "seq_pair", lambda params, n: pair(params, n + 20))
     with pytest.raises(SelfCheckError, match="overshoots"):
-        index_below(FIBONACCI.params, num, dens, 1, 1, 2)
+        index_below(FIBONACCI.params, num, q, r, 1, 1, 2)
+
+
+def test_oracle_compares_factored_only_past_the_switch_in_a_g2(monkeypatch):
+    # The oracle's one flag reads a_g2. At both ends of windows 478 and 479,
+    # a_g1 has under 700 bits while a_g2 crosses _NEAR_TIE_BITS between them,
+    # so the stop rule and the candidate test go through _exceeds at 479
+    # alone, and must give what the multiplied-out tests give there.
+    cases = []
+    for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5)):
+        for n in (478, 479):
+            window = bad_interval(params, n)
+            cases += [(params, window.left), (params, window.right)]
+    monkeypatch.setattr(oracle, "_NEAR_TIE_BITS", 10**9)
+    plain = [oracle_best(*case) for case in cases]
+    monkeypatch.undo()
+    calls = []
+    exceeds = oracle._exceeds
+
+    def counted(xs, ys):
+        calls.append(len(xs))
+        return exceeds(xs, ys)
+
+    monkeypatch.setattr(oracle, "_exceeds", counted)
+    paths = []
+    for case, expected in zip(cases, plain):
+        x, _, y, _ = greedy._terms_of(case[0], greedy.greedy_two_term(*case))
+        assert x.bit_length() < 700
+        calls.clear()
+        assert oracle_best(*case) == expected
+        assert bool(calls) == (y.bit_length() > NT)
+        paths.append(bool(calls))
+    assert paths == [False, False, True, True] * 3
 
 
 def test_xi_literal_counts_a_shift_at_the_floor():
@@ -405,7 +448,7 @@ def exact_cutoff(params, n):
     # a_{2n+3+xi(n)})
     a2, a3 = seq_pair(params, 2 * n + 2)
     bound = a2 * a3 * (a2 + a3)
-    end, a, b = index_below(params, params.chi, (bound,), 2 * n + 4, a2 + a3, a2 + 2 * a3)
+    end, a, b = index_below(params, params.chi, bound, 1, 2 * n + 4, a2 + a3, a2 + 2 * a3)
     return a2, a3, end - (2 * n + 4), bound, b - a
 
 
@@ -530,7 +573,10 @@ def test_no_state_retained():
         before = tracemalloc.get_traced_memory()[0]
         xi(FIBONACCI.params, 5000)
         bad_interval(FIBONACCI.params, 5000)
-        classify(FIBONACCI.params, Fraction(7, 10**3000))
+        theta = Fraction(7, 10**3000)
+        classify(FIBONACCI.params, theta)
+        oracle_best(FIBONACCI.params, theta)
+        greedy_prefix(FIBONACCI.params, theta, 8)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
