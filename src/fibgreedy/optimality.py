@@ -22,17 +22,19 @@ holds exactly when g2 >= 2n+4+xi(n), that is when theta is at most the right
 end. ``classify`` therefore reads the window off the greedy pick and runs no
 cutoff search of its own.
 
-``xi`` and ``bad_interval`` find the cutoff with integers only. Past
-_NEAR_TIE_BITS in a_{2n+3}, bounds from leading bits decide it: one doubling
-step from the exact F(2n+2), F(2n+3) bounds the terms near index 6n+6, the
-recurrence walks those bounds to the cutoff, and neither the term
-a_{2n+3+xi(n)} nor, for ``bad_interval``, the bound is formed for the
-search. Below the switch, and on a near-tie the bounds cannot decide, one
-predict-then-certify index search runs against the formed bound. The cutoff
-also has an equivalent definition through Fibonacci factors, the largest s
-with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi; ``verification.xi_literal``
-evaluates that form against the integer bound // chi, by a plain walk up
-from s = 0, and serves as an independent reference for ``xi``.
+``xi`` and ``bad_interval`` find the cutoff with integers only. For every
+seed there is one integer offset t*, the smallest t with 5*chi*phi^t > A^2
+for A = (a1 - a0) + a0*phi, and the cutoff index is 3(2n+3) + t*, that is
+xi(n) = 4n + 5 + t*: the paper's 4n+4 for fibonacci (t* = -1) and 4n+6 for
+lucas (t* = 1). An integer certificate in the window's own terms proves it
+window by window (``_cutoff``); placing the cutoff that way forms neither the
+bound nor any term past a_{2n+4}. Where the certificate fails, in the first
+few windows, one predict-then-certify index search runs against the formed
+bound. The cutoff also has an equivalent definition through Fibonacci
+factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi;
+``verification.xi_literal`` evaluates that form against the integer
+bound // chi, by a plain walk up from s = 0, and serves as an independent
+reference for ``xi``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .sequences import (
     SequencePreset,
     _exceeds,
     _fib_pair,
-    _lead,
     index_below,
     seq_pair,
 )
@@ -72,58 +73,42 @@ class XiResult(namedtuple("XiResult", "n xi bound chi")):
     __slots__ = ()
 
 
-def _leading_cutoff(chi: int, m: int, f: int, g: int, a2: int, a3: int, a4: int) -> int | None:
-    """Smallest index k with a_k * chi > a2 * a3 * a4, decided from leading
-    bits, or None where they cannot decide it. (f, g) is (F(m), F(m+1)) and
-    (a2, a3, a4) is (a_m, a_{m+1}, a_{m+2}).
+def _positive(x: int, y: int) -> bool:
+    """x + y*phi > 0, exactly: 2(x + y*phi) = z + y*sqrt(5) with z = 2x + y,
+    whose sign, where z and y differ in sign, is z's exactly when z^2 > 5y^2."""
+    z = 2 * x + y
+    if z >= 0 and y >= 0:
+        return z > 0 or y > 0
+    if z <= 0 and y <= 0:
+        return False
+    return (z * z > 5 * y * y) == (z > 0)
 
-    128-bit floor leads x >> s <= x / 2^s < (x >> s) + 1 of F(m-1), F(m),
-    F(m+1), a_m and a_{m+1} bound, after one doubling step,
 
-        a_{3m}   = F(2m-1) * a_m + F(2m) * a_{m+1},
-        a_{3m+1} = F(2m) * a_m + F(2m+1) * a_{m+1},
+def _offset(params: SequenceParams) -> tuple[int, int, int, int, int]:
+    """(t*, |N(E)|, |e0| + |e1|, |c_t*|, |c_{t*-1}|) for the seeds, with E =
+    E_t* = e0 + e1*phi; ``_cutoff`` defines them.
 
-    where F(2m-1) = F(m-1)^2 + F(m)^2, F(2m) = F(m) * (F(m) + 2F(m-1)) and
-    F(2m+1) = F(m)^2 + F(m+1)^2. Every coefficient is positive, so the floors
-    give lower bounds and the floors plus one upper bounds. The pair jumps by
-    ``index_below``'s bit-length guess t, which never overshoots, through
-    a_{3m+t} = F(t-1) * a_{3m} + F(t) * a_{3m+1}, and then walks up the
-    recurrence, lower bounds adding to lower bounds and upper to upper. The
-    product's bounds come from ``_lead``. The first index must be certified
-    at or below the product, and each later one on one side of it.
+    With A^2 = u + v*phi and v > 0, u + v < A^2 < phi*(u + v). So the
+    bit-length guess t = (bits(u + v) - 1 - bits(5*chi)) / 0.694242 + 1,
+    rounded down, keeps phi^(t-1) <= 2^(bits(u+v)-1) / 2^bits(5*chi) <
+    A^2 / (5*chi), where E_{t-1} < 0: it never passes t*, and the walk up
+    from it takes a few steps (at most three on every seed tested).
     """
-    total, b_lo, b_hi, b_shift = _lead((a2, a3, a4))
-    s = max(g.bit_length() - 128, 0)
-    r = max(a3.bit_length() - 128, 0)
-    # F(m-1), F(m), F(m+1) in units of 2^s; a_m, a_{m+1} in units of 2^r
-    leads = ((g - f) >> s, f >> s, g >> s, a2 >> r, a3 >> r)
-    pairs = []
-    for e in (0, 1):  # lower bounds, then upper ones, in units of 2^(2s+r)
-        u, v, w, x, y = (lead + e for lead in leads)
-        p, q, z = u * u + v * v, v * (v + 2 * u), v * v + w * w  # F(2m-1), F(2m), F(2m+1)
-        pairs.append((p * x + q * y, q * x + z * y))
-    (lo, lo1), (hi, hi1) = pairs
-    # bits(bound) >= total - 2 and bits(a_{3m}) <= bits(hi) + 2s + r
-    t = (total - chi.bit_length() - hi.bit_length() - 2 * s - r - 4) * 1000000 // 694242
-    t = max(t, 0)
-    ft, ft1 = _fib_pair(t)
-    ft0 = ft1 - ft  # F(t-1)
-    lo, lo1 = ft0 * lo + ft * lo1, ft * lo + ft1 * lo1
-    hi, hi1 = ft0 * hi + ft * hi1, ft * hi + ft1 * hi1
-    shift = 2 * s + r - b_shift
-    if shift >= 0:
-        chi <<= shift
+    a0, a1 = params
+    k = 5 * params.chi
+    u, v = (a1 - a0) ** 2 + a0 * a0, a0 * (2 * a1 - a0)  # A^2 = u + v*phi
+    b = (u + v).bit_length() - 1 - k.bit_length()
+    if b >= 0:
+        t = b * 1000000 // 694242 + 1
+        p, r = _fib_pair(t - 1)  # phi^t = F(t-1) + F(t)*phi
     else:
-        b_lo, b_hi = b_lo << -shift, b_hi << -shift
-    if chi * hi > b_lo:
-        return None
-    k = 3 * m + t
-    while True:
-        k, lo, hi, lo1, hi1 = k + 1, lo1, hi1, lo + lo1, hi + hi1
-        if chi * lo > b_hi:
-            return k
-        if chi * hi > b_lo:
-            return None
+        t, p, r = -1, -1, 1
+    while not _positive(k * p - u, k * r - v):
+        t, p, r = t + 1, r, p + r
+    e0, e1 = k * p - u, k * r - v
+    q = a0 * u + a1 * v  # A^3 = P + Q*phi
+    c, c_prev = k * (a0 * p + a1 * r) - q, k * (a0 * (r - p) + a1 * p) - q
+    return t, abs(e0 * e0 + e0 * e1 - e1 * e1), abs(e0) + abs(e1), abs(c), abs(c_prev)
 
 
 def _cutoff(
@@ -132,23 +117,40 @@ def _cutoff(
     """(a_{2n+2}, a_{2n+3}, a_{2n+4}, bound, xi(n), a_{2n+3+xi(n)}) for window
     index n >= 0, where bound = a_{2n+2} * a_{2n+3} * a_{2n+4}.
 
-    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound. Past
-    _NEAR_TIE_BITS in a_{2n+3}, ``_leading_cutoff`` decides it from leading
-    bits, and bound and a_{2n+3+xi(n)} come back as None, neither formed.
-    Otherwise, and wherever leading bits cannot decide, one index search
-    from 2n+4 finds it against the formed bound.
+    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound. With m = 2n+2,
+    j = m+1, A = (a1 - a0) + a0*phi and A^3 = P + Q*phi, the terms satisfy
+    a_{3j+t} = A*phi^t*F(3j) + a_t*psi^(3j), and bound = a_j^3 + chi*a_j (j is
+    odd) gives 5*bound = P*F(3j) + Q*F(3j+1) + 2*chi*a_j, so
+
+        5*(chi*a_{3j+t} - bound) = A*E_t*F(3j) + c_t*psi^(3j) - 2*chi*a_j,
+
+    with E_t = 5*chi*phi^t - A^2 = e0 + e1*phi and c_t = 5*chi*a_t - Q. E_t
+    grows with t and is never 0; t*, the smallest t with E_t > 0, is at least
+    -1, since A^2 / (5*chi) > phi^(-2) for every valid seed. The cutoff index
+    is then 3j + t*, that is xi(n) = 4n + 5 + t* (4n + 4 for fibonacci, 4n + 6
+    for lucas), wherever 2*chi*a_j >= |c_{t*-1}|, which puts chi*a_{3j+t*-1}
+    strictly below the bound, and
+
+        |N(E)| * a1 * 2^(3*bits(F(j)) - 2) > (|e0| + |e1|) * (2*chi*a_j + |c_t*|),
+
+    which puts chi*a_{3j+t*} strictly above it, from E = N(E) / (e0 + e1*psi)
+    with N(E) = e0^2 + e0*e1 - e1^2, A > a1 and F(3j) = 5F(j)^3 - 3F(j) >=
+    2^(3*bits(F(j)) - 2). There bound and a_{2n+3+xi(n)} come back as None,
+    neither formed. Where either test fails (the first few windows, more of
+    them for seeds near phi), one index search from 2n+4 finds the cutoff
+    against the formed bound.
     """
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
     m = 2 * n + 2
-    f, g = _fib_pair(m)  # F(m), F(m+1), kept for _leading_cutoff
-    a2, a3 = params.a0 * (g - f) + params.a1 * f, params.a0 * f + params.a1 * g
+    f, g = _fib_pair(m)  # F(m), F(m+1) = F(j)
+    a0, a1, chi = params.a0, params.a1, params.chi
+    a2, a3 = a0 * (g - f) + a1 * f, a0 * f + a1 * g
     a4 = a2 + a3
-    chi = params.chi
-    if a3.bit_length() > _NEAR_TIE_BITS:
-        end = _leading_cutoff(chi, m, f, g, a2, a3, a4)
-        if end is not None:
-            return a2, a3, a4, None, end - (m + 2), None
+    t, norm, conj, c, c_prev = _offset(params)
+    margin = 2 * chi * a3
+    if margin >= c_prev and (norm * a1 << 3 * g.bit_length() - 2) > conj * (margin + c):
+        return a2, a3, a4, None, 2 * m + 1 + t, None
     bound = a2 * a3 * a4
     if a3 * chi > bound:
         # equivalent to chi > a_{2n+2}*a_{2n+4}, impossible for valid seeds
@@ -160,11 +162,11 @@ def _cutoff(
 def xi(params: SequenceParams, n: int) -> XiResult:
     """Cutoff xi(n): largest s with a_{2n+3+s} * chi <= the product bound.
 
-    Found with integers only: past _NEAR_TIE_BITS in a_{2n+3} from leading
-    bits, which leave the term a_{2n+3+xi(n)} unformed; otherwise, or on a
-    near-tie, by one index search that predicts the cutoff from bit lengths
-    and certifies it exactly. The bound is formed either way, since it is
-    part of the result.
+    Found with integers only: as 4n + 5 + t* from the seeds' offset t*,
+    wherever ``_cutoff``'s certificate holds, leaving the term
+    a_{2n+3+xi(n)} unformed; otherwise by one index search that predicts
+    the cutoff from bit lengths and certifies it exactly. The bound is formed
+    either way, since it is part of the result.
     """
     a2, a3, a4, bound, s, _ = _cutoff(params, n)
     if bound is None:

@@ -161,14 +161,11 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
 # decide: 2.7 against 1.9 us at 1000 bits, 10 against 3.2 at 2000, 1036
 # against 1.8 at 33 000. The cut-off sits past the crossover, near
 # Karatsuba's; small targets (under 200 bits) stay on the plain products.
-# The window cutoff (optimality._cutoff) switches on a_{2n+3}: past it,
-# bounds from leading bits place the cutoff and the index search runs only
-# where they cannot decide. Time with the bounds over time with the search,
-# both forced (same seeds, median of nine ratios, two runs): xi 1.16-1.17 at
-# 500 bits, 0.87-0.88 at 1000, 0.69-0.70 at 1500 and 0.62 at 2000;
-# bad_interval, which forms the cutoff term either way, 1.25-1.27, 1.06-1.07,
-# 0.96 and 0.92-0.93. A factored cutoff search, the bound kept as three
-# factors for _exceeds, was measured and dropped (CHANGES.md has its figures).
+# The window cutoff (optimality._cutoff) does not switch on it: it takes the
+# seeds' offset wherever its certificate holds, and the index search it runs
+# in the first few windows chooses its comparisons as above. A factored
+# cutoff search, the bound kept as three factors for _exceeds, was measured
+# and dropped (CHANGES.md has its figures).
 _NEAR_TIE_BITS = 2000
 
 

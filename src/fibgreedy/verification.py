@@ -183,7 +183,8 @@ def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
 
     For each n: xi >= 0 with chi <= a_{2n+2}*a_{2n+4}; the reciprocal form
     1/a_{2n+3+xi} >= chi/bound > 1/a_{2n+4+xi} holds exactly; and the literal
-    Fibonacci-factor path returns the same cutoff as the index search.
+    Fibonacci-factor path returns the same cutoff as ``xi``, which takes it
+    from the seeds' offset where certified and from an index search where not.
     """
     p = preset.params
     a = seq_terms(p, 2 * max_n + 4)

@@ -1,6 +1,6 @@
-"""The predict-then-certify index search, the cutoff built on it and, past
-the near-tie switch, on leading-bit bounds, the terms the classifier and the
-search take from it, and the absence of retained state."""
+"""The predict-then-certify index search, the window cutoff from the seeds'
+offset and its index-search fallback, the terms the classifier and the
+search take from the greedy pick, and the absence of retained state."""
 
 import gc
 import tracemalloc
@@ -28,6 +28,7 @@ from fibgreedy.sequences import (
     _NEAR_TIE_BITS,
     _exceeds,
     _lead,
+    fib,
     index_below,
     seq_pair,
     seq_terms,
@@ -357,6 +358,14 @@ def test_xi_literal_counts_a_shift_at_the_floor():
     # 2641: z_5 = 1865 equals bound // chi with z_5*chi < bound, so shift 5
     # still fits. Seeds with a1 < 400 at n <= 12 give five such inputs, all
     # at n = 0; a1 < 30 at n <= 60 gives none.
+    #
+    # An exact tie, chi*a_k == bound, is a different input, and only a
+    # fallback window can hold one: wherever _cutoff's certificate holds, it
+    # proves chi*a_{3j+t*-1} < bound < chi*a_{3j+t*} strictly, so no term
+    # times chi meets the bound. Every fallback window of every valid seed
+    # with a1 < 2000 (364 312 windows on 764 550 seeds, n <= 11) holds no
+    # tie, so flipping classify's a_g2*chi > bound to >= stays unkillable by
+    # any known input (test_index_below_skips_an_exact_reciprocal).
     params = SequenceParams(53, 56)
     a2, a3 = seq_pair(params, 2)
     bound = a2 * a3 * (a2 + a3)
@@ -443,19 +452,12 @@ def test_xi_closed_forms_far_out(n):
 
 
 def exact_cutoff(params, n):
-    # The exact search _cutoff runs at or below the switch: the bound formed,
-    # one index search from 2n+4. (a_{2n+2}, a_{2n+3}, xi(n), bound,
-    # a_{2n+3+xi(n)})
+    # The cutoff by one index search from 2n+4 against the formed bound:
+    # (a_{2n+2}, a_{2n+3}, xi(n), bound, a_{2n+3+xi(n)})
     a2, a3 = seq_pair(params, 2 * n + 2)
     bound = a2 * a3 * (a2 + a3)
     end, a, b = index_below(params, params.chi, bound, 1, 2 * n + 4, a2 + a3, a2 + 2 * a3)
     return a2, a3, end - (2 * n + 4), bound, b - a
-
-
-def first_window_past_the_switch(params):
-    # the first n whose a_{2n+3} has more than _NEAR_TIE_BITS bits
-    terms = seq_terms(params, 3 * NT)
-    return next(n for n in range(NT) if terms[2 * n + 3].bit_length() > NT)
 
 
 def mismatched_windows(cases):
@@ -470,100 +472,215 @@ def mismatched_windows(cases):
     return wrong
 
 
-def test_cutoff_from_leading_bits_only_past_the_switch(monkeypatch):
-    # Past _NEAR_TIE_BITS in a_{2n+3}, xi and bad_interval each take the
-    # cutoff from _leading_cutoff and run no index search; at or below it,
-    # each runs one index search. Every seed at the first window past the
-    # switch and on either side of it, and window 3000 on three seeds: both
-    # must equal the exact search.
+def phi_sign(x, y):
+    # The sign of x + y*phi from exact rational brackets: F(k+1)/F(k) and
+    # F(k+2)/F(k+1) lie on either side of phi, so x + y*phi lies between
+    # x + y*F(k+1)/F(k) and x + y*F(k+2)/F(k+1), whose signs are those of
+    # x*F(k) + y*F(k+1) and x*F(k+1) + y*F(k+2); k grows until both agree.
+    if x == y == 0:
+        return 0
+    f, g, h = 1, 1, 2  # F(k), F(k+1), F(k+2) from k = 1
+    while True:
+        ends = (x * f + y * g, x * g + y * h)
+        if min(ends) > 0:
+            return 1
+        if max(ends) < 0:
+            return -1
+        f, g, h = g, h, g + h
+
+
+def times_phi(x, y):
+    # (a + b*phi)(c + d*phi) in Z[phi], from phi^2 = phi + 1
+    (a, b), (c, d) = x, y
+    return a * c + b * d, a * d + b * c + b * d
+
+
+def plain_offset(params):
+    # optimality._offset from the definitions: A^2 and A^3 multiplied out in
+    # Z[phi], t* by a scan up from t = -2 over E_t = 5*chi*phi^t - A^2 with
+    # its sign from phi_sign, and c_t = 5*chi*a_t - Q with a_t from fib.
+    a0, a1, chi = params.a0, params.a1, params.chi
+    a = (a1 - a0, a0)
+    a_sq = times_phi(a, a)
+    q = times_phi(a_sq, a)[1]
+    t, power = -2, (2, -1)  # phi^-2 = 2 - phi
+    while True:
+        e0, e1 = 5 * chi * power[0] - a_sq[0], 5 * chi * power[1] - a_sq[1]
+        if phi_sign(e0, e1) > 0:
+            break
+        t, power = t + 1, times_phi(power, (0, 1))
+    assert t >= -1
+
+    def c(s):
+        return abs(5 * chi * (params.a0 * fib(s - 1) + params.a1 * fib(s)) - q)
+
+    return t, abs(e0 * e0 + e0 * e1 - e1 * e1), abs(e0) + abs(e1), c(t), c(t - 1)
+
+
+def certified(params, offset, n):
+    # the two tests of _cutoff's docstring, written out from plain_offset
+    _, norm, conj, c, c_prev = offset
+    margin = 2 * params.chi * seq_pair(params, 2 * n + 3)[0]
+    lhs = norm * params.a1 * 2 ** (3 * fib(2 * n + 3).bit_length() - 2)
+    return margin >= c_prev and lhs > conj * (margin + c)
+
+
+def near_phi_seeds(top):
+    # (F(k), F(k+1)) for k <= top wherever chi > 0: a1/a0 tends to phi, chi
+    # stays 1 and t* = 2k - 3 grows without bound
+    return [
+        SequenceParams(fib(k), fib(k + 1))
+        for k in range(1, top + 1)
+        if fib(k) ** 2 + fib(k) * fib(k + 1) - fib(k + 1) ** 2 > 0
+    ]
+
+
+FAR = (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5))
+
+
+def counted_searches(monkeypatch):
     calls = []
-    leading, search = optimality._leading_cutoff, optimality.index_below
+    search = optimality.index_below
 
-    def counted_leading(*args):
-        calls.append("leading")
-        return leading(*args)
-
-    def counted_search(*args):
+    def counted(*args):
         calls.append("search")
         return search(*args)
 
-    cases = [
-        (params, first_window_past_the_switch(params) + d) for params in SEEDS for d in (-1, 0, 1)
+    monkeypatch.setattr(optimality, "index_below", counted)
+    return calls
+
+
+@pytest.mark.parametrize("params", [SequenceParams(1, 1), SequenceParams(3, 4), SequenceParams(89, 144)])
+def test_offset_identity_holds_in_z_phi(params):
+    # 5*(chi*a_{3j+t} - bound) = A*E_t*F(3j) + c_t*psi^(3j) - 2*chi*a_j and
+    # 5*bound = P*F(3j) + Q*F(3j+1) + 2*chi*a_j, exactly, with psi^(3j) =
+    # F(3j+1) - F(3j)*phi: the phi part of the right side vanishes.
+    a0, a1, chi = params.a0, params.a1, params.chi
+    a = (a1 - a0, a0)
+    a_sq = times_phi(a, a)
+    p, q = times_phi(a_sq, a)
+    terms = seq_terms(params, 3 * 15 + 12)
+    for j in range(3, 16, 2):
+        bound = terms[j - 1] * terms[j] * terms[j + 1]
+        f3j, f3j1 = fib(3 * j), fib(3 * j + 1)
+        assert 5 * bound == p * f3j + q * f3j1 + 2 * chi * terms[j]
+        psi = (f3j1, -f3j)
+        for t in range(-2, 11):
+            e = (5 * chi * fib(t - 1) - a_sq[0], 5 * chi * fib(t) - a_sq[1])
+            c_t = 5 * chi * (a0 * fib(t - 1) + a1 * fib(t)) - q
+            x, y = times_phi(times_phi(a, e), (f3j, 0))
+            x, y = x + c_t * psi[0] - 2 * chi * terms[j], y + c_t * psi[1]
+            assert (x, y) == (5 * (chi * terms[3 * j + t] - bound), 0)
+
+
+def test_positive_matches_rational_brackets():
+    small = [(x, y) for x in range(-30, 31) for y in range(-30, 31)]
+    # s*psi^k + dx + dy*phi, with psi^k = F(k+1) - F(k)*phi: within a few
+    # units of zero, and for dx = dy = 0 within |psi|^k of it
+    near = [
+        (s * fib(k + 1) + dx, -s * fib(k) + dy)
+        for k in range(1, 400, 7)
+        for s in (-1, 1, 3)
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
     ]
-    cases += [(params, 3000) for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5))]
+    wrong = [(x, y) for x, y in small + near if optimality._positive(x, y) != (phi_sign(x, y) > 0)]
+    assert wrong == []
+
+
+def test_offset_matches_a_plain_scan(monkeypatch):
+    # t* and the certificate's constants for every seed with a1 < 30 and the
+    # near-phi seeds up to k = 200 (t* up to 397); the walk from the bit-length
+    # guess takes at most three steps
+    positives = []
+    positive = optimality._positive
+
+    def counted(x, y):
+        positives.append((x, y))
+        return positive(x, y)
+
+    monkeypatch.setattr(optimality, "_positive", counted)
+    steps = []
+    for params in SEEDS + near_phi_seeds(200):
+        positives.clear()
+        assert optimality._offset(params) == plain_offset(params), params
+        steps.append(len(positives) - 1)
+    assert max(steps) <= 3
+    assert optimality._offset(FIBONACCI.params)[0] == -1
+    assert optimality._offset(LUCAS.params)[0] == 1
+
+
+def test_cutoff_takes_the_offset_wherever_it_is_certified(monkeypatch):
+    # Every seed with a1 < 30 at n = 0..60, and window 3000 on three seeds:
+    # xi and bad_interval equal the exact search, the index search runs
+    # (once in each) exactly where the certificate fails, and elsewhere the
+    # cutoff is xi(n) = 4n + 5 + t*.
+    offsets = {params: plain_offset(params) for params in SEEDS + list(FAR)}
+    cases = [(params, n) for params in SEEDS for n in range(61)]
+    cases += [(params, 3000) for params in FAR]
     expected_paths = [
-        ["leading"] * 2 if seq_pair(params, 2 * n + 3)[0].bit_length() > NT else ["search"] * 2
-        for params, n in cases
+        [] if certified(params, offsets[params], n) else ["search"] * 2 for params, n in cases
     ]
-    assert expected_paths.count(["search"] * 2) == len(SEEDS)
-    monkeypatch.setattr(optimality, "_leading_cutoff", counted_leading)
-    monkeypatch.setattr(optimality, "index_below", counted_search)
+    fallbacks = [case for case, path in zip(cases, expected_paths) if path]
+    assert 0 < len(fallbacks) < len(SEEDS) * 4
+    assert max(n for _, n in fallbacks) == 3
+    calls = counted_searches(monkeypatch)
     paths = []
-    for case in cases:
+    offset_wrong = []
+    for (params, n), path in zip(cases, expected_paths):
         calls.clear()
-        xi(*case)
-        bad_interval(*case)
+        x = xi(params, n).xi
+        bad_interval(params, n)
         paths.append(list(calls))
+        if not path and x != 4 * n + 5 + offsets[params][0]:
+            offset_wrong.append((params, n))
     assert paths == expected_paths
+    assert offset_wrong == []
     monkeypatch.undo()
     assert mismatched_windows(cases) == []
 
 
-@pytest.mark.parametrize("loosen", ["low", "high"])
-def test_cutoff_falls_back_where_leading_bits_cannot_decide(monkeypatch, loosen):
-    # _lead's bounds on the product, loosened by a factor of four on one
-    # side: the terms then pass through a range of more than phi that the
-    # bounds cannot place, so _leading_cutoff gives up, at its first index
-    # (a low end too low) or on the walk (a high end too high), and the exact
-    # search must give the same XiResult and BadInterval.
-    cases = [(params, first_window_past_the_switch(params)) for params in SEEDS[::30]]
-    cases += [(params, 3000) for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5))]
+def test_cutoff_forced_to_search_gives_the_same_answers(monkeypatch):
+    # |N(E)| = 0 fails the certificate at every window, so the index search
+    # runs in each call and must give the same XiResult and BadInterval
+    cases = [(params, n) for params in SEEDS[::10] for n in (0, 4, 30)]
+    cases += [(params, 3000) for params in FAR]
     expected = [(xi(*case), bad_interval(*case)) for case in cases]
-    lead, leading = optimality._lead, optimality._leading_cutoff
-    answers = []
+    offset = optimality._offset
 
-    def loosened(xs):
-        total, lo, hi, shift = lead(xs)
-        return (total, lo >> 2, hi, shift) if loosen == "low" else (total, lo, hi << 2, shift)
+    def failing(params):
+        t, _, conj, c, c_prev = offset(params)
+        return t, 0, conj, c, c_prev
 
-    def counted(*args):
-        answers.append(leading(*args))
-        return answers[-1]
-
-    monkeypatch.setattr(optimality, "_lead", loosened)
-    monkeypatch.setattr(optimality, "_leading_cutoff", counted)
+    monkeypatch.setattr(optimality, "_offset", failing)
+    calls = counted_searches(monkeypatch)
     assert [(xi(*case), bad_interval(*case)) for case in cases] == expected
-    assert answers == [None] * 2 * len(cases)
+    assert len(calls) == 2 * len(cases)
 
 
-def test_leading_cutoff_gives_up_or_answers_exactly_on_a_near_tie(monkeypatch):
-    # A product within one of chi*a_k, far closer than leading bits resolve,
-    # with _lead replaced by exact bounds (the product itself on both sides),
-    # so that the terms' own bounds alone must decide: _leading_cutoff
-    # answers the smallest index whose term times chi exceeds the product,
-    # or None, and on these ties always None. Windows 1500 and 3000, k from
-    # 3m, where the walk's jump starts, to a dozen past it.
-    answered = 0
-    for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5)):
-        for n in (1500, 3000):
-            m, chi = 2 * n + 2, params.chi
-            f, g = sequences._fib_pair(m)
-            terms = seq_terms(params, 3 * m + 14)
-            a2, a3 = terms[m], terms[m + 1]
-            for k in range(3 * m, 3 * m + 12):
-                z = chi * terms[k]
-                # halfway to chi*a_{k+1} is near no tie, and must be decided
-                for product in (z - 1, z, z + 1, z + chi * terms[k - 1] // 2):
-                    monkeypatch.setattr(
-                        optimality, "_lead", lambda xs, p=product: (p.bit_length(), p, p, 0)
-                    )
-                    got = optimality._leading_cutoff(chi, m, f, g, a2, a3, a2 + a3)
-                    if product > z + 1:
-                        assert got == k + 1
-                    else:
-                        assert got in (None, k if product < z else k + 1)
-                        answered += got is not None
-    assert answered == 0
+def test_cutoff_on_near_phi_seeds_either_side_of_the_fallback(monkeypatch):
+    # On the seeds (F(k), F(k+1)) the certificate fails for the first
+    # k - 4 or so windows. At the last window that falls back and the two
+    # after it, which take the offset, xi must equal xi_literal's walk.
+    calls = counted_searches(monkeypatch)
+    last_fallback = {}
+    for params in near_phi_seeds(200):
+        n = 0
+        while True:
+            calls.clear()
+            x = xi(params, n).xi
+            if not calls:
+                break
+            assert x == xi_literal(params, n)
+            n += 1
+        last_fallback[params] = n - 1
+        for m in (n, n + 1):
+            calls.clear()
+            assert xi(params, m).xi == xi_literal(params, m) == 4 * m + 5 + plain_offset(params)[0]
+            assert calls == []
+    assert last_fallback[SequenceParams(89, 144)] == 7
+    assert optimality._offset(SequenceParams(89, 144))[0] == 19
+    assert max(last_fallback.values()) > 190
 
 
 def test_no_state_retained():
