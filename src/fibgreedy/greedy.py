@@ -14,8 +14,8 @@ whether to multiply them out; a first pick, and every step of
 ``greedy_prefix``, which carries q*a to its next step, pass (q, 1). Each
 entry point builds one reduced Fraction, for the returned value:
 ``greedy_two_term`` by ``rationals._reciprocal_sum``, which takes the pick's
-indices and reduces large terms from their gap g2 - g1, ``greedy_prefix`` as
-theta minus the last remainder. ``greedy_two_term`` writes out its two
+indices and reduces large terms through a gcd that g1 and g2 make small,
+``greedy_prefix`` as theta minus the last remainder. ``greedy_two_term`` writes out its two
 steps; a loop shared with ``greedy_prefix`` would cost it about 1 us a call.
 A pick from ``greedy_two_term`` also keeps the terms the search found,
 (a_g1, a_{g1+1}, a_g2, a_{g2+1}); ``classify`` and ``oracle_best`` take

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import SelfCheckError
 from .greedy import TwoTermSum, _require_theta, _terms_of, greedy_two_term
@@ -84,6 +85,11 @@ def _positive(x: int, y: int) -> bool:
     return (z * z > 5 * y * y) == (z > 0)
 
 
+# The offset depends on the seeds alone, so the last few seeds' results are
+# kept. An entry holds the seeds and five integers of at most about
+# 4*bits(a1) bits (|N(E)|, at most 57 200 bits for the 4300-digit seeds the
+# CLI accepts): at most 27 KB, about 220 KB for the eight entries.
+@lru_cache(maxsize=8)
 def _offset(params: SequenceParams) -> tuple[int, int, int, int, int]:
     """(t*, |N(E)|, |e0| + |e1|, |c_t*|, |c_{t*-1}|) for the seeds, with E =
     E_t* = e0 + e1*phi; ``_cutoff`` defines them.

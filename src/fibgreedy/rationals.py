@@ -10,7 +10,12 @@ comparison is decided from the factors' bit lengths and leading bits, and
 the products are formed only on a near-tie.
 Every returned value of the form 1/a_i + 1/a_j is built by
 ``_reciprocal_sum``: small terms by one ``Fraction`` reduction, larger ones
-from the gcd that the index gap j - i gives, with no second normalisation.
+from G = gcd(a_i, a_j) with no second normalisation. G is g*gcd(a_i/g,
+F(j - i)) for g = gcd(a0, a1), and for j = 3i + c past j = 7i/3 it is
+gcd(a_i, |N_c|/g), where N_c = F(c)e^2 - 2F(c-1)e*a0 + F(c-2)a0^2 and
+e = a1 - a0, since a0^2*F(j-i) = F(i)^2*N_c and e^2*F(j-i) = F(i+1)^2*N_c
+modulo a_i (proof at ``_reciprocal_sum``). That small modulus reduces a
+window's right end, j = 3i + 2 + t*, with no big gcd.
 No float ever enters a computation; the only decimal output is the
 explicitly approximate display helper below, which rounds every value to six
 figures in one fixed decimal context.
@@ -56,14 +61,15 @@ _DISPLAY = Context(
 _INTEGER_ROUNDING_BITS = 380
 
 # Up to this many bits in the larger term, _reciprocal_sum reduces
-# (x + y)/(x*y) by one Fraction normalisation; above it, from the index gap.
-# Gap form over product form, median of nine time ratios on fibonacci, lucas
-# and custom:4,5 terms, two runs (Python 3.11.7): adjacent terms 1.06-1.11
-# at 400 bits, 0.87-0.97 at 600, 0.71-0.83 at 1000 and 0.33-0.42 at 8331;
-# gap 4 1.21-1.23, 1.06-1.08, 0.86-0.87 and 0.33-0.43. A gap of twice the
-# smaller index, as at a window's right end, pays more for F(j - i):
-# 1.48-1.50 at 1000 bits (7.5 against 4.9 us), 0.98-0.99 at 2000 and
-# 0.54-0.62 at 8331.
+# (x + y)/(x*y) by one Fraction normalisation; above it, from G. Gap forms
+# over the product form, median of nine time ratios on fibonacci, lucas and
+# custom:4,5 terms, two runs (Python 3.11.7), at 400, 600 and 1000 bits:
+# adjacent terms 1.06-1.11, 0.91-1.00 and 0.77-0.82; gap 4 1.00-1.16,
+# 0.88-1.05 and 0.75-0.84; a window's right end (small modulus) 0.89-1.07,
+# 0.78-0.96 and 0.66-0.73. Other shapes cross later: j = 2i + 1 (index gap)
+# 1.02-1.51 at 600 bits, 0.96-1.40 at 800 and 0.87-1.28 at 1000; j = 4i
+# (small modulus) 1.10-1.18, 0.92-1.06 and 0.84-0.94. So the cut-off stays
+# at 1000 bits, where every shape measured but j = 2i + 1 is at most even.
 _PRODUCT_FORM_BITS = 1000
 
 # Fraction(n, d) for coprime n and d > 0, skipping the gcd that a Fraction
@@ -110,18 +116,54 @@ def format_rational(x: Fraction) -> str:
 def _reciprocal_sum(params: SequenceParams, i: int, x: int, j: int, y: int) -> Fraction:
     """1/x + 1/y in lowest terms, for x = a_i and y = a_j with i <= j.
 
-    With g = gcd(a0, a1), gcd(a_i/g, a_{i+1}/g) = 1 and a_j = F(j-i-1)*a_i +
-    F(j-i)*a_{i+1}, so G = gcd(x, y) = g*gcd(x/g, F(j-i)). Above
-    _PRODUCT_FORM_BITS that gcd runs against F(j-i), about y/x, instead of
-    y or x*y: adjacent terms (F(1) = 1) need no big gcd at all, and a
-    repeated index (F(0) = 0) gives G = x. With x' = x/G, y' = y/G and
-    h = gcd(x' + y', G), the sum is (x' + y')/h over (G/h)*x'*y', already in
-    lowest terms, so it is built without a second normalisation.
+    Up to _PRODUCT_FORM_BITS in y, one Fraction reduction. Above it, with
+    G = gcd(x, y), x' = x/G, y' = y/G and h = gcd(x' + y', G), the sum is
+    (x' + y')/h over (G/h)*x'*y', already in lowest terms, so it is built
+    without a second normalisation. G comes by one of two routes, chosen
+    from i and j alone.
+
+    Index gap. With g = gcd(a0, a1), gcd(a_i/g, a_{i+1}/g) = 1 and a_j =
+    F(j-i-1)*a_i + F(j-i)*a_{i+1}, so G = g*gcd(x/g, F(j-i)): a gcd against
+    F(j-i), about y/x, instead of y. Adjacent terms (F(1) = 1) need no big
+    gcd at all, and a repeated index (F(0) = 0) gives G = x.
+
+    Small modulus, wherever 3j > 7i. Write c = j - 3i, e = a1 - a0,
+    f = F(i), f' = F(i+1) and N_c = F(c)e^2 - 2F(c-1)e*a0 + F(c-2)a0^2, with
+    F(-k) = (-1)^(k+1) F(k). Take g = 1 first; then G = gcd(x, F(j-i)).
+    Since a_i = a0*f' + e*f and F(2i+c) = F(c)f'^2 + 2F(c-1)f*f' + F(c-2)f^2,
+    modulo a_i, where a0*f' = -e*f,
+
+        a0^2 * F(j-i) = f^2 * N_c   and   e^2 * F(j-i) = f'^2 * N_c.
+
+    Let p^k divide a_i, p prime. If p does not divide a0, it does not divide
+    gcd(a_i, f) = gcd(a0, f), so a0 and f are units modulo p^k and the first
+    congruence gives: p^k divides F(j-i) exactly when it divides N_c.
+    Otherwise p does not divide e (g = 1) nor gcd(a_i, f') = gcd(e, f'), and
+    the second one gives the same. Hence G = gcd(x, N_c). For any g, the
+    terms and G are g times, and N_c is g^2 times, those of the seeds
+    (a0/g, a1/g), so G = gcd(x, |N_c|/g): one remainder of x by a small
+    integer, then a gcd of small integers. N_c = 0 gives G = x, as for
+    fibonacci at c = 2 and lucas at c = 4, where a_i divides a_j. |N_c|/g is
+    about F(|c|) times the seeds' square, so past j = 7i/3 it stays below
+    F(j - i), and below its square root for c < 0; nearer j = 2i it grows to
+    the size of x and its gcd costs more than the index gap's.
     """
     if y.bit_length() <= _PRODUCT_FORM_BITS:
         return Fraction(x + y, x * y)
-    g = gcd(params.a0, params.a1)
-    common = g * gcd(x // g, _fib_pair(j - i)[0])
+    a0, a1 = params
+    g = gcd(a0, a1)
+    if 3 * j > 7 * i:
+        c = j - 3 * i
+        if c >= 2:
+            f2, f1 = _fib_pair(c - 2)  # F(c-2), F(c-1)
+        else:  # (F(c-2), F(c-1)) = ±(F(2-c), -F(1-c)); |N_c| drops the sign
+            f1, f2 = _fib_pair(1 - c)
+            f1 = -f1
+        e = a1 - a0
+        n_c = f2 * (e * e + a0 * a0) + f1 * e * (e - 2 * a0)  # F(c) = F(c-1) + F(c-2)
+        common = gcd(x, abs(n_c) // g)
+    else:
+        common = g * gcd(x // g, _fib_pair(j - i)[0])
     x, y = x // common, y // common
     s = x + y
     h = gcd(s, common)

@@ -2,6 +2,8 @@ import sys
 
 import pytest
 
+from fibgreedy import rationals
+
 
 @pytest.fixture
 def unlimited_int_strings():
@@ -11,3 +13,18 @@ def unlimited_int_strings():
     sys.set_int_max_str_digits(0)
     yield
     sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def fib_pair_calls(monkeypatch):
+    """The index of every _fib_pair call that rationals makes during one test,
+    in order: which F(k) _reciprocal_sum evaluated tells its route."""
+    calls = []
+    fib_pair = rationals._fib_pair
+
+    def recorded(k):
+        calls.append(k)
+        return fib_pair(k)
+
+    monkeypatch.setattr(rationals, "_fib_pair", recorded)
+    return calls

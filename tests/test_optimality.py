@@ -13,14 +13,40 @@ from fibgreedy import (
     bad_interval_record,
     classify,
     parse_sequence_spec,
+    rationals,
     seq_term,
     xi,
     xi_closed_form,
 )
+from fibgreedy.sequences import seq_terms
 from fibgreedy.verification import xi_literal
 
 FIB = FIBONACCI.params
 LUC = LUCAS.params
+
+# every valid pair of seeds with a1 < 30
+SEEDS = [
+    SequenceParams(a0, a1)
+    for a1 in range(1, 30)
+    for a0 in range(1, a1 + 1)
+    if a0 * a0 + a1 * a0 - a1 * a1 > 0
+]
+# the seeds the CI sweep runs
+CI_SEEDS = ("fibonacci", "lucas", "custom:4,5", "custom:2,2", "custom:1,1", "custom:89,144")
+
+
+def assert_reduced_ends(params, n, terms):
+    # both ends equal Fraction(x + y, x*y), numerator and denominator: the
+    # verify suites compare ends only by <, which an unreduced value passes
+    iv = bad_interval(params, n)
+    for value, x, y in (
+        (iv.left, terms[2 * n + 3], terms[2 * n + 4]),
+        (iv.right, terms[2 * n + 2], terms[2 * n + 3 + iv.xi]),
+    ):
+        expected = Fraction(x + y, x * y)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    return iv
 
 
 class TestXi:
@@ -119,6 +145,26 @@ class TestBadInterval:
             for params in (FIB, LUC):
                 iv = bad_interval(params, n)
                 assert iv.left < iv.right
+
+    def test_ends_are_reduced_through_the_gap_forms(self, monkeypatch, fib_pair_calls):
+        # with no product form, every left end (adjacent terms) reduces
+        # from F(1), and every right end (j = 3i + 2 + t*) through the small
+        # modulus, not F(j - i)
+        monkeypatch.setattr(rationals, "_PRODUCT_FORM_BITS", 0)
+        for params in SEEDS:
+            terms = seq_terms(params, 84 + xi(params, 40).xi)
+            for n in range(41):
+                fib_pair_calls.clear()
+                iv = assert_reduced_ends(params, n, terms)
+                c = iv.xi - 4 * n - 3  # j - 3i at the right end: 2 + t*
+                assert fib_pair_calls == [1, c - 2 if c >= 2 else 1 - c], (params, n)
+
+    @pytest.mark.parametrize("spec", CI_SEEDS)
+    def test_large_ends_are_reduced(self, spec):
+        params = parse_sequence_spec(spec).params
+        terms = seq_terms(params, 2004 + xi(params, 1000).xi)
+        for n in (300, 1000):
+            assert_reduced_ends(params, n, terms)
 
     def test_record_shape(self):
         record = bad_interval_record(bad_interval(FIB, 0))

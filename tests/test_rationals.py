@@ -20,9 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibgreedy import (
+    FIBONACCI,
+    LUCAS,
     RationalParseError,
     SequenceParams,
     approx_decimal,
+    fib,
     format_rational,
     parse_rational,
     rationals,
@@ -272,12 +275,25 @@ SEEDS = [
 ]
 
 
+# j as a function of i: 3i + c for c = -3..25 (around a window's right end,
+# j = 3i + 2 + t*), then 2i + 1, 2.5i and 4i
+SHAPES = {f"3i{c:+d}": (lambda i, c=c: 3 * i + c) for c in range(-3, 26)}
+SHAPES.update({"2i+1": lambda i: 2 * i + 1, "2.5i": lambda i: 5 * i // 2, "4i": lambda i: 4 * i})
+
+
+def n_c(params, c):
+    # N_c = F(c)e^2 - 2F(c-1)e*a0 + F(c-2)a0^2 with e = a1 - a0, from fib
+    a0, e = params.a0, params.a1 - params.a0
+    return fib(c) * e * e - 2 * fib(c - 1) * e * a0 + fib(c - 2) * a0 * a0
+
+
 @pytest.fixture(scope="module")
 def term_pairs():
-    # (params, i, a_i, j, a_j) at gaps 0, 1, 2 and 6, and at gaps i and 2i,
-    # each once with a_j just inside the product form's size and once past
-    # it. At gap i, F(j - i) is as large as a_i, and gcd(a_i/g, F(j - i))
-    # runs Euclid's worst case on Fibonacci-structured operands.
+    # (params, i, a_i, j, a_j) at gaps 0, 1, 2 and 6, at gap i and at every
+    # shape in SHAPES (gap 2i is 3i+0), each once with a_j just inside the
+    # product form's size and once past it. At gap i, F(j - i) is as large
+    # as a_i, and gcd(a_i/g, F(j - i)) runs Euclid's worst case on
+    # Fibonacci-structured operands.
     cases = []
     for params in SEEDS:
         a = seq_terms(params, 3 * _PRODUCT_FORM_BITS)
@@ -285,10 +301,10 @@ def term_pairs():
         for gap in (0, 1, 2, 6):
             for i in (fits[-1] - gap, fits[-1] + 1):
                 cases.append((params, i, a[i], i + gap, a[i + gap]))
-        for times in (2, 3):
-            inside = max(n for n in fits if times * n <= fits[-1])
+        for shape in [lambda i: 2 * i, *SHAPES.values()]:
+            inside = max(n for n in fits if shape(n) <= fits[-1])
             for i in (inside, inside + 1):
-                cases.append((params, i, a[i], times * i, a[times * i]))
+                cases.append((params, i, a[i], shape(i), a[shape(i)]))
     return cases
 
 
@@ -300,7 +316,7 @@ def _assert_reduced_product_forms(reciprocal_sum, term_pairs):
         assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
 
 
-def test_reciprocal_sum_is_the_reduced_product_form(term_pairs):
+def test_reciprocal_sum_is_the_reduced_product_form(fib_pair_calls, term_pairs):
     assert len(SEEDS) == 181 and SequenceParams(2, 2) in SEEDS
     sizes = [y.bit_length() > _PRODUCT_FORM_BITS for _, _, _, _, y in term_pairs]
     assert sizes.count(True) == sizes.count(False)
@@ -309,7 +325,33 @@ def test_reciprocal_sum_is_the_reduced_product_form(term_pairs):
     assert any(
         gcd(x + y, x * y) > gcd(x, y) for _, _, x, _, y in term_pairs if gcd(x, y) > 1
     )
-    _assert_reduced_product_forms(_reciprocal_sum, term_pairs)
+    # The route each pair took, read off its _fib_pair calls: none (product
+    # form), F(j - i) (index gap), or F(c - 2) or F(1 - c) (small modulus).
+    # Past the size, the modulus runs wherever 3j > 7i, N_c = 0 included.
+    calls = fib_pair_calls
+    routes = set()
+    for params, i, x, j, y in term_pairs:
+        calls.clear()
+        _assert_reduced_product_forms(_reciprocal_sum, [(params, i, x, j, y)])
+        if y.bit_length() <= _PRODUCT_FORM_BITS:
+            route, expected = "product", []
+        elif 3 * j > 7 * i:
+            c = j - 3 * i
+            route, expected = "modulus", [c - 2 if c >= 2 else 1 - c]
+        else:
+            route, expected = "index gap", [j - i]
+        assert calls == expected, (params, i, j)
+        routes.add(route)
+    assert routes == {"product", "index gap", "modulus"}
+    # N_c = 0 gives G = a_i: a_i divides a_j. Fibonacci's in-window greedy
+    # pair (c = 2), lucas's (c = 4) and custom:2,3's c = 6 are such pairs.
+    zeros = set()
+    for params, i, x, j, y in term_pairs:
+        c = j - 3 * i
+        if -3 <= c <= 25 and n_c(params, c) == 0:
+            assert y % x == 0
+            zeros.add((params, c))
+    assert {(FIBONACCI.params, 2), (LUCAS.params, 4), (SequenceParams(2, 3), 6)} <= zeros
 
 
 def test_reciprocal_sum_without_the_private_constructors(monkeypatch, term_pairs):

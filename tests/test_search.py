@@ -603,11 +603,24 @@ def test_offset_matches_a_plain_scan(monkeypatch):
     steps = []
     for params in SEEDS + near_phi_seeds(200):
         positives.clear()
+        optimality._offset.cache_clear()  # so that each call walks
         assert optimality._offset(params) == plain_offset(params), params
         steps.append(len(positives) - 1)
     assert max(steps) <= 3
     assert optimality._offset(FIBONACCI.params)[0] == -1
     assert optimality._offset(LUCAS.params)[0] == 1
+
+
+def test_offset_is_kept_for_the_last_few_seeds():
+    # a repeated seed is answered from the cache, with the same constants,
+    # and the cache never holds more than eight seeds
+    optimality._offset.cache_clear()
+    for params in SEEDS[:20]:
+        assert optimality._offset(params) == plain_offset(params)
+    assert optimality._offset.cache_info().currsize == 8
+    hits = optimality._offset.cache_info().hits
+    assert optimality._offset(SEEDS[19]) == plain_offset(SEEDS[19])
+    assert optimality._offset.cache_info().hits == hits + 1
 
 
 def test_cutoff_takes_the_offset_wherever_it_is_certified(monkeypatch):
