@@ -26,12 +26,14 @@ cutoff search of its own.
 seed there is one integer offset t*, the smallest t with 5*chi*phi^t > A^2
 for A = (a1 - a0) + a0*phi, and the cutoff index is 3(2n+3) + t*, that is
 xi(n) = 4n + 5 + t*: the paper's 4n+4 for fibonacci (t* = -1) and 4n+6 for
-lucas (t* = 1). An integer certificate in the window's own terms proves it
-window by window (``_cutoff``); placing the cutoff that way forms neither the
-bound nor any term past a_{2n+4}. Where the certificate fails, in the first
-few windows, one predict-then-certify index search runs against the formed
-bound. The cutoff also has an equivalent definition through Fibonacci
-factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi;
+lucas (t* = 1). An integer certificate in the window's own terms proves it;
+once it holds in one window it holds in every later one, so each seed has a
+first certified window n0 (``_offset`` finds t* and n0 once per seed: n0 is
+1 for fibonacci, 0 for lucas and k - 3 for the seeds (F(k), F(k+1))). From
+n0 on, ``_cutoff`` places the cutoff by that formula alone, with neither the
+bound nor any term past a_{2n+3} formed; below n0 one predict-then-certify
+index search runs against the formed bound. The cutoff also has an
+equivalent definition through Fibonacci factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi;
 ``verification.xi_literal`` evaluates that form against the integer
 bound // chi, by a plain walk up from s = 0, and serves as an independent
 reference for ``xi``.
@@ -86,22 +88,50 @@ def _positive(x: int, y: int) -> bool:
 
 
 # The offset depends on the seeds alone, so the last few seeds' results are
-# kept. An entry holds the seeds and five integers of at most about
-# 4*bits(a1) bits (|N(E)|, at most 57 200 bits for the 4300-digit seeds the
-# CLI accepts): at most 27 KB, about 220 KB for the eight entries.
+# kept. An entry holds the seeds and two small integers, t* and n0: about
+# 200 bytes beyond the seeds, 1.6 KB for the eight entries, at any seed size
+# the CLI accepts (for 4300-digit seeds t* stays under 42 000; n0 is 20 572
+# for (F(20575), F(20576)), the largest near-phi seeds).
 @lru_cache(maxsize=8)
-def _offset(params: SequenceParams) -> tuple[int, int, int, int, int]:
-    """(t*, |N(E)|, |e0| + |e1|, |c_t*|, |c_{t*-1}|) for the seeds, with E =
-    E_t* = e0 + e1*phi; ``_cutoff`` defines them.
+def _offset(params: SequenceParams) -> tuple[int, int]:
+    """(t*, n0) for the seeds: the cutoff index is 3(2n+3) + t*, that is
+    xi(n) = 4n + 5 + t*, in every window n >= n0.
 
-    With A^2 = u + v*phi and v > 0, u + v < A^2 < phi*(u + v). So the
-    bit-length guess t = (bits(u + v) - 1 - bits(5*chi)) / 0.694242 + 1,
-    rounded down, keeps phi^(t-1) <= 2^(bits(u+v)-1) / 2^bits(5*chi) <
-    A^2 / (5*chi), where E_{t-1} < 0: it never passes t*, and the walk up
-    from it takes a few steps (at most three on every seed tested).
+    With j = 2n+3, A = (a1 - a0) + a0*phi and A^3 = P + Q*phi, the terms
+    satisfy a_{3j+t} = A*phi^t*F(3j) + a_t*psi^(3j), and bound = a_j^3 +
+    chi*a_j (j is odd) gives 5*bound = P*F(3j) + Q*F(3j+1) + 2*chi*a_j, so
+
+        5*(chi*a_{3j+t} - bound) = A*E_t*F(3j) + c_t*psi^(3j) - 2*chi*a_j,
+
+    with E_t = 5*chi*phi^t - A^2 = e0 + e1*phi and c_t = 5*chi*a_t - Q. E_t
+    grows with t and is never 0; t*, the smallest t with E_t > 0, is at least
+    -1, since A^2 / (5*chi) > phi^(-2) for every valid seed. With A^2 =
+    u + v*phi and v > 0, u + v < A^2 < phi*(u + v). So the bit-length guess
+    t = (bits(u + v) - 1 - bits(5*chi)) / 0.694242 + 1, rounded down, keeps
+    phi^(t-1) <= 2^(bits(u+v)-1) / 2^bits(5*chi) < A^2 / (5*chi), where
+    E_{t-1} < 0: it never passes t*, and the walk up from it takes a few
+    steps (at most three on every seed tested).
+
+    The cutoff index is 3j + t* in window n wherever its certificate holds:
+    2*chi*a_j >= |c_{t*-1}|, which puts chi*a_{3j+t*-1} strictly below the
+    bound, and
+
+        |N(E)| * a1 * 2^(3*bits(F(j)) - 2) > (|e0| + |e1|) * (2*chi*a_j + |c_t*|),
+
+    which puts chi*a_{3j+t*} strictly above it, from E = E_t* = N(E) /
+    (e0 + e1*psi) with N(E) = e0^2 + e0*e1 - e1^2, A > a1 and F(3j) =
+    5F(j)^3 - 3F(j) >= 2^(3*bits(F(j)) - 2). From one window to the next,
+    j grows by 2 and F(j+2) >= 2F(j), so the left side grows at least
+    8-fold, while a_{j+2} <= 3*a_j, so the right side grows at most 3-fold;
+    the first test's side grows too. Once the certificate holds it holds in
+    every later window, and it holds in some window, since N(E) != 0. n0 is
+    the first such window, found by doubling and then bisection, each step
+    one ``_fib_pair(2n+2)``: about 2*bits(n0) steps. Below n0, ``_cutoff``
+    runs the index search instead.
     """
     a0, a1 = params
-    k = 5 * params.chi
+    chi = params.chi
+    k = 5 * chi
     u, v = (a1 - a0) ** 2 + a0 * a0, a0 * (2 * a1 - a0)  # A^2 = u + v*phi
     b = (u + v).bit_length() - 1 - k.bit_length()
     if b >= 0:
@@ -113,71 +143,59 @@ def _offset(params: SequenceParams) -> tuple[int, int, int, int, int]:
         t, p, r = t + 1, r, p + r
     e0, e1 = k * p - u, k * r - v
     q = a0 * u + a1 * v  # A^3 = P + Q*phi
-    c, c_prev = k * (a0 * p + a1 * r) - q, k * (a0 * (r - p) + a1 * p) - q
-    return t, abs(e0 * e0 + e0 * e1 - e1 * e1), abs(e0) + abs(e1), abs(c), abs(c_prev)
+    c, c_prev = abs(k * (a0 * p + a1 * r) - q), abs(k * (a0 * (r - p) + a1 * p) - q)
+    norm, conj = abs(e0 * e0 + e0 * e1 - e1 * e1) * a1, abs(e0) + abs(e1)  # |N(E)|*a1
+
+    # n0 by doubling (n = 0, 1, 3, 7, ...) until the certificate holds, then
+    # bisection; it fails in window lo (-1 before any is tested) and holds in hi
+    lo, hi, n = -1, None, 0
+    while hi is None or hi - lo > 1:
+        f, g = _fib_pair(2 * n + 2)  # F(j-1), F(j)
+        margin = 2 * chi * (a0 * f + a1 * g)
+        if margin >= c_prev and (norm << 3 * g.bit_length() - 2) > conj * (margin + c):
+            hi = n
+        else:
+            lo = n
+        n = 2 * n + 1 if hi is None else (lo + hi) // 2
+    return t, hi
 
 
-def _cutoff(
-    params: SequenceParams, n: int
-) -> tuple[int, int, int, int | None, int, int | None]:
-    """(a_{2n+2}, a_{2n+3}, a_{2n+4}, bound, xi(n), a_{2n+3+xi(n)}) for window
-    index n >= 0, where bound = a_{2n+2} * a_{2n+3} * a_{2n+4}.
+def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int]:
+    """(a_{2n+2}, a_{2n+3}, xi(n)) for window index n >= 0.
 
-    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound. With m = 2n+2,
-    j = m+1, A = (a1 - a0) + a0*phi and A^3 = P + Q*phi, the terms satisfy
-    a_{3j+t} = A*phi^t*F(3j) + a_t*psi^(3j), and bound = a_j^3 + chi*a_j (j is
-    odd) gives 5*bound = P*F(3j) + Q*F(3j+1) + 2*chi*a_j, so
-
-        5*(chi*a_{3j+t} - bound) = A*E_t*F(3j) + c_t*psi^(3j) - 2*chi*a_j,
-
-    with E_t = 5*chi*phi^t - A^2 = e0 + e1*phi and c_t = 5*chi*a_t - Q. E_t
-    grows with t and is never 0; t*, the smallest t with E_t > 0, is at least
-    -1, since A^2 / (5*chi) > phi^(-2) for every valid seed. The cutoff index
-    is then 3j + t*, that is xi(n) = 4n + 5 + t* (4n + 4 for fibonacci, 4n + 6
-    for lucas), wherever 2*chi*a_j >= |c_{t*-1}|, which puts chi*a_{3j+t*-1}
-    strictly below the bound, and
-
-        |N(E)| * a1 * 2^(3*bits(F(j)) - 2) > (|e0| + |e1|) * (2*chi*a_j + |c_t*|),
-
-    which puts chi*a_{3j+t*} strictly above it, from E = N(E) / (e0 + e1*psi)
-    with N(E) = e0^2 + e0*e1 - e1^2, A > a1 and F(3j) = 5F(j)^3 - 3F(j) >=
-    2^(3*bits(F(j)) - 2). There bound and a_{2n+3+xi(n)} come back as None,
-    neither formed. Where either test fails (the first few windows, more of
-    them for seeds near phi), one index search from 2n+4 finds the cutoff
-    against the formed bound.
+    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound, for bound =
+    a_{2n+2} * a_{2n+3} * a_{2n+4}. From the seeds' first certified window n0
+    on it is 4n + 5 + t* (``_offset``), found with neither the bound nor any
+    term past a_{2n+3} formed. Below n0 (the first few windows, more of them
+    for seeds near phi), one index search from 2n+4 finds it against the
+    formed bound.
     """
     if n < 0:
         raise ValueError(f"window index must be nonnegative, got {n}")
     m = 2 * n + 2
-    f, g = _fib_pair(m)  # F(m), F(m+1) = F(j)
-    a0, a1, chi = params.a0, params.a1, params.chi
-    a2, a3 = a0 * (g - f) + a1 * f, a0 * f + a1 * g
-    a4 = a2 + a3
-    t, norm, conj, c, c_prev = _offset(params)
-    margin = 2 * chi * a3
-    if margin >= c_prev and (norm * a1 << 3 * g.bit_length() - 2) > conj * (margin + c):
-        return a2, a3, a4, None, 2 * m + 1 + t, None
+    a2, a3 = seq_pair(params, m)
+    t, n0 = _offset(params)
+    if n >= n0:
+        return a2, a3, 4 * n + 5 + t
+    a4, chi = a2 + a3, params.chi
     bound = a2 * a3 * a4
     if a3 * chi > bound:
         # equivalent to chi > a_{2n+2}*a_{2n+4}, impossible for valid seeds
         raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
-    end, a_end, a_next = index_below(params, chi, bound, 1, m + 2, a4, a3 + a4)
-    return a2, a3, a4, bound, end - (m + 2), a_next - a_end
+    return a2, a3, index_below(params, chi, bound, 1, m + 2, a4, a3 + a4)[0] - (m + 2)
 
 
 def xi(params: SequenceParams, n: int) -> XiResult:
     """Cutoff xi(n): largest s with a_{2n+3+s} * chi <= the product bound.
 
-    Found with integers only: as 4n + 5 + t* from the seeds' offset t*,
-    wherever ``_cutoff``'s certificate holds, leaving the term
-    a_{2n+3+xi(n)} unformed; otherwise by one index search that predicts
-    the cutoff from bit lengths and certifies it exactly. The bound is formed
-    either way, since it is part of the result.
+    Found with integers only (``_cutoff``): as 4n + 5 + t* from the seeds'
+    offset in every window from their first certified one, n0, on; below
+    n0 by one index search that predicts the cutoff from bit lengths and
+    certifies it exactly. The bound is part of the result, so it is formed
+    here.
     """
-    a2, a3, a4, bound, s, _ = _cutoff(params, n)
-    if bound is None:
-        bound = a2 * a3 * a4
-    return XiResult(n=n, xi=s, bound=bound, chi=params.chi)
+    a2, a3, s = _cutoff(params, n)
+    return XiResult(n=n, xi=s, bound=a2 * a3 * (a2 + a3), chi=params.chi)
 
 
 def xi_closed_form(preset: SequencePreset, n: int) -> int | None:
@@ -211,10 +229,8 @@ def _window(
 
 def bad_interval(params: SequenceParams, n: int) -> BadInterval:
     """Endpoints of window n, exactly."""
-    a2, a3, a4, _, x, a_cut = _cutoff(params, n)
-    if a_cut is None:
-        a_cut = seq_pair(params, 2 * n + 3 + x)[0]
-    return _window(params, n, a2, a3, a4, x, a_cut)
+    a2, a3, x = _cutoff(params, n)
+    return _window(params, n, a2, a3, a2 + a3, x, seq_pair(params, 2 * n + 3 + x)[0])
 
 
 def bad_interval_record(interval: BadInterval) -> dict:

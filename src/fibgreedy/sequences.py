@@ -162,8 +162,8 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
 # against 1.8 at 33 000. The cut-off sits past the crossover, near
 # Karatsuba's; small targets (under 200 bits) stay on the plain products.
 # The window cutoff (optimality._cutoff) does not switch on it: it takes the
-# seeds' offset wherever its certificate holds, and the index search it runs
-# in the first few windows chooses its comparisons as above. A factored
+# seeds' offset from their first certified window n0 on, and the index search
+# it runs below n0 chooses its comparisons as above. A factored
 # cutoff search, the bound kept as three factors for _exceeds, was measured
 # and dropped (CHANGES.md has its figures).
 _NEAR_TIE_BITS = 2000

@@ -518,11 +518,21 @@ def plain_offset(params):
 
 
 def certified(params, offset, n):
-    # the two tests of _cutoff's docstring, written out from plain_offset
+    # the two tests of _offset's docstring, written out from plain_offset
     _, norm, conj, c, c_prev = offset
     margin = 2 * params.chi * seq_pair(params, 2 * n + 3)[0]
     lhs = norm * params.a1 * 2 ** (3 * fib(2 * n + 3).bit_length() - 2)
     return margin >= c_prev and lhs > conj * (margin + c)
+
+
+def scanned_offset(params):
+    # (t*, n0) from plain_offset, with n0 the first window, scanned up from
+    # n = 0, where the certificate holds
+    offset = plain_offset(params)
+    n = 0
+    while not certified(params, offset, n):
+        n += 1
+    return offset[0], n
 
 
 def near_phi_seeds(top):
@@ -589,9 +599,9 @@ def test_positive_matches_rational_brackets():
 
 
 def test_offset_matches_a_plain_scan(monkeypatch):
-    # t* and the certificate's constants for every seed with a1 < 30 and the
-    # near-phi seeds up to k = 200 (t* up to 397); the walk from the bit-length
-    # guess takes at most three steps
+    # t* and the first certified window n0 for every seed with a1 < 30 and
+    # the near-phi seeds up to k = 200 (t* up to 397, n0 up to 197); the walk
+    # from t*'s bit-length guess takes at most three steps
     positives = []
     positive = optimality._positive
 
@@ -604,11 +614,30 @@ def test_offset_matches_a_plain_scan(monkeypatch):
     for params in SEEDS + near_phi_seeds(200):
         positives.clear()
         optimality._offset.cache_clear()  # so that each call walks
-        assert optimality._offset(params) == plain_offset(params), params
+        assert optimality._offset(params) == scanned_offset(params), params
         steps.append(len(positives) - 1)
     assert max(steps) <= 3
-    assert optimality._offset(FIBONACCI.params)[0] == -1
-    assert optimality._offset(LUCAS.params)[0] == 1
+    assert optimality._offset(FIBONACCI.params) == (-1, 1)
+    assert optimality._offset(LUCAS.params) == (1, 0)
+
+
+@pytest.mark.parametrize("k", [1001, 5001])
+def test_first_certified_window_takes_few_evaluations(monkeypatch, k):
+    # n0 = k - 3 on the seeds (F(k), F(k+1)), found by doubling and then
+    # bisection: at most 2*bits(n0) + 2 top-level _fib_pair calls (22 and
+    # 28), the one for t*'s guess included, where a walk up from n = 0 would
+    # take k - 2
+    evaluated = []
+    fib_pair = optimality._fib_pair
+
+    def counted(n):
+        evaluated.append(n)
+        return fib_pair(n)
+
+    monkeypatch.setattr(optimality, "_fib_pair", counted)
+    optimality._offset.cache_clear()
+    assert optimality._offset(SequenceParams(fib(k), fib(k + 1))) == (2 * k - 3, k - 3)
+    assert len(evaluated) <= 2 * (k - 3).bit_length() + 2
 
 
 def test_offset_is_kept_for_the_last_few_seeds():
@@ -616,10 +645,10 @@ def test_offset_is_kept_for_the_last_few_seeds():
     # and the cache never holds more than eight seeds
     optimality._offset.cache_clear()
     for params in SEEDS[:20]:
-        assert optimality._offset(params) == plain_offset(params)
+        assert optimality._offset(params) == scanned_offset(params)
     assert optimality._offset.cache_info().currsize == 8
     hits = optimality._offset.cache_info().hits
-    assert optimality._offset(SEEDS[19]) == plain_offset(SEEDS[19])
+    assert optimality._offset(SEEDS[19]) == scanned_offset(SEEDS[19])
     assert optimality._offset.cache_info().hits == hits + 1
 
 
@@ -654,16 +683,15 @@ def test_cutoff_takes_the_offset_wherever_it_is_certified(monkeypatch):
 
 
 def test_cutoff_forced_to_search_gives_the_same_answers(monkeypatch):
-    # |N(E)| = 0 fails the certificate at every window, so the index search
-    # runs in each call and must give the same XiResult and BadInterval
+    # With n0 past every case the index search runs in each call and must
+    # give the same XiResult and BadInterval
     cases = [(params, n) for params in SEEDS[::10] for n in (0, 4, 30)]
     cases += [(params, 3000) for params in FAR]
     expected = [(xi(*case), bad_interval(*case)) for case in cases]
     offset = optimality._offset
 
     def failing(params):
-        t, _, conj, c, c_prev = offset(params)
-        return t, 0, conj, c, c_prev
+        return offset(params)[0], 3001
 
     monkeypatch.setattr(optimality, "_offset", failing)
     calls = counted_searches(monkeypatch)
@@ -672,9 +700,9 @@ def test_cutoff_forced_to_search_gives_the_same_answers(monkeypatch):
 
 
 def test_cutoff_on_near_phi_seeds_either_side_of_the_fallback(monkeypatch):
-    # On the seeds (F(k), F(k+1)) the certificate fails for the first
-    # k - 4 or so windows. At the last window that falls back and the two
-    # after it, which take the offset, xi must equal xi_literal's walk.
+    # On the seeds (F(k), F(k+1)) the certificate fails for the first k - 3
+    # windows. At the last window that falls back, n0 - 1, and the two after
+    # it, which take the offset, xi must equal xi_literal's walk.
     calls = counted_searches(monkeypatch)
     last_fallback = {}
     for params in near_phi_seeds(200):
@@ -687,12 +715,13 @@ def test_cutoff_on_near_phi_seeds_either_side_of_the_fallback(monkeypatch):
             assert x == xi_literal(params, n)
             n += 1
         last_fallback[params] = n - 1
+        assert last_fallback[params] == optimality._offset(params)[1] - 1, params
         for m in (n, n + 1):
             calls.clear()
             assert xi(params, m).xi == xi_literal(params, m) == 4 * m + 5 + plain_offset(params)[0]
             assert calls == []
     assert last_fallback[SequenceParams(89, 144)] == 7
-    assert optimality._offset(SequenceParams(89, 144))[0] == 19
+    assert optimality._offset(SequenceParams(89, 144)) == (19, 8)
     assert max(last_fallback.values()) > 190
 
 
@@ -713,3 +742,23 @@ def test_no_state_retained():
         tracemalloc.stop()
     assert held < 1 << 20
     assert not hasattr(bad_interval, "cache_info")
+
+
+def test_offset_cache_stays_small_at_the_seed_size_limit():
+    # eight seeds of 4300 digits, the most the CLI reads (chi = 0.19*a1^2 > 0),
+    # fill the cache; it keeps two small integers a seed beyond the seeds
+    seeds = [SequenceParams(7 * (10**4299 + i) // 10, 10**4299 + i) for i in range(8)]
+    optimality._offset.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for params in seeds:
+            optimality._offset(params)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert optimality._offset.cache_info().currsize == 8
+    optimality._offset.cache_clear()
+    assert held < 16 << 10
