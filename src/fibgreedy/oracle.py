@@ -19,9 +19,13 @@ that search's own integers: the terms a_g1 and a_g2, and a_{g1+1}, from
 which the walk's first term pair follows by one addition. No term is
 evaluated twice. The best value so far is always the pair of terms
 1/x + 1/y, so one walk serves every size: small terms multiply its
-cross-products out, and for big ones ``sequences._exceeds`` compares them,
-multiplying out only a near-tie that the factors' leading bits cannot
-decide. Every comparison is exact.
+cross-products out, and for big ones the factors' leading bits decide
+(``sequences._leading_exceeds``). The stop rule multiplies out a near-tie
+that leading bits leave. The candidate test settles its near-tie by a form
+in which the two sides cancel: 1/a + 1/c beats 1/x + 1/y exactly when
+y*D > (a*x)*c for D = a*x - c*(a - x), which is small for a candidate close
+to the best value. That is algebra on the four terms alone; no sequence
+identity enters. Every comparison is exact.
 """
 
 from __future__ import annotations
@@ -30,9 +34,26 @@ from collections import namedtuple
 
 from .greedy import TwoTermSum, _require_theta, _terms_of, greedy_two_term
 from .rationals import _reciprocal_sum
-from .sequences import _NEAR_TIE_BITS, SequenceParams, _exceeds, index_below
+from .sequences import _NEAR_TIE_BITS, SequenceParams, _exceeds, _leading_exceeds, index_below
 
 __all__ = ["OracleReport", "oracle_best"]
+
+
+def _beats(a: int, c: int, x: int, y: int) -> bool:
+    """1/a + 1/c > 1/x + 1/y for positive terms, that is (a + c)*x*y >
+    (x + y)*a*c, with no product of three big factors formed.
+
+    Leading bits decide first. On a near-tie the two sides' difference,
+    y*D - (a*x)*c with D = a*x - c*(a - x), decides it: D <= 0 loses, and
+    otherwise y*D against (a*x)*c, where a candidate close to the best
+    value has a small D.
+    """
+    decided = _leading_exceeds((a + c, x, y), (x + y, a, c))
+    if decided is not None:
+        return decided
+    ax = a * x
+    d = ax - c * (a - x)
+    return d > 0 and _exceeds((y, d), (ax, c))
 
 
 class OracleReport(namedtuple("OracleReport", "best candidates_examined")):
@@ -60,10 +81,12 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     never reduced: a candidate 1/a_m + 1/c replaces it when
     (a_m + c)*x*y > (x + y)*a_m*c, and the walk stops once 2*x*y <=
     (x + y)*a_m. Up to _NEAR_TIE_BITS in a_g2 both tests are multiplied out;
-    past it both go through ``sequences._exceeds``, and the partner search
-    keeps (q, a_m) factored past _NEAR_TIE_BITS in a_m. So no product of two
-    big terms is formed unless leading bits cannot decide (a candidate that
-    ties the best value to within ~1/a_g1^2 can need one). The winner is kept
+    past it the stop rule goes through ``sequences._exceeds`` and the
+    candidate test through ``_beats``, and the partner search keeps (q, a_m)
+    factored past _NEAR_TIE_BITS in a_m. So no product of two big terms is
+    formed unless leading bits cannot decide (a candidate that ties the best
+    value to within ~1/a_g1^2 can need one, as every target inside a window
+    does), and no product of three is formed at all. The winner is kept
     as its indices (m, partner) with its terms (x, y); for a winner that is
     not the greedy pair the search builds one reduced Fraction from them, by
     ``rationals._reciprocal_sum``, and the greedy pair's value is the pick's
@@ -78,7 +101,7 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     m, a, b = greedy.g1 + 1, b, x + b
     while _exceeds((2 * x, y), (x + y, a)) if big else 2 * x * y > (x + y) * a:
         partner, c, _ = index_below(params, p * a - q, q, a, m + 1, b, a + b)
-        if _exceeds((a + c, x, y), (x + y, a, c)) if big else (a + c) * x * y > (x + y) * a * c:
+        if _beats(a, c, x, y) if big else (a + c) * x * y > (x + y) * a * c:
             winner, x, y = (m, partner), a, c
         m, a, b = m + 1, b, a + b
     if winner is None:

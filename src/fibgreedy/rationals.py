@@ -7,7 +7,7 @@ each returned value is one reduced Fraction; in between, the greedy search,
 the window test and the oracle compare unreduced integer cross-products.
 Small ones are multiplied out; past ``sequences._NEAR_TIE_BITS`` a
 comparison is decided from the factors' bit lengths and leading bits, and
-the products are formed only on a near-tie.
+exact work is done only on a near-tie.
 Every returned value of the form 1/a_i + 1/a_j is built by
 ``_reciprocal_sum``: small terms by one ``Fraction`` reduction, larger ones
 from G = gcd(a_i, a_j) with no second normalisation. G is g*gcd(a_i/g,
@@ -15,7 +15,9 @@ F(j - i)) for g = gcd(a0, a1), and for j = 3i + c past j = 7i/3 it is
 gcd(a_i, |N_c|/g), where N_c = F(c)e^2 - 2F(c-1)e*a0 + F(c-2)a0^2 and
 e = a1 - a0, since a0^2*F(j-i) = F(i)^2*N_c and e^2*F(j-i) = F(i+1)^2*N_c
 modulo a_i (proof at ``_reciprocal_sum``). That small modulus reduces a
-window's right end, j = 3i + 2 + t*, with no big gcd.
+window's right end, j = 3i + 2 + t*, with no big gcd. Where N_c = 0, a_i
+divides a_j and the seeds are g*(F(s), F(s+1)) or g*(L(s), L(s+1)) with
+c = 2s, so a_j/a_i is a quadratic in a_i/g: one squaring, and no division.
 No float ever enters a computation; the only decimal output is the
 explicitly approximate display helper below, which rounds every value to six
 figures in one fixed decimal context.
@@ -142,11 +144,34 @@ def _reciprocal_sum(params: SequenceParams, i: int, x: int, j: int, y: int) -> F
     the second one gives the same. Hence G = gcd(x, N_c). For any g, the
     terms and G are g times, and N_c is g^2 times, those of the seeds
     (a0/g, a1/g), so G = gcd(x, |N_c|/g): one remainder of x by a small
-    integer, then a gcd of small integers. N_c = 0 gives G = x, as for
-    fibonacci at c = 2 and lucas at c = 4, where a_i divides a_j. |N_c|/g is
-    about F(|c|) times the seeds' square, so past j = 7i/3 it stays below
-    F(j - i), and below its square root for c < 0; nearer j = 2i it grows to
-    the size of x and its gcd costs more than the index gap's.
+    integer, then a gcd of small integers. N_c = 0 gives G = x: a_i divides
+    a_j, as for fibonacci at c = 2 and lucas at c = 4, and the route below
+    takes over. |N_c|/g is about F(|c|) times the seeds' square, so past
+    j = 7i/3 it stays below F(j - i), and below its square root for c < 0;
+    nearer j = 2i it grows to the size of x and its gcd costs more than the
+    index gap's.
+
+    N_c = 0, by one squaring. N_c is a quadratic form in (e, a0) with
+    discriminant 4(F(c-1)^2 - F(c)F(c-2)) = 4(-1)^c, so it has a rational
+    zero only for c even, at e/a0 = (F(c-1) ± 1)/F(c). For c = 2s, with
+    F(2s) = F(s)L(s) and F(2s-1) ± 1 = F(s)L(s-1) or F(s-1)L(s), those are
+    L(s-1)/L(s) and F(s-1)/F(s), in lowest terms (for c < 0, F(c) < 0 <
+    F(c-1) - 1 makes both negative, and N_0 = -a0(2e + a0) < 0). So the
+    seeds are g*(F(s), F(s+1)), with chi = (-1)^(s+1) g^2, or
+    g*(L(s), L(s+1)), with chi = 5(-1)^s g^2; positive chi makes s odd in
+    the first family and even in the second, and chi = g^2 or 5g^2 tells
+    the two apart. Then x = g*u and y = g*U for u = F(k), U = F(3k) or
+    u = L(k), U = L(3k), with k = i + s and j + s = 3k, so y/x is
+    Q = 5u^2 + 3(-1)^k or u^2 - 3(-1)^k, by F(3k) = 5F(k)^3 + 3(-1)^k F(k)
+    and L(3k) = L(k)^3 - 3(-1)^k L(k).
+    Both are Q = (5g^2/chi)*u^2 + r with r = -3(-1)^i, since s is odd in
+    the one and even in the other. The sum is (Q + 1)/y, and its common
+    factor h = gcd(Q + 1, y) = gcd(Q + 1, x), since Q and Q + 1 are coprime.
+    As Q + 1 = (r + 1) + (5g^2/chi)*u^2, every common divisor of Q + 1 and
+    g*u divides g*(r + 1), so h = gcd(x, gcd(Q + 1, g*(r + 1))): two
+    remainders by small integers. The route takes the greedy value of every
+    target inside window n, the pair (2n + 2, 6n + 9 + t*) with c = 3 + t*,
+    where c = 2s: on fibonacci, lucas, custom:2,2 and custom:89,144.
     """
     if y.bit_length() <= _PRODUCT_FORM_BITS:
         return Fraction(x + y, x * y)
@@ -161,6 +186,11 @@ def _reciprocal_sum(params: SequenceParams, i: int, x: int, j: int, y: int) -> F
             f1 = -f1
         e = a1 - a0
         n_c = f2 * (e * e + a0 * a0) + f1 * e * (e - 2 * a0)  # F(c) = F(c-1) + F(c-2)
+        if n_c == 0:  # y/x = 5u^2 + r or u^2 + r for u = x/g, r = -3(-1)^i
+            r = 3 if i & 1 else -3
+            quotient = 5 * g * g // params.chi * (x // g) ** 2 + r
+            h = gcd(x, gcd(quotient + 1, g * (r + 1)))
+            return _coprime((quotient + 1) // h, y // h)
         common = gcd(x, abs(n_c) // g)
     else:
         common = g * gcd(x // g, _fib_pair(j - i)[0])

@@ -152,7 +152,8 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
 # Above this many bits, comparisons go through _exceeds instead of forming
 # the products: in index_below, in both num and q*r/num, or in r (the term a
 # of the remainder p/q - 1/a that greedy_two_term and oracle_best pass as
-# (q, a)); in the oracle's a_g2; and in the classifier's a_g1.
+# (q, a)); in the oracle's a_g2, whose candidate test takes the leading bits
+# alone (oracle._beats); and in the classifier's a_g1.
 # classify + oracle_best over six targets k/10^d and a window's two ends and
 # midpoint at each size, every path forced, best of seven (Python 3.11.7;
 # fibonacci, lucas, custom:4,5): factored over plain 1.11-1.14 at 1000 bits,
@@ -167,6 +168,17 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
 # cutoff search, the bound kept as three factors for _exceeds, was measured
 # and dropped (CHANGES.md has its figures).
 _NEAR_TIE_BITS = 2000
+
+# Up to this index jump k, index_below steps to a_{s+k} from the pair
+# (a_s, a_{s+1}) it holds instead of evaluating a_{s+k} afresh. Step over
+# fast-doubling time, best of nine (Python 3.11.7; fibonacci, custom:4,5,
+# custom:89,144): at k = 512, 0.69-0.96 for s = 600 to 3000; at k = 768,
+# 0.92-1.13; for s <= 400 and s <= k <= 512, 0.43-0.98. The crossover grows
+# with s, but slower: k near 600 at s = 1000, 800 at 3000, 1550 at 10 000,
+# 3250 at 48 000 and 11 000 at 150 000, so a jump of k = s loses 2x at large
+# s, and the cut-off sits where no size measured loses. A jump of a few
+# indices costs 0.01-0.02 of the doubling at s = 48 000-150 000.
+_STEP_JUMP = 512
 
 
 def _lead(xs: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -185,16 +197,16 @@ def _lead(xs: tuple[int, ...]) -> tuple[int, int, int, int]:
     return total, lo, hi, shift
 
 
-def _exceeds(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
-    """prod(xs) > prod(ys) for tuples of positive integers, exactly.
+def _leading_exceeds(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool | None:
+    """prod(xs) > prod(ys) for tuples of positive integers where leading bits
+    decide it, else None: the near-tie that only exact work settles.
 
     A product of k factors with bit lengths summing to B lies in
     [2^(B-k), 2^B), so bit lengths decide whenever the sums differ by the
     factor counts. Otherwise each side lies between two integer bounds built
     from its factors' leading 64 bits (``_lead``), and bounds that do not
-    overlap decide. Only on a near-tie, where the products agree to about 62
-    bits less the factor counts, are the full products formed. No float
-    enters.
+    overlap decide. None is left only where the products agree to about 62
+    bits less the factor counts. No float enters.
     """
     bx, lo_x, hi_x, sx = _lead(xs)
     by, lo_y, hi_y, sy = _lead(ys)
@@ -211,7 +223,16 @@ def _exceeds(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
         return True
     if hi_x <= lo_y:
         return False
-    return prod(xs) > prod(ys)
+    return None
+
+
+def _exceeds(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
+    """prod(xs) > prod(ys) for tuples of positive integers, exactly: by
+    ``_leading_exceeds``, and by the full products on the near-tie it leaves.
+    A caller that can settle its near-tie more cheaply than by the products,
+    as the oracle's candidate test does, takes ``_leading_exceeds`` alone."""
+    decided = _leading_exceeds(xs, ys)
+    return prod(xs) > prod(ys) if decided is None else decided
 
 
 def index_below(
@@ -229,10 +250,14 @@ def index_below(
     log2(phi) = 0.6942419, so the guess never overshoots. It is still checked
     exactly: a guess that already satisfies the bound at the walk's first
     comparison raises SelfCheckError. From a_{s+k} >= F(k+1)*a_s, the
-    remaining walk up the recurrence is a handful of steps.
+    remaining walk up the recurrence is a handful of steps. A jump of at
+    most _STEP_JUMP steps from the pair it holds: a_{s+k} = F(k-1)*a_s +
+    F(k)*a_{s+1}, from one ``_fib_pair(k)``; a longer one evaluates
+    (a_{s+k}, a_{s+k+1}) by ``seq_pair``.
 
     Each comparison num*a_n > q*r takes one of two forms. Factored: it goes
-    through ``_exceeds``, which forms the products only on a near-tie. Plain:
+    through ``_exceeds``, which decides from leading bits and forms the
+    products only on a near-tie. Plain:
     den = q*r is formed once, and num*a_n is multiplied only near the
     answer, since while bits(num) + bits(a_n) < bits(den), num*a_n <
     2^(bits(num)+bits(a_n)) <= 2^(bits(den)-1) <= den. The walk is factored
@@ -256,7 +281,11 @@ def index_below(
     n = start
     if k > 0:
         n = start + k
-        a, b = seq_pair(params, n)
+        if k <= _STEP_JUMP:  # a_{s+k} = F(k-1)*a_s + F(k)*a_{s+1}
+            f, g = _fib_pair(k)
+            a, b = (g - f) * a + f * b, f * a + g * b
+        else:
+            a, b = seq_pair(params, n)
     if dens is None:
         while num_bits + a.bit_length() < den_bits or num * a <= den:
             n, a, b = n + 1, b, a + b

@@ -28,3 +28,18 @@ def fib_pair_calls(monkeypatch):
 
     monkeypatch.setattr(rationals, "_fib_pair", recorded)
     return calls
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The arguments of every gcd call that rationals makes during one test,
+    in order: how large they are tells the reduction's route."""
+    calls = []
+    gcd = rationals.gcd
+
+    def recorded(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(rationals, "gcd", recorded)
+    return calls

@@ -1,5 +1,6 @@
 """Exhaustive two-term search and its agreement with the classifier."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from fibgreedy import (
     greedy_two_term,
     oracle_best,
 )
-from fibgreedy import verification
+from fibgreedy import oracle, sequences, verification
+from fibgreedy.sequences import _NEAR_TIE_BITS, _leading_exceeds
 from fibgreedy.verification import disagreement, grid_equivalence_suite
 
 FIB = FIBONACCI.params
@@ -167,3 +169,92 @@ def test_disagreement_names_each_fault(fault, reason):
     cls, report = classify(FIB, WORKED), oracle_best(FIB, WORKED)
     assert disagreement(FIB, WORKED, cls, report) is None
     assert disagreement(FIB, WORKED, *fault(cls, report)) == reason
+
+
+def window_targets(params, n):
+    # both ends of window n and two targets inside it, as Fractions
+    window = bad_interval(params, n)
+    width = window.right - window.left
+    return [window.left, window.left + width / 1000, window.left + width / 2, window.right]
+
+
+BIG_WINDOWS = [(params, n) for params in (FIB, SequenceParams(4, 5)) for n in (1000, 1500, 5000)]
+BIG_WINDOW_IDS = [f"{params.a0},{params.a1}-n{n}" for params, n in BIG_WINDOWS]
+
+
+@pytest.mark.parametrize("params, n", BIG_WINDOWS, ids=BIG_WINDOW_IDS)
+def test_classifier_and_search_agree_at_big_windows(monkeypatch, params, n):
+    # Past _NEAR_TIE_BITS every target inside a window has a candidate that
+    # ties the best value to within leading bits, settled by the cancelling
+    # form; the window's ends as well.
+    undecided = []
+    leading = oracle._leading_exceeds
+
+    def recorded(xs, ys):
+        decided = leading(xs, ys)
+        undecided.append(decided is None)
+        return decided
+
+    monkeypatch.setattr(oracle, "_leading_exceeds", recorded)
+    for theta in window_targets(params, n):
+        cls, report = classify(params, theta), oracle_best(params, theta)
+        assert disagreement(params, theta, cls, report) is None
+    assert any(undecided)
+
+
+@pytest.mark.parametrize("params, n", BIG_WINDOWS[:2], ids=BIG_WINDOW_IDS[:2])
+def test_search_multiplies_out_no_three_factor_product(monkeypatch, params, n):
+    # The candidate test's sides, (a + c)*x*y and (x + y)*a*c, are never
+    # multiplied out, not even on the near-ties inside a window.
+    products = []
+    prod = sequences.prod
+    monkeypatch.setattr(sequences, "prod", lambda xs: products.append(len(xs)) or prod(xs))
+    for theta in window_targets(params, n):
+        oracle_best(params, theta)
+    assert 3 not in products
+
+
+def beats(a, c, x, y):
+    return Fraction(1, a) + Fraction(1, c) > Fraction(1, x) + Fraction(1, y)
+
+
+def near_tie_quadruples(t):
+    # (a, c, x, y) with a > x whose products (a + c)*x*y and (x + y)*a*c
+    # leading bits cannot separate, for t past _NEAR_TIE_BITS bits:
+    # 1/2t + 1/2t = 1/t = 1/(t+1) + 1/(t(t+1)) ties exactly (D = 4t), and a
+    # partner one either side of it wins or loses by a hair; 1/2t + 1/2t =
+    # 1/t exactly misses 1/t + 1/y for y past t*2^64 (D = 0), and so does
+    # 1/2t + 1/(2t+1) by more (D = -t). This y is past a*x*c as well, so
+    # y*D against (a*x)*c would go by bit lengths if D <= 0 went on.
+    y = t**3 << 70
+    return [
+        (2 * t, 2 * t, t + 1, t * (t + 1)),
+        (2 * t, 2 * t - 1, t + 1, t * (t + 1)),
+        (2 * t, 2 * t + 1, t + 1, t * (t + 1)),
+        (2 * t, 2 * t, t, y),
+        (2 * t, 2 * t + 1, t, y),
+        (2 * t, 2 * t - 1, t, y),
+    ]
+
+
+def test_candidate_test_on_near_ties():
+    # The oracle's candidate test against Fraction arithmetic where leading
+    # bits leave it open: the constructed ties above, and partners either
+    # side of the exact tie c* = a*x*y/(a*x + a*y - x*y) for random terms.
+    rng = random.Random(7)
+    cases = []
+    for bits in (_NEAR_TIE_BITS + 1, 3000, 9000):
+        cases += near_tie_quadruples((1 << (bits - 1)) + rng.getrandbits(bits - 1))
+        for _ in range(10):
+            x = rng.getrandbits(bits) | 1 << (bits - 1)
+            a = x + rng.getrandbits(bits - 2)
+            y = rng.getrandbits(3 * bits) | 1 << (3 * bits - 1)
+            tie, rest = divmod(a * x * y, a * x + a * y - x * y)
+            cases += [(a, c, x, y) for c in (tie - 1, tie, tie + 1) if c > 0]
+            if not rest:
+                cases.append((a, tie, x, y))
+    assert all(_leading_exceeds((a + c, x, y), (x + y, a, c)) is None for a, c, x, y in cases)
+    for a, c, x, y in cases:
+        assert oracle._beats(a, c, x, y) == beats(a, c, x, y), (a.bit_length(), c - a)
+    verdicts = {beats(*case) for case in cases}
+    assert verdicts == {True, False}

@@ -316,7 +316,7 @@ def _assert_reduced_product_forms(reciprocal_sum, term_pairs):
         assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
 
 
-def test_reciprocal_sum_is_the_reduced_product_form(fib_pair_calls, term_pairs):
+def test_reciprocal_sum_is_the_reduced_product_form(fib_pair_calls, gcd_calls, term_pairs):
     assert len(SEEDS) == 181 and SequenceParams(2, 2) in SEEDS
     sizes = [y.bit_length() > _PRODUCT_FORM_BITS for _, _, _, _, y in term_pairs]
     assert sizes.count(True) == sizes.count(False)
@@ -326,23 +326,30 @@ def test_reciprocal_sum_is_the_reduced_product_form(fib_pair_calls, term_pairs):
         gcd(x + y, x * y) > gcd(x, y) for _, _, x, _, y in term_pairs if gcd(x, y) > 1
     )
     # The route each pair took, read off its _fib_pair calls: none (product
-    # form), F(j - i) (index gap), or F(c - 2) or F(1 - c) (small modulus).
-    # Past the size, the modulus runs wherever 3j > 7i, N_c = 0 included.
+    # form), F(j - i) (index gap), or F(c - 2) or F(1 - c) (small modulus,
+    # wherever 3j > 7i past the size). Where N_c = 0 the modulus gives way
+    # to a_j/a_i by one squaring, which takes every gcd against a small
+    # nonzero integer; G = gcd(a_i, |N_c|) = a_i would take a gcd against
+    # zero, then one of two big integers.
     calls = fib_pair_calls
     routes = set()
     for params, i, x, j, y in term_pairs:
         calls.clear()
+        gcd_calls.clear()
         _assert_reduced_product_forms(_reciprocal_sum, [(params, i, x, j, y)])
+        c = j - 3 * i
         if y.bit_length() <= _PRODUCT_FORM_BITS:
             route, expected = "product", []
         elif 3 * j > 7 * i:
-            c = j - 3 * i
             route, expected = "modulus", [c - 2 if c >= 2 else 1 - c]
+            if n_c(params, c) == 0:
+                route = "N_c = 0"
+                assert all(0 < min(map(abs, args)).bit_length() <= 64 for args in gcd_calls)
         else:
             route, expected = "index gap", [j - i]
         assert calls == expected, (params, i, j)
         routes.add(route)
-    assert routes == {"product", "index gap", "modulus"}
+    assert routes == {"product", "index gap", "modulus", "N_c = 0"}
     # N_c = 0 gives G = a_i: a_i divides a_j. Fibonacci's in-window greedy
     # pair (c = 2), lucas's (c = 4) and custom:2,3's c = 6 are such pairs.
     zeros = set()
@@ -392,3 +399,47 @@ def test_distributivity(a, b, c):
 @given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6))
 def test_trichotomy(a, b):
     assert (a < b) + (a == b) + (a > b) == 1
+
+
+def zero_seeds():
+    # every valid pair of seeds with a1 < 200 and some N_c = 0 for c from -6
+    # to 29, with that c; N_c as in n_c, from F(c), F(c-1), F(c-2) read once
+    fibs = {c: (fib(c), fib(c - 1), fib(c - 2)) for c in range(-6, 30)}
+    zeros = []
+    for a1 in range(1, 200):
+        for a0 in range(1, a1 + 1):
+            if a0 * a0 + a1 * a0 - a1 * a1 > 0:
+                e = a1 - a0
+                for c, (f0, f1, f2) in fibs.items():
+                    if f0 * e * e - 2 * f1 * e * a0 + f2 * a0 * a0 == 0:
+                        zeros.append((SequenceParams(a0, a1), c))
+    return zeros
+
+
+def test_reciprocal_sum_where_a_i_divides_a_j(gcd_calls):
+    # N_c = 0 has the seeds g*(F(s), F(s+1)), chi = g^2, or g*(L(s), L(s+1)),
+    # chi = 5g^2, with c = 2s; F(s+1) < 200 bounds c by 22. Each pair, at
+    # j = 3i + c just inside the product form's size and just past it, is
+    # the reduced product form. Past it, a_j/a_i comes by one squaring and
+    # every gcd is against a small nonzero integer; some sums reduce further
+    # than by a_i, by the common factor h of the quotient plus one and a_i.
+    seeds = zero_seeds()
+    assert len(seeds) == 378
+    assert {c for _, c in seeds} == set(range(2, 23, 2))
+    assert len({params for params, _ in seeds}) == len(seeds)
+    for params, c in seeds:
+        g = gcd(*params)
+        assert params.chi in (g * g, 5 * g * g)
+    reduced = 0
+    for params, c in seeds:
+        a = seq_terms(params, 1500)  # a_1500 has more than 1000 bits for every seed
+        inside = max(i for i in range(490) if a[3 * i + c].bit_length() <= _PRODUCT_FORM_BITS)
+        for i in (inside, inside + 1):
+            x, y = a[i], a[3 * i + c]
+            assert y % x == 0
+            gcd_calls.clear()
+            _assert_reduced_product_forms(_reciprocal_sum, [(params, i, x, 3 * i + c, y)])
+            if i > inside:
+                assert all(0 < min(map(abs, args)).bit_length() <= 64 for args in gcd_calls)
+                reduced += Fraction(x + y, x * y).denominator < y
+    assert reduced

@@ -26,6 +26,7 @@ from fibgreedy.errors import SelfCheckError
 from fibgreedy.greedy import GreedyResult
 from fibgreedy.sequences import (
     _NEAR_TIE_BITS,
+    _STEP_JUMP,
     _exceeds,
     _lead,
     fib,
@@ -163,6 +164,45 @@ def test_index_below_at_an_exact_reciprocal_of_a_large_term(params):
                 assert found[0] == answer
                 assert [x.bit_length() for x in found[1:]] == [x.bit_length() for x in expected[1:]]
                 assert found == expected
+
+
+def test_index_below_steps_a_short_jump_from_the_pair_it_holds(monkeypatch):
+    # Every seed with a1 < 30, from starts below the Fibonacci table's 93,
+    # near 2000 bits and past them, to answers 1 to 700 indices on: the
+    # bound 1/(a_n - 1) puts the answer at n, and 1/a_n (an exact
+    # reciprocal) at n + 1. A guess k with 0 < k <= _STEP_JUMP steps from
+    # (a_start, a_{start+1}) by F(k-1) and F(k), so it evaluates no F past
+    # F(k+1), and a jump below start none at or above start; a longer guess
+    # evaluates a_{start+k} afresh.
+    calls = []
+    fib_pair = sequences._fib_pair
+
+    def recorded(n):
+        calls.append(n)
+        return fib_pair(n)
+
+    monkeypatch.setattr(sequences, "_fib_pair", recorded)
+    paths = set()
+    for params in SEEDS:
+        for start in (30, 90, 2880, 5760):  # a_2880 has 1999-2004 bits
+            a, b = seq_pair(params, start)
+            for gap in (1, 4, 29, 200, 700):
+                a_n = seq_pair(params, start + gap)[0]
+                for den, answer in ((a_n - 1, start + gap), (a_n, start + gap + 1)):
+                    k = guessed_index(1, den, start, a) - start
+                    scan = start, a, b  # the plain scan up the recurrence
+                    while scan[1] <= den:
+                        scan = scan[0] + 1, scan[2], scan[1] + scan[2]
+                    assert scan[0] == answer
+                    calls.clear()
+                    assert index_below(params, 1, den, 1, start, a, b) == scan
+                    if 0 < k <= _STEP_JUMP:
+                        assert max(calls) <= k, (params, start, k)
+                        paths.add("step below start" if k < start else "step")
+                    elif k > 0:
+                        assert start + k in calls, (params, start, k)
+                        paths.add("afresh")
+    assert paths == {"step below start", "step", "afresh"}
 
 
 # positive integers of every size up to 10^3000, one to three per side
@@ -314,9 +354,16 @@ OVERSHOOT_CASES = [(1, bits(3000), 1)] + [case[:3] for case in SWITCH_CASES if c
 )
 def test_index_below_refuses_a_guess_that_overshoots(monkeypatch, num, q, r):
     # terms from 20 indices past the one asked for put the guess past the
-    # answer, on the plain walk and on each factored one
-    pair = sequences.seq_pair
-    monkeypatch.setattr(sequences, "seq_pair", lambda params, n: pair(params, n + 20))
+    # answer, on the plain walk and on each factored one, whether the guess
+    # is evaluated afresh or stepped to: (F(n+20), F(n+21)) stand in for
+    # (F(n), F(n+1)), from a loop that does not recurse through the patch
+    def shifted(n):
+        f, g = 0, 1
+        for _ in range(n + 20):
+            f, g = g, f + g
+        return f, g
+
+    monkeypatch.setattr(sequences, "_fib_pair", shifted)
     with pytest.raises(SelfCheckError, match="overshoots"):
         index_below(FIBONACCI.params, num, q, r, 1, 1, 2)
 
@@ -324,8 +371,9 @@ def test_index_below_refuses_a_guess_that_overshoots(monkeypatch, num, q, r):
 def test_oracle_compares_factored_only_past_the_switch_in_a_g2(monkeypatch):
     # The oracle's one flag reads a_g2. At both ends of windows 478 and 479,
     # a_g1 has under 700 bits while a_g2 crosses _NEAR_TIE_BITS between them,
-    # so the stop rule and the candidate test go through _exceeds at 479
-    # alone, and must give what the multiplied-out tests give there.
+    # so the stop rule goes through _exceeds (and the candidate test through
+    # _beats) at 479 alone, and both must give what the multiplied-out tests
+    # give there.
     cases = []
     for params in (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5)):
         for n in (478, 479):
