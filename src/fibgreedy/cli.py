@@ -26,7 +26,7 @@ from .optimality import bad_interval, bad_interval_record, classify, xi_closed_f
 from .oracle import oracle_best
 from .rationals import approx_decimal, format_rational, parse_rational
 from .sequences import SequencePreset, classical_label, parse_sequence_spec
-from .verification import disagreement, run_all
+from .verification import DEFAULT_GRID, DEFAULT_MAX_N, disagreement, run_all
 
 __all__ = ["main", "run"]
 
@@ -240,12 +240,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the internal correctness suites")
     _add_common(p_verify, top_level=False)
-    p_verify.add_argument("--max-n", type=int, default=300, help="window sweep bound (default 300)")
+    p_verify.add_argument(
+        "--max-n", type=int, default=DEFAULT_MAX_N, help="window sweep bound (default %(default)s)"
+    )
     p_verify.add_argument(
         "--grid",
         type=int,
-        default=1000,
-        help="denominator of the theta sweep grid (default 1000)",
+        default=DEFAULT_GRID,
+        help="denominator of the theta sweep grid (default %(default)s)",
     )
     return parser
 

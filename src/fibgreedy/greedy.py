@@ -6,22 +6,11 @@ fits strictly under what remains of the target. Strictness matters: a target
 exactly equal to 1/a_n skips index n. Repeating the previous index is legal
 and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 
-Both entry points run on integers: a remainder p/q less the term 1/a stays
-unreduced, as p*a - q over q*a, and goes straight to the index search, which
-only compares cross-products. The search takes a denominator as two factors:
-``greedy_two_term`` hands it q*a as (q, a), and the search alone decides
-whether to multiply them out; a first pick, and every step of
-``greedy_prefix``, which carries q*a to its next step, pass (q, 1). Each
-entry point builds one reduced Fraction, for the returned value:
-``greedy_two_term`` by ``rationals._reciprocal_sum``, which takes the pick's
-indices and reduces large terms through a gcd that g1 and g2 make small,
-``greedy_prefix`` as theta minus the last remainder. ``greedy_two_term`` writes out its two
-steps; a loop shared with ``greedy_prefix`` would cost it about 1 us a call.
-A pick from ``greedy_two_term`` also keeps the terms the search found,
-(a_g1, a_{g1+1}, a_g2, a_{g2+1}); ``classify`` and ``oracle_best`` take
-their pick from ``greedy_two_term`` and read those terms through
-``_terms_of`` rather than evaluating them again. ``TwoTermSum``, the record
-for any pair and its value, lives here beside ``GreedyResult``, so the
+Both entry points run on integers and build one reduced Fraction, for the
+returned value; ``greedy_two_term`` gives the remainder form. A pick from
+``greedy_two_term`` keeps the terms its search found, which ``classify`` and
+``oracle_best`` read through ``_terms_of``. ``TwoTermSum``, the record for
+any pair and its value, lives here beside ``GreedyResult``, so the
 classifier and the search both import it from below and neither imports the
 other.
 """
@@ -47,13 +36,16 @@ __all__ = [
 DEFAULT_TERM_LIMIT = 64
 
 
-def _require_theta(theta) -> Fraction:
+def _require_theta(theta) -> tuple[Fraction, int, int]:
+    """(theta, p, q) for an exact target theta = p/q in (0, 1]: the one reader
+    of a target's numerator and denominator."""
     if isinstance(theta, float):
         raise TypeError("theta must be exact (Fraction or int), not float")
     t = theta if isinstance(theta, Fraction) else Fraction(theta)
-    if not 0 < t.numerator <= t.denominator:
+    p, q = t.numerator, t.denominator
+    if not 0 < p <= q:
         raise ThetaDomainError(f"theta must be in (0, 1], got {t}")
-    return t
+    return t, p, q
 
 
 class GreedyResult(namedtuple("GreedyResult", "g1 g2 value")):
@@ -81,10 +73,11 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
 
     With theta = p/q the remainder is kept as the unreduced (p*a_g1 - q,
     q*a_g1); the search compares cross-products, so no Fraction arithmetic
-    runs until the returned value is built, once and reduced.
+    runs until the returned value is built, once and reduced, by
+    ``rationals._reciprocal_sum``. The two steps are written out: a loop
+    shared with ``greedy_prefix`` would cost about 1 us a call.
     """
-    t = _require_theta(theta)
-    p, q = t.numerator, t.denominator
+    _, p, q = _require_theta(theta)
     g1, a, b = index_below(params, p, q, 1, 1, params.a1, params.a0 + params.a1)
     g2, c, d = index_below(params, p * a - q, q, a, g1, a, b)
     pick = GreedyResult(g1, g2, _reciprocal_sum(params, g1, a, g2, c))
@@ -114,20 +107,20 @@ def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
     DEFAULT_TERM_LIMIT merely caps requested work. The partial sum is built
     once, from the last remainder.
     """
-    t = _require_theta(theta)
+    _, p, q = _require_theta(theta)
     if k < 1:
         raise ValueError(f"term count must be at least 1, got {k}")
     if k > DEFAULT_TERM_LIMIT:
         raise TermLimitError(f"term count {k} exceeds the limit of {DEFAULT_TERM_LIMIT}")
-    p, q = t.numerator, t.denominator
     indices: list[int] = []
     denominators: list[int] = []
+    num, den = p, q
     n, a, b = 1, params.a1, params.a0 + params.a1
     for _ in range(k):
-        n, a, b = index_below(params, p, q, 1, n, a, b)
+        n, a, b = index_below(params, num, den, 1, n, a, b)
         indices.append(n)
         denominators.append(a)
-        p, q = p * a - q, q * a
-    # q is theta's denominator times the terms, so theta - p/q is over q too
-    total = Fraction(t.numerator * (q // t.denominator) - p, q)
+        num, den = num * a - den, den * a
+    # den is q times the terms, so theta - num/den is over den too
+    total = Fraction(p * (den // q) - num, den)
     return GreedyPrefix(tuple(indices), total, tuple(denominators))

@@ -8,35 +8,16 @@ on which the adjacent pair (2n+3, 2n+4) strictly beats the greedy pick;
 outside every window greedy wins, and an odd first index always wins. The
 window's right edge is governed by the cutoff xi(n): the largest shift s
 such that a_{2n+3+s} * chi still fits under a_{2n+2} * a_{2n+3} * a_{2n+4}.
-
 Window n sits strictly inside the band (1/a_{2n+2}, 1/a_{2n+1}) of targets
-whose greedy first index is exactly 2n+2, so classification needs only one
-membership test; windows never touch and march strictly downward.
+whose greedy first index is exactly 2n+2, so windows never touch and march
+strictly downward.
 
-Inside window n the greedy second index is always g2 = 2n+4+xi(n). The left
-end equals 1/a_{2n+2} + chi/bound, where bound = a_{2n+2}a_{2n+3}a_{2n+4},
-so inside the window the remainder theta - 1/a_{2n+2} lies in
-(chi/bound, 1/a_{2n+3+xi(n)}], and 2n+4+xi(n) is the first index whose
-reciprocal fits under it. Conversely, above the left end, a_g2 * chi > bound
-holds exactly when g2 >= 2n+4+xi(n), that is when theta is at most the right
-end. ``classify`` therefore reads the window off the greedy pick and runs no
-cutoff search of its own.
-
-``xi`` and ``bad_interval`` find the cutoff with integers only. For every
-seed there is one integer offset t*, the smallest t with 5*chi*phi^t > A^2
-for A = (a1 - a0) + a0*phi, and the cutoff index is 3(2n+3) + t*, that is
-xi(n) = 4n + 5 + t*: the paper's 4n+4 for fibonacci (t* = -1) and 4n+6 for
-lucas (t* = 1). An integer certificate in the window's own terms proves it;
-once it holds in one window it holds in every later one, so each seed has a
-first certified window n0 (``_offset`` finds t* and n0 once per seed: n0 is
-1 for fibonacci, 0 for lucas and k - 3 for the seeds (F(k), F(k+1))). From
-n0 on, ``_cutoff`` places the cutoff by that formula alone, with neither the
-bound nor any term past a_{2n+3} formed; below n0 one predict-then-certify
-index search runs against the formed bound. The cutoff also has an
-equivalent definition through Fibonacci factors, the largest s with a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi;
-``verification.xi_literal`` evaluates that form against the integer
-bound // chi, by a plain walk up from s = 0, and serves as an independent
-reference for ``xi``.
+``classify`` reads the window off the greedy pick and runs no cutoff search
+of its own; its docstring proves that this suffices. ``xi`` and
+``bad_interval`` place the cutoff with integers only, through ``_cutoff``:
+by one per-seed offset from the seed's first certified window on (proof at
+``_offset``), and by an index search below it. ``verification.xi_literal``
+evaluates the cutoff's Fibonacci-factor form as an independent reference.
 """
 
 from __future__ import annotations
@@ -95,7 +76,9 @@ def _positive(x: int, y: int) -> bool:
 @lru_cache(maxsize=8)
 def _offset(params: SequenceParams) -> tuple[int, int]:
     """(t*, n0) for the seeds: the cutoff index is 3(2n+3) + t*, that is
-    xi(n) = 4n + 5 + t*, in every window n >= n0.
+    xi(n) = 4n + 5 + t*, in every window n >= n0. That is the paper's 4n+4
+    for fibonacci (t* = -1, n0 = 1) and 4n+6 for lucas (t* = 1, n0 = 0);
+    the seeds (F(k), F(k+1)), odd k >= 3, have n0 = k - 3.
 
     With j = 2n+3, A = (a1 - a0) + a0*phi and A^3 = P + Q*phi, the terms
     satisfy a_{3j+t} = A*phi^t*F(3j) + a_t*psi^(3j), and bound = a_j^3 +
@@ -186,14 +169,9 @@ def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int]:
 
 
 def xi(params: SequenceParams, n: int) -> XiResult:
-    """Cutoff xi(n): largest s with a_{2n+3+s} * chi <= the product bound.
-
-    Found with integers only (``_cutoff``): as 4n + 5 + t* from the seeds'
-    offset in every window from their first certified one, n0, on; below
-    n0 by one index search that predicts the cutoff from bit lengths and
-    certifies it exactly. The bound is part of the result, so it is formed
-    here.
-    """
+    """Cutoff xi(n): largest s with a_{2n+3+s} * chi <= the product bound,
+    placed by ``_cutoff``. The bound is part of the result, so it is formed
+    here."""
     a2, a3, s = _cutoff(params, n)
     return XiResult(n=n, xi=s, bound=a2 * a3 * (a2 + a3), chi=params.chi)
 
@@ -262,26 +240,30 @@ def classify(params: SequenceParams, theta) -> Classification:
     When beaten, the winning competitor is the adjacent pair (2m+3, 2m+4),
     whose value is the window's left endpoint.
 
-    The window's terms come from the greedy search: (a_{2m+2}, a_{2m+3}) are
-    (a_g1, a_{g1+1}), and theta = p/q is inside exactly when it is above the
-    left end 1/a2 + chi/bound, (p*a2 - q)*a3*a4 > chi*q, and g2 is the
-    cutoff index 2m+4+xi(m), a_g2 * chi > a2*a3*a4 (see the module
-    docstring). Past _NEAR_TIE_BITS in a2 both tests go through
-    ``sequences._exceeds``: inside a window, theta - 1/a2 lies between
-    chi/bound and 1/a_{2m+3+xi(m)}, less than twice chi/bound, which leading
-    bits decide. The witness follows from the same terms: xi(m) = g2 -
-    (2m+4) and a_{2m+3+xi(m)} = a_{g2+1} - a_g2. No cutoff or index search
-    runs beyond the greedy pick's own, and the window's exact endpoints are
-    built only when it covers theta.
+    Inside window m the greedy second index is always g2 = 2m+4+xi(m). With
+    (a2, a3, a4) = (a_{2m+2}, a_{2m+3}, a_{2m+4}), the left end equals
+    1/a2 + chi/bound for bound = a2*a3*a4, so inside the window the remainder
+    theta - 1/a2 lies in (chi/bound, 1/a_{2m+3+xi(m)}], and 2m+4+xi(m) is
+    the first index whose reciprocal fits under it. Conversely, above the
+    left end, a_g2 * chi > bound holds exactly when g2 >= 2m+4+xi(m), that
+    is when theta is at most the right end. So theta = p/q is inside exactly
+    when (p*a2 - q)*a3*a4 > chi*q and a_g2 * chi > a2*a3*a4, where
+    (a2, a3) are the greedy search's (a_g1, a_{g1+1}). Past _NEAR_TIE_BITS in
+    a2 both tests go through ``sequences._exceeds``: inside a window,
+    theta - 1/a2 lies between chi/bound and 1/a_{2m+3+xi(m)}, less than
+    twice chi/bound, which leading bits decide. The witness follows from the
+    same terms: xi(m) = g2 - (2m+4) and a_{2m+3+xi(m)} = a_{g2+1} - a_g2. No
+    cutoff or index search runs beyond the greedy pick's own, and the
+    window's exact endpoints are built only when it covers theta.
     """
-    t = _require_theta(theta)
+    t, p, q = _require_theta(theta)
     gr = greedy_two_term(params, t)
     witness: BadInterval | None = None
     if gr.g1 % 2 == 0:
         m = gr.g1 // 2 - 1
         a2, a3, c, d = _terms_of(params, gr)
         a4 = a2 + a3
-        p, q, chi = t.numerator, t.denominator, params.chi
+        chi = params.chi
         if a2.bit_length() <= _NEAR_TIE_BITS:
             inside = (p * a2 - q) * a3 * a4 > chi * q and c * chi > a2 * a3 * a4
         else:

@@ -5,22 +5,11 @@ to lowest terms at construction, denominator always positive. Fractions
 appear only at the edges of a computation: parsing yields the target, and
 each returned value is one reduced Fraction; in between, the greedy search,
 the window test and the oracle compare unreduced integer cross-products.
-Small ones are multiplied out; past ``sequences._NEAR_TIE_BITS`` a
-comparison is decided from the factors' bit lengths and leading bits, and
-exact work is done only on a near-tie.
 Every returned value of the form 1/a_i + 1/a_j is built by
-``_reciprocal_sum``: small terms by one ``Fraction`` reduction, larger ones
-from G = gcd(a_i, a_j) with no second normalisation. G is g*gcd(a_i/g,
-F(j - i)) for g = gcd(a0, a1), and for j = 3i + c past j = 7i/3 it is
-gcd(a_i, |N_c|/g), where N_c = F(c)e^2 - 2F(c-1)e*a0 + F(c-2)a0^2 and
-e = a1 - a0, since a0^2*F(j-i) = F(i)^2*N_c and e^2*F(j-i) = F(i+1)^2*N_c
-modulo a_i (proof at ``_reciprocal_sum``). That small modulus reduces a
-window's right end, j = 3i + 2 + t*, with no big gcd. Where N_c = 0, a_i
-divides a_j and the seeds are g*(F(s), F(s+1)) or g*(L(s), L(s+1)) with
-c = 2s, so a_j/a_i is a quadratic in a_i/g: one squaring, and no division.
-No float ever enters a computation; the only decimal output is the
-explicitly approximate display helper below, which rounds every value to six
-figures in one fixed decimal context.
+``_reciprocal_sum``, whose docstring proves the routes by which it reduces
+large terms. No float ever enters a computation; the only decimal output is
+the explicitly approximate display helper below, which rounds every value to
+six figures in one fixed decimal context.
 """
 
 from __future__ import annotations
@@ -53,25 +42,17 @@ _DISPLAY = Context(
 # Above this many bits in the numerator or the denominator, approx_decimal
 # shortens the operands in integers before the context rounds; below it one
 # Decimal division of the integers is cheaper on the small values most
-# displays show. Each path forced on 200 random p < q per size, integers over
-# division time, each run the best of two alternating rounds (Python 3.11.7):
-# 1.06-1.14 at 360 bits (6 runs), 1.02-1.15 at 370 (8), 1.02-1.32 at 380
-# (14); from 390 some runs go the other way (3 of 8 there, 1 of 20 at 400),
-# 0.93-1.14 at 440, 0.88-0.93 at 520 and 0.78-0.80 at 560 (6 runs each). The
-# cut-off is the largest size at which every run found the division cheaper;
-# near it the two paths are within a few per cent either way.
+# displays show. It is the largest size at which every timed run found the
+# division cheaper: integers over division 1.02-1.32 at 380 bits, 0.88-0.93
+# at 520 (each path forced, 200 random p < q per size, Python 3.11.7).
 _INTEGER_ROUNDING_BITS = 380
 
 # Up to this many bits in the larger term, _reciprocal_sum reduces
 # (x + y)/(x*y) by one Fraction normalisation; above it, from G. Gap forms
-# over the product form, median of nine time ratios on fibonacci, lucas and
-# custom:4,5 terms, two runs (Python 3.11.7), at 400, 600 and 1000 bits:
-# adjacent terms 1.06-1.11, 0.91-1.00 and 0.77-0.82; gap 4 1.00-1.16,
-# 0.88-1.05 and 0.75-0.84; a window's right end (small modulus) 0.89-1.07,
-# 0.78-0.96 and 0.66-0.73. Other shapes cross later: j = 2i + 1 (index gap)
-# 1.02-1.51 at 600 bits, 0.96-1.40 at 800 and 0.87-1.28 at 1000; j = 4i
-# (small modulus) 1.10-1.18, 0.92-1.06 and 0.84-0.94. So the cut-off stays
-# at 1000 bits, where every shape measured but j = 2i + 1 is at most even.
+# over the product form, medians of nine (Python 3.11.7), at 600 and 1000
+# bits: adjacent terms 0.91-1.00 and 0.77-0.82, a window's right end
+# 0.78-0.96 and 0.66-0.73, j = 2i + 1 0.96-1.40 and 0.87-1.28. The cut-off
+# sits where every shape measured but j = 2i + 1 is at most even.
 _PRODUCT_FORM_BITS = 1000
 
 # Fraction(n, d) for coprime n and d > 0, skipping the gcd that a Fraction

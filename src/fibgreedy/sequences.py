@@ -44,24 +44,23 @@ def _fibs_below(limit: int) -> tuple[int, ...]:
 
 
 # F(0)..F(93), every Fibonacci number below 2^64: the base case of
-# _fib_pair. At these sizes a doubling level's cost is the interpreter's
-# call and tuple overhead, not arithmetic: a lookup at n = 64 costs about
-# 0.1 us against 1.9 us for the recursion down to n = 0, and a larger n
-# loses its six or seven lowest levels (Python 3.11.7). The bound keeps the
-# table to 94 integers of at most 64 bits (3.6 KB); each doubling of its
-# length would cut only one more level. Fixed in size, and read by nothing
-# but _fib_pair.
+# _fib_pair. At these sizes a doubling level costs call and tuple overhead,
+# not arithmetic: a lookup at n = 64 takes about 0.1 us against 1.9 us for
+# the recursion down to n = 0 (Python 3.11.7). 94 integers, 3.6 KB; each
+# doubling of the table would cut only one more level.
 _SMALL_FIBS = _fibs_below(1 << 64)
 _SMALL_TOP = len(_SMALL_FIBS) - 1  # pairs (F(n), F(n+1)) for n < 93 are lookups
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
-    # fast doubling: (F(n), F(n+1)) for n >= 0, two squarings per level,
-    # recursing down to n < _SMALL_TOP and its two table lookups.
-    # With a, b = F(k), F(k+1) and k = n >> 1:
-    #   F(2k+1) = a^2 + b^2,  F(2k+3) = 4b^2 - a^2 + 2(-1)^(k+1),
-    # so F(2k+2) = F(2k+3) - F(2k+1) = 3b^2 - 2a^2 + 2(-1)^(k+1) and
-    # F(2k) = F(2k+2) - F(2k+1) = 2b^2 - 3a^2 + 2(-1)^(k+1).
+    """(F(n), F(n+1)) for n >= 0 by fast doubling, two squarings per level,
+    recursing down to n < _SMALL_TOP and its two table lookups.
+
+    With a, b = F(k), F(k+1) and k = n >> 1: F(2k+1) = a^2 + b^2 and
+    F(2k+3) = 4b^2 - a^2 + 2(-1)^(k+1), so F(2k+2) = F(2k+3) - F(2k+1) =
+    3b^2 - 2a^2 + 2(-1)^(k+1) and F(2k) = F(2k+2) - F(2k+1) =
+    2b^2 - 3a^2 + 2(-1)^(k+1).
+    """
     if n < _SMALL_TOP:
         return _SMALL_FIBS[n], _SMALL_FIBS[n + 1]
     a, b = _fib_pair(n >> 1)
@@ -89,12 +88,16 @@ def fib(n: int) -> int:
 class SequenceParams(namedtuple("SequenceParams", "a0 a1")):
     """Validated seeds of one Fibonacci-type sequence.
 
-    Construction rejects seeds violating any condition, naming the failed one.
+    Construction rejects seeds violating any condition, naming the failed one,
+    and a seed that is not an int with TypeError.
     """
 
     __slots__ = ()
 
     def __new__(cls, a0: int, a1: int) -> SequenceParams:
+        for name, seed in (("a0", a0), ("a1", a1)):
+            if not isinstance(seed, int):
+                raise TypeError(f"{name} must be an int, not {type(seed).__name__}")
         self = super().__new__(cls, a0, a1)
         if a0 <= 0:
             raise SequenceValidationError(f"a0 must be positive, got {a0}")
@@ -150,34 +153,21 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
 
 
 # Above this many bits, comparisons go through _exceeds instead of forming
-# the products: in index_below, in both num and q*r/num, or in r (the term a
-# of the remainder p/q - 1/a that greedy_two_term and oracle_best pass as
-# (q, a)); in the oracle's a_g2, whose candidate test takes the leading bits
-# alone (oracle._beats); and in the classifier's a_g1.
-# classify + oracle_best over six targets k/10^d and a window's two ends and
-# midpoint at each size, every path forced, best of seven (Python 3.11.7;
-# fibonacci, lucas, custom:4,5): factored over plain 1.11-1.14 at 1000 bits,
-# 0.79-1.04 at 1250, 0.85-1.62 at 1500, 0.72-0.83 at 1750 and 0.71-0.90 at
-# 2000. One comparison of two random factors a side that leading bits
-# decide: 2.7 against 1.9 us at 1000 bits, 10 against 3.2 at 2000, 1036
+# the products: in index_below (its docstring says which), in the oracle's
+# a_g2 and in the classifier's a_g1. classify + oracle_best with every path
+# forced, factored over plain (Python 3.11.7): 1.11-1.14 at 1000 bits,
+# 0.72-0.83 at 1750 and 0.71-0.90 at 2000. One comparison that leading bits
+# decide takes 2.7 us plain against 1.9 factored at 1000 bits, and 1036
 # against 1.8 at 33 000. The cut-off sits past the crossover, near
-# Karatsuba's; small targets (under 200 bits) stay on the plain products.
-# The window cutoff (optimality._cutoff) does not switch on it: it takes the
-# seeds' offset from their first certified window n0 on, and the index search
-# it runs below n0 chooses its comparisons as above. A factored
-# cutoff search, the bound kept as three factors for _exceeds, was measured
-# and dropped (CHANGES.md has its figures).
+# Karatsuba's; small targets stay on the plain products.
 _NEAR_TIE_BITS = 2000
 
 # Up to this index jump k, index_below steps to a_{s+k} from the pair
 # (a_s, a_{s+1}) it holds instead of evaluating a_{s+k} afresh. Step over
-# fast-doubling time, best of nine (Python 3.11.7; fibonacci, custom:4,5,
-# custom:89,144): at k = 512, 0.69-0.96 for s = 600 to 3000; at k = 768,
-# 0.92-1.13; for s <= 400 and s <= k <= 512, 0.43-0.98. The crossover grows
-# with s, but slower: k near 600 at s = 1000, 800 at 3000, 1550 at 10 000,
-# 3250 at 48 000 and 11 000 at 150 000, so a jump of k = s loses 2x at large
-# s, and the cut-off sits where no size measured loses. A jump of a few
-# indices costs 0.01-0.02 of the doubling at s = 48 000-150 000.
+# fast-doubling time (Python 3.11.7): 0.69-0.96 at k = 512 for s = 600 to
+# 3000, 0.92-1.13 at k = 768. The crossover grows with s, from k near 600 at
+# s = 1000 to 11 000 at s = 150 000, so the cut-off sits where no size
+# measured loses.
 _STEP_JUMP = 512
 
 

@@ -9,7 +9,8 @@ many failed, and the first counterexample in a human-readable form. The CLI's
 ``verify`` subcommand runs them all; the test suite reuses them at the
 acceptance bounds. The double-index identities and the linear-form
 equivalence run over fixed ranges; max_n drives the single-index sweeps and
-grid_denominator the target sweep.
+grid_denominator the target sweep, by default DEFAULT_MAX_N and DEFAULT_GRID,
+which ``verify`` also takes as its defaults.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .oracle import OracleReport, oracle_best
 from .sequences import SequenceParams, SequencePreset, fib, seq_pair, seq_term, seq_terms
 
 __all__ = [
+    "DEFAULT_MAX_N",
+    "DEFAULT_GRID",
     "SuiteResult",
     "xi_literal",
     "growth_suite",
@@ -38,6 +41,9 @@ __all__ = [
     "disagreement",
     "run_all",
 ]
+
+DEFAULT_MAX_N = 300
+DEFAULT_GRID = 1000
 
 
 class SuiteResult:
@@ -64,7 +70,7 @@ class SuiteResult:
                 self.first_counterexample = detail()
 
 
-def growth_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
+def growth_suite(preset: SequencePreset, max_n: int = DEFAULT_MAX_N) -> SuiteResult:
     """Strict growth a_{n+1} > a_n and a_{n+2} > 2*a_n for n >= 1."""
     p = preset.params
     a = seq_terms(p, max_n + 2)
@@ -105,7 +111,7 @@ def shift_identity_suite(preset: SequencePreset) -> SuiteResult:
     return t
 
 
-def cassini_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
+def cassini_suite(preset: SequencePreset, max_n: int = DEFAULT_MAX_N) -> SuiteResult:
     """a_n*a_{n+3} - a_{n+1}*a_{n+2} == (-1)^n * chi for n <= max_n."""
     p = preset.params
     a = seq_terms(p, max_n + 3)
@@ -131,7 +137,7 @@ def fib_addition_suite() -> SuiteResult:
     return t
 
 
-def positivity_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
+def positivity_suite(preset: SequencePreset, max_n: int = DEFAULT_MAX_N) -> SuiteResult:
     """Three strict reciprocal inequalities, checked as exact rationals:
     1/a_{2n+1} - 1/a_{2n+2} - 1/a_{2n+3} > 0,
     1/a_{2n+3} + 1/a_{2n+4} - 1/a_{2n+2} > 0,
@@ -178,13 +184,13 @@ def xi_literal(params: SequenceParams, n: int) -> int:
     return s
 
 
-def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
+def xi_suite(preset: SequencePreset, max_n: int = DEFAULT_MAX_N) -> SuiteResult:
     """Cutoff well-definedness, both characterizations, and path agreement.
 
     For each n: xi >= 0 with chi <= a_{2n+2}*a_{2n+4}; the reciprocal form
     1/a_{2n+3+xi} >= chi/bound > 1/a_{2n+4+xi} holds exactly; and the literal
-    Fibonacci-factor path returns the same cutoff as ``xi``, which takes it
-    from the seeds' offset where certified and from an index search where not.
+    Fibonacci-factor path returns the same cutoff as ``xi``, on both sides of
+    the seeds' first certified window.
     """
     p = preset.params
     a = seq_terms(p, 2 * max_n + 4)
@@ -209,7 +215,7 @@ def xi_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     return t
 
 
-def endpoint_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
+def endpoint_suite(preset: SequencePreset, max_n: int = DEFAULT_MAX_N) -> SuiteResult:
     """Window geometry: left <= right; window n strictly inside the band
     (1/a_{2n+2}, 1/a_{2n+1}); consecutive windows strictly separated."""
     p = preset.params
@@ -235,7 +241,7 @@ def endpoint_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
     return t
 
 
-def closed_form_suite(preset: SequencePreset, max_n: int = 300) -> SuiteResult:
+def closed_form_suite(preset: SequencePreset, max_n: int = DEFAULT_MAX_N) -> SuiteResult:
     """Preset cutoffs match their closed forms (4n+4 / 4n+6)."""
     t = SuiteResult("closed_form")
     for n in range(0, max_n + 1):
@@ -280,7 +286,7 @@ def disagreement(
     return None
 
 
-def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = 1000) -> SuiteResult:
+def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = DEFAULT_GRID) -> SuiteResult:
     """Classifier versus oracle, one ``disagreement`` check per target: theta =
     k/grid_denominator, then both ends of each window whose left end is above
     1/grid_denominator, which no grid point need land on."""
@@ -300,7 +306,7 @@ def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = 1000)
 
 
 def run_all(
-    preset: SequencePreset, max_n: int = 300, grid_denominator: int = 1000
+    preset: SequencePreset, max_n: int = DEFAULT_MAX_N, grid_denominator: int = DEFAULT_GRID
 ) -> list[SuiteResult]:
     """Every suite at the given bounds, and the closed-form sweep where one exists."""
     results = [

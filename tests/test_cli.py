@@ -1,6 +1,7 @@
 """Command line behavior: output formats, exit codes, error reporting."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -13,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import fibgreedy
-from fibgreedy import format_rational, parse_rational, parse_sequence_spec, run_all
-from fibgreedy.cli import main
+from fibgreedy import format_rational, parse_rational, parse_sequence_spec, run_all, verification
+from fibgreedy.cli import _build_parser, main
 
 # stdout, stderr and exit code of a small matrix of calls: three sequences in
 # each format through every subcommand, plus the bad-input cases below, and
@@ -291,6 +292,27 @@ class TestVerify:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(r["status"] == "PASS" for r in rows)
         assert all(r["failures"] == "0" for r in rows)
+
+    def test_bounds_are_declared_once(self):
+        # every suite, run_all and the command line take verify's two bounds
+        # from verification's constants
+        max_n, grid = verification.DEFAULT_MAX_N, verification.DEFAULT_GRID
+        functions = [getattr(verification, name) for name in verification.__all__]
+        defaults = {
+            (function.__name__, parameter.name): parameter.default
+            for function in functions
+            if inspect.isfunction(function)
+            for parameter in inspect.signature(function).parameters.values()
+            if parameter.default is not inspect.Parameter.empty
+        }
+        suites = ["growth_suite", "cassini_suite", "positivity_suite", "xi_suite",
+                  "endpoint_suite", "closed_form_suite", "run_all"]
+        want = {(name, "max_n"): max_n for name in suites}
+        want["grid_equivalence_suite", "grid_denominator"] = grid
+        want["run_all", "grid_denominator"] = grid
+        assert defaults == want
+        args = _build_parser().parse_args(["verify"])
+        assert (args.max_n, args.grid) == (max_n, grid)
 
     def test_rejects_zero_bound(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-n", "0")

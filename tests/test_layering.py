@@ -5,7 +5,8 @@ command line's import stays light: no module on its path pulls in
 the output format that needs them. The computing modules import one another
 only downward through fixed layers, so the classifier and the search are
 siblings. Only the modules that compare big products read the near-tie
-switch. The package exports a fixed set of names."""
+switch, and only ``_require_theta`` reads a target's numerator and
+denominator. The package exports a fixed set of names."""
 
 import ast
 import subprocess
@@ -71,6 +72,31 @@ def test_near_tie_switch_readers():
     # only other forks at the switch
     readers = {path.stem for path in PACKAGE.glob("*.py") if _reads(path, "_NEAR_TIE_BITS")}
     assert readers == {"sequences", "oracle", "optimality"}
+
+
+def _readers_of(path, attrs):
+    # names of the functions that read any of attrs; None for module level
+    readers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in attrs:
+                readers.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return readers
+
+
+def test_target_integers_have_one_reader():
+    # _require_theta hands every entry point (theta, p, q); no other code in
+    # the greedy, search or classifier modules takes a target apart
+    modules = ("greedy", "oracle", "optimality")
+    readers = {m: _readers_of(PACKAGE / f"{m}.py", {"numerator", "denominator"}) for m in modules}
+    assert readers == {"greedy": {"_require_theta"}, "oracle": set(), "optimality": set()}
 
 
 def test_cli_import_skips_heavy_modules():

@@ -120,7 +120,24 @@ class TestParams:
         # _replace builds through the constructor, so it validates too
         with pytest.raises(SequenceValidationError, match="chi must be positive"):
             FIBONACCI.params._replace(a1=2)
+        with pytest.raises(TypeError, match="a1 must be an int, not float"):
+            FIBONACCI.params._replace(a1=1.0)
         assert LUCAS.params._replace(a0=4) == SequenceParams(4, 4)
+
+    @pytest.mark.parametrize(
+        "a0, a1, message",
+        [
+            (1.5, 2, "a0 must be an int, not float"),
+            (1.0, 1, "a0 must be an int, not float"),
+            (Fraction(3, 2), 2, "a0 must be an int, not Fraction"),
+            (1, 1.0, "a1 must be an int, not float"),
+        ],
+    )
+    def test_rejects_non_integer_seeds(self, a0, a1, message):
+        # such seeds pass every value condition and would fail later, deep in
+        # the term arithmetic
+        with pytest.raises(TypeError, match=message):
+            SequenceParams(a0, a1)
 
 
 def _records():
