@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import TermLimitError, ThetaDomainError
 from .rationals import _reciprocal_sum
-from .sequences import SequenceParams, index_below, seq_pair
+from .sequences import SequenceParams, _require_int, index_below, seq_pair
 
 __all__ = [
     "GreedyResult",
@@ -108,6 +108,7 @@ def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
     once, from the last remainder.
     """
     _, p, q = _require_theta(theta)
+    _require_int("term count", k, nonnegative=False)
     if k < 1:
         raise ValueError(f"term count must be at least 1, got {k}")
     if k > DEFAULT_TERM_LIMIT:

@@ -12,12 +12,14 @@ Window n sits strictly inside the band (1/a_{2n+2}, 1/a_{2n+1}) of targets
 whose greedy first index is exactly 2n+2, so windows never touch and march
 strictly downward.
 
-``classify`` reads the window off the greedy pick and runs no cutoff search
-of its own; its docstring proves that this suffices. ``xi`` and
+``classify`` reads the window off the greedy pick and places no cutoff of
+its own; its docstring proves that this suffices. ``xi`` and
 ``bad_interval`` place the cutoff with integers only, through ``_cutoff``:
-by one per-seed offset from the seed's first certified window on (proof at
-``_offset``), and by an index search below it. ``verification.xi_literal``
-evaluates the cutoff's Fibonacci-factor form as an independent reference.
+xi(n) = 4n + 5 + t* + delta(n) for one per-seed offset t*, where delta(n)
+is 0 from the seed's first certified window on (proof at ``_offset``) and
+0 or 1 below it, decided by one comparison (proof at ``_cutoff``).
+``verification.xi_literal`` evaluates the cutoff's Fibonacci-factor form as
+an independent reference.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import SelfCheckError
 from .greedy import TwoTermSum, _require_theta, _terms_of, greedy_two_term
 from .rationals import _reciprocal_sum, approx_decimal, format_rational
 from .sequences import (
@@ -35,8 +36,9 @@ from .sequences import (
     SequencePreset,
     _exceeds,
     _fib_pair,
-    index_below,
+    _require_int,
     seq_pair,
+    seq_term,
 )
 
 __all__ = [
@@ -110,7 +112,8 @@ def _offset(params: SequenceParams) -> tuple[int, int]:
     every later window, and it holds in some window, since N(E) != 0. n0 is
     the first such window, found by doubling and then bisection, each step
     one ``_fib_pair(2n+2)``: about 2*bits(n0) steps. Below n0, ``_cutoff``
-    runs the index search instead.
+    settles the cutoff index between 3j + t* and 3j + t* + 1 by one
+    comparison.
     """
     a0, a1 = params
     chi = params.chi
@@ -146,26 +149,53 @@ def _offset(params: SequenceParams) -> tuple[int, int]:
 def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int]:
     """(a_{2n+2}, a_{2n+3}, xi(n)) for window index n >= 0.
 
-    xi(n) is the smallest s >= 0 with a_{2n+4+s} * chi > bound, for bound =
-    a_{2n+2} * a_{2n+3} * a_{2n+4}. From the seeds' first certified window n0
-    on it is 4n + 5 + t* (``_offset``), found with neither the bound nor any
-    term past a_{2n+3} formed. Below n0 (the first few windows, more of them
-    for seeds near phi), one index search from 2n+4 finds it against the
-    formed bound.
+    xi(n) is the smallest s >= 0 with chi * a_{2n+4+s} > bound, for bound =
+    a_{2n+2} * a_{2n+3} * a_{2n+4}: the first index k with chi * a_k > bound
+    is 2n+4 + xi(n). With j = 2n+3 and t* from ``_offset``, k = 3j + t* +
+    delta(n), that is xi(n) = 4n + 5 + t* + delta(n), with delta(n) = 0 from
+    the first certified window n0 on (``_offset``), found with neither the
+    bound nor any term past a_{2n+3} formed. Below n0, delta(n) is 1 exactly
+    when chi * a_{3j+t*} <= bound: one term, one product, one comparison.
+
+    Proof that delta(n) is 0 or 1 for every n >= 0. Write A = (a1 - a0) +
+    a0*phi = a1 + a0/phi and its conjugate Abar = (a1 - a0) + a0*psi =
+    a1 - a0*phi, so that sqrt(5)*a_k = A*phi^k - Abar*psi^k and A*Abar =
+    -chi. chi > 0 puts a1/a0 below phi, so -a0/phi <= Abar < 0, and with
+    a0 <= a1: A > a1 >= a0, chi = a0^2 - a1*(a1 - a0) <= a0^2 < A^2 and
+    Abar^2 <= a0^2/phi^2. Cubing sqrt(5)*a_j with phi^j*psi^j = -1 (j is
+    odd) and using bound = a_j^3 + chi*a_j, the identity of ``_offset``
+    reads, with E_t = 5*chi*phi^t - A^2 and its conjugate Ebar_t =
+    5*chi*psi^t - Abar^2,
+
+        5*sqrt(5)*(chi*a_{3j+t} - bound)
+            = A*E_t*phi^(3j) - Abar*Ebar_t*psi^(3j) - 2*sqrt(5)*chi*a_j.
+
+    The psi term is at most (chi/A)*|Ebar_t|*phi^(-3j) in size, and
+    |Ebar_t| <= 5*chi*phi^(-t) + Abar^2. Also j >= 3, so phi^(-3j) <=
+    phi^(-9) < 1/76, and a_j >= a_3 = a0 + 2*a1 > 2*a1.
+
+    At t = t* - 1, E_t < 0, so the first term is negative. t* >= -1 gives
+    phi^(-t) <= phi^2, so |Ebar_t| <= (5*phi^2 + phi^(-2))*a0^2 < 14*a0^2,
+    and the psi term is below (chi/A)*a0^2/5 < chi*a_j, far under
+    2*sqrt(5)*chi*a_j. So chi*a_{3j+t*-1} < bound, and as terms increase,
+    k >= 3j + t*; 3j + t* - 1 >= 6n + 7 >= 2n + 4, so 4n + 5 + t* >= 0.
+
+    At t = t* + 1, E_t = phi*(E_t* + A^2) - A^2 > A^2/phi, so the first term
+    exceeds A^3*phi^(3j-1). Since j is odd, Abar*psi^j > 0 and sqrt(5)*a_j <
+    A*phi^j, so 2*sqrt(5)*chi*a_j < 2*chi*A*phi^j < A^3*phi^(3j-1)*2/phi^5,
+    from chi < A^2 and 2j - 1 >= 5; 2/phi^5 < 0.19. t >= 0 gives |Ebar_t| <=
+    5*chi + Abar^2 < 6*a0^2, so the psi term is below (chi/A)*6*a0^2/76 <
+    A^3/12 < A^3*phi^(3j-1)/500. The two together stay under the first term,
+    so chi*a_{3j+t*+1} > bound: k <= 3j + t* + 1.
     """
-    if n < 0:
-        raise ValueError(f"window index must be nonnegative, got {n}")
+    _require_int("window index", n)
     m = 2 * n + 2
     a2, a3 = seq_pair(params, m)
     t, n0 = _offset(params)
-    if n >= n0:
-        return a2, a3, 4 * n + 5 + t
-    a4, chi = a2 + a3, params.chi
-    bound = a2 * a3 * a4
-    if a3 * chi > bound:
-        # equivalent to chi > a_{2n+2}*a_{2n+4}, impossible for valid seeds
-        raise SelfCheckError(f"cutoff undefined at n={n} for {params}")
-    return a2, a3, index_below(params, chi, bound, 1, m + 2, a4, a3 + a4)[0] - (m + 2)
+    s = 4 * n + 5 + t
+    if n < n0 and params.chi * seq_term(params, m + 2 + s) <= a2 * a3 * (a2 + a3):
+        s += 1
+    return a2, a3, s
 
 
 def xi(params: SequenceParams, n: int) -> XiResult:
@@ -179,8 +209,7 @@ def xi(params: SequenceParams, n: int) -> XiResult:
 def xi_closed_form(preset: SequencePreset, n: int) -> int | None:
     """Closed-form cutoff: 4n+4 for fibonacci, 4n+6 for lucas, None for every
     other sequence. The one place that knows which sequences have one."""
-    if n < 0:
-        raise ValueError(f"window index must be nonnegative, got {n}")
+    _require_int("window index", n)
     if preset.name == "fibonacci":
         return 4 * n + 4
     if preset.name == "lucas":

@@ -71,6 +71,16 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return 2 * b - 3 * a + sign, a + b
 
 
+def _require_int(name: str, value, nonnegative: bool = True) -> None:
+    """The one rule for integer arguments: TypeError naming the argument and
+    its type unless value is an int (a bool is refused), and ValueError for a
+    negative value where nonnegative."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if nonnegative and value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def fib(n: int) -> int:
     """Fibonacci number F(n) for any integer n, exactly.
 
@@ -89,15 +99,14 @@ class SequenceParams(namedtuple("SequenceParams", "a0 a1")):
     """Validated seeds of one Fibonacci-type sequence.
 
     Construction rejects seeds violating any condition, naming the failed one,
-    and a seed that is not an int with TypeError.
+    and a seed that is not an int, or is a bool, with TypeError.
     """
 
     __slots__ = ()
 
     def __new__(cls, a0: int, a1: int) -> SequenceParams:
-        for name, seed in (("a0", a0), ("a1", a1)):
-            if not isinstance(seed, int):
-                raise TypeError(f"{name} must be an int, not {type(seed).__name__}")
+        _require_int("a0", a0, nonnegative=False)
+        _require_int("a1", a1, nonnegative=False)
         self = super().__new__(cls, a0, a1)
         if a0 <= 0:
             raise SequenceValidationError(f"a0 must be positive, got {a0}")
@@ -127,8 +136,7 @@ class SequenceParams(namedtuple("SequenceParams", "a0 a1")):
 def seq_pair(params: SequenceParams, n: int) -> tuple[int, int]:
     """(a_n, a_{n+1}) from one ``_fib_pair`` call: two table lookups for
     n < 93, else fast doubling down to the table; nothing is retained."""
-    if n < 0:
-        raise ValueError(f"sequence index must be nonnegative, got {n}")
+    _require_int("sequence index", n)
     f, g = _fib_pair(n)  # F(n), F(n+1); F(n-1) = F(n+1) - F(n)
     return params.a0 * (g - f) + params.a1 * f, params.a0 * f + params.a1 * g
 
@@ -144,8 +152,7 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
     Independent of the fast-doubling path of seq_term; the verification
     suites sweep identities over this list and compare it with seq_term.
     """
-    if upto < 0:
-        raise ValueError(f"sequence index must be nonnegative, got {upto}")
+    _require_int("sequence index", upto)
     terms = [params.a0, params.a1][: upto + 1]
     while len(terms) <= upto:
         terms.append(terms[-1] + terms[-2])
@@ -293,8 +300,7 @@ def seq_term_from_fibs(params: SequenceParams, n: int) -> int:
     Evaluates F(n-1) and F(n) separately, apart from seq_pair's single
     fast-doubling call; the tests compare both with the recurrence.
     """
-    if n < 0:
-        raise ValueError(f"sequence index must be nonnegative, got {n}")
+    _require_int("sequence index", n)
     return params.a0 * fib(n - 1) + params.a1 * fib(n)
 
 

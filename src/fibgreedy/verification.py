@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import SelfCheckError
 from .optimality import Classification, bad_interval, classify, xi, xi_closed_form
 from .oracle import OracleReport, oracle_best
-from .sequences import SequenceParams, SequencePreset, fib, seq_pair, seq_term, seq_terms
+from .sequences import SequenceParams, SequencePreset, _require_int, fib, seq_pair, seq_term, seq_terms
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -166,12 +166,11 @@ def xi_literal(params: SequenceParams, n: int) -> int:
     z_s = a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi, tested exactly as
     z_s <= bound // chi, which for positive integers is z_s*chi <= bound.
 
-    Kept deliberately independent of the integer index search: it walks s up
-    from 0 with no guess. z_s obeys the recurrence itself, from z_0 = a_{2n+3}
-    and z_1 = a_{2n+2} + a_{2n+3}, so one pair advances by additions alone.
+    Kept deliberately independent of ``_cutoff``: it walks s up from 0 with
+    no offset. z_s obeys the recurrence itself, from z_0 = a_{2n+3} and
+    z_1 = a_{2n+2} + a_{2n+3}, so one pair advances by additions alone.
     """
-    if n < 0:
-        raise ValueError(f"window index must be nonnegative, got {n}")
+    _require_int("window index", n)
     a2, a3 = seq_pair(params, 2 * n + 2)
     limit = a2 * a3 * (a2 + a3) // params.chi
     z, z1 = a3, a2 + a3  # z_s, z_{s+1} at s = 0
@@ -261,7 +260,7 @@ def disagreement(
     disagree, or None when they agree: dominance, strict membership, verdict
     equivalence, winner first index <= g1+1, and on a loss the exact adjacent
     winner whose value is the window's left endpoint, and a witness equal to
-    the window ``bad_interval`` finds by its own cutoff search."""
+    the window ``bad_interval`` builds from its own cutoff."""
     greedy_value = cls.greedy.value
     best = report.best
     if best.value < greedy_value:
@@ -286,13 +285,19 @@ def disagreement(
     return None
 
 
+def _require_grid(grid_denominator: int) -> None:
+    """The one owner of the grid rule: the target sweep applies it, and
+    ``run_all`` before its first suite."""
+    if grid_denominator < 2:
+        raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
+
+
 def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = DEFAULT_GRID) -> SuiteResult:
     """Classifier versus oracle, one ``disagreement`` check per target: theta =
     k/grid_denominator, then both ends of each window whose left end is above
     1/grid_denominator, which no grid point need land on."""
     p = preset.params
-    if grid_denominator < 2:
-        raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
+    _require_grid(grid_denominator)
     targets = [Fraction(k, grid_denominator) for k in range(1, grid_denominator + 1)]
     n = 0
     while (window := bad_interval(p, n)).left > targets[0]:
@@ -308,7 +313,9 @@ def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = DEFAU
 def run_all(
     preset: SequencePreset, max_n: int = DEFAULT_MAX_N, grid_denominator: int = DEFAULT_GRID
 ) -> list[SuiteResult]:
-    """Every suite at the given bounds, and the closed-form sweep where one exists."""
+    """Every suite at the given bounds, and the closed-form sweep where one
+    exists; a grid denominator below 2 is refused before any suite runs."""
+    _require_grid(grid_denominator)
     results = [
         growth_suite(preset, max_n),
         term_formula_suite(preset),

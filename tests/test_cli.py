@@ -319,10 +319,15 @@ class TestVerify:
         assert code == 2
         assert "at least 1" in err
 
-    def test_rejects_tiny_grid(self, capsys):
+    def test_rejects_tiny_grid(self, capsys, monkeypatch):
+        # verification owns the rule, and run_all applies it before its
+        # first suite: none runs
+        ran = []
+        monkeypatch.setattr(verification, "growth_suite", lambda *args: ran.append(args))
         code, _, err = run_cli(capsys, "verify", "--grid", "1")
         assert code == 2
         assert "at least 2" in err
+        assert ran == []
 
 
 class TestFlagPlacement:

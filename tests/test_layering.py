@@ -5,8 +5,9 @@ command line's import stays light: no module on its path pulls in
 the output format that needs them. The computing modules import one another
 only downward through fixed layers, so the classifier and the search are
 siblings. Only the modules that compare big products read the near-tie
-switch, and only ``_require_theta`` reads a target's numerator and
-denominator. The package exports a fixed set of names."""
+switch, only ``_require_theta`` reads a target's numerator and
+denominator, and the classifier's module runs no index search. The package
+exports a fixed set of names."""
 
 import ast
 import subprocess
@@ -72,6 +73,15 @@ def test_near_tie_switch_readers():
     # only other forks at the switch
     readers = {path.stem for path in PACKAGE.glob("*.py") if _reads(path, "_NEAR_TIE_BITS")}
     assert readers == {"sequences", "oracle", "optimality"}
+
+
+def test_optimality_runs_no_index_search():
+    # below the first certified window the cutoff is the offset or one more,
+    # settled by one comparison (proof at optimality._cutoff), so the module
+    # neither searches nor keeps a self-check for a search gone wrong
+    path = PACKAGE / "optimality.py"
+    assert not _reads(path, "index_below")
+    assert not _reads(path, "SelfCheckError")
 
 
 def _readers_of(path, attrs):

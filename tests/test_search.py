@@ -1,6 +1,7 @@
 """The predict-then-certify index search, the window cutoff from the seeds'
-offset and its index-search fallback, the terms the classifier and the
-search take from the greedy pick, and the absence of retained state."""
+offset and the one comparison below their first certified window, the terms
+the classifier and the search take from the greedy pick, and the absence of
+retained state."""
 
 import gc
 import tracemalloc
@@ -408,12 +409,14 @@ def test_xi_literal_counts_a_shift_at_the_floor():
     # at n = 0; a1 < 30 at n <= 60 gives none.
     #
     # An exact tie, chi*a_k == bound, is a different input, and only a
-    # fallback window can hold one: wherever _cutoff's certificate holds, it
-    # proves chi*a_{3j+t*-1} < bound < chi*a_{3j+t*} strictly, so no term
-    # times chi meets the bound. Every fallback window of every valid seed
-    # with a1 < 2000 (364 312 windows on 764 550 seeds, n <= 11) holds no
-    # tie, so flipping classify's a_g2*chi > bound to >= stays unkillable by
-    # any known input (test_index_below_skips_an_exact_reciprocal).
+    # window below the seeds' first certified window n0 can hold one: from
+    # n0 on, _offset's certificate proves chi*a_{3j+t*-1} < bound <
+    # chi*a_{3j+t*} strictly, so no term times chi meets the bound; below
+    # n0, _cutoff proves chi*a_{3j+t*-1} < bound < chi*a_{3j+t*+1}, so only
+    # chi*a_{3j+t*} could. Every window below n0 of every valid seed with
+    # a1 < 2000 (364 312 windows on 764 550 seeds, n <= 11) holds no tie, so
+    # flipping classify's a_g2*chi > bound to >= stays unkillable by any
+    # known input (test_index_below_skips_an_exact_reciprocal).
     params = SequenceParams(53, 56)
     a2, a3 = seq_pair(params, 2)
     bound = a2 * a3 * (a2 + a3)
@@ -446,23 +449,30 @@ def test_classify_and_oracle_evaluate_no_term_again(monkeypatch):
 
 def test_classify_searches_only_for_the_greedy_pick(monkeypatch):
     # classify reads its window off the greedy pick, so wherever the target
-    # lies it makes exactly greedy_two_term's two index searches: inside a
+    # lies it makes exactly greedy_two_term's two index searches and places
+    # no cutoff: neither _cutoff's terms nor its comparison below n0 (27/50
+    # lies in fibonacci's window 0, below n0 = 1) are evaluated. Inside a
     # window, just above one, and at an odd first index.
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return index_below(*args)
+    def counted(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
 
-    monkeypatch.setattr(greedy, "index_below", counted)
-    monkeypatch.setattr(optimality, "index_below", counted)
+        return call
+
+    monkeypatch.setattr(greedy, "index_below", counted("search", index_below))
+    monkeypatch.setattr(optimality, "seq_pair", counted("term", seq_pair))
+    monkeypatch.setattr(optimality, "seq_term", counted("term", sequences.seq_term))
     window = bad_interval(FIBONACCI.params, 30)
+    assert calls == ["term"] * 2  # the counters see bad_interval's terms
     targets = [Fraction(27, 50), Fraction(23, 42) + Fraction(1, 10**30), Fraction(1, 2)]
     targets += [(window.left + window.right) / 2, window.right + Fraction(1, 10**90)]
     for theta in targets:
         calls.clear()
         classify(FIBONACCI.params, theta)
-        assert len(calls) == 2
+        assert calls == ["search"] * 2
 
 
 def test_a_pick_built_elsewhere_gives_the_same_answers(monkeypatch):
@@ -596,15 +606,17 @@ def near_phi_seeds(top):
 FAR = (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5))
 
 
-def counted_searches(monkeypatch):
+def counted_comparisons(monkeypatch):
+    # _cutoff evaluates a term through optimality.seq_term only for its
+    # comparison below n0; bad_interval's own term goes through seq_pair
     calls = []
-    search = optimality.index_below
+    term = optimality.seq_term
 
     def counted(*args):
-        calls.append("search")
-        return search(*args)
+        calls.append("compare")
+        return term(*args)
 
-    monkeypatch.setattr(optimality, "index_below", counted)
+    monkeypatch.setattr(optimality, "seq_term", counted)
     return calls
 
 
@@ -702,19 +714,19 @@ def test_offset_is_kept_for_the_last_few_seeds():
 
 def test_cutoff_takes_the_offset_wherever_it_is_certified(monkeypatch):
     # Every seed with a1 < 30 at n = 0..60, and window 3000 on three seeds:
-    # xi and bad_interval equal the exact search, the index search runs
-    # (once in each) exactly where the certificate fails, and elsewhere the
-    # cutoff is xi(n) = 4n + 5 + t*.
+    # xi and bad_interval equal the exact search, the comparison below n0
+    # runs (once in each) exactly where the certificate fails, and elsewhere
+    # the cutoff is xi(n) = 4n + 5 + t*.
     offsets = {params: plain_offset(params) for params in SEEDS + list(FAR)}
     cases = [(params, n) for params in SEEDS for n in range(61)]
     cases += [(params, 3000) for params in FAR]
     expected_paths = [
-        [] if certified(params, offsets[params], n) else ["search"] * 2 for params, n in cases
+        [] if certified(params, offsets[params], n) else ["compare"] * 2 for params, n in cases
     ]
     fallbacks = [case for case, path in zip(cases, expected_paths) if path]
     assert 0 < len(fallbacks) < len(SEEDS) * 4
     assert max(n for _, n in fallbacks) == 3
-    calls = counted_searches(monkeypatch)
+    calls = counted_comparisons(monkeypatch)
     paths = []
     offset_wrong = []
     for (params, n), path in zip(cases, expected_paths):
@@ -730,9 +742,9 @@ def test_cutoff_takes_the_offset_wherever_it_is_certified(monkeypatch):
     assert mismatched_windows(cases) == []
 
 
-def test_cutoff_forced_to_search_gives_the_same_answers(monkeypatch):
-    # With n0 past every case the index search runs in each call and must
-    # give the same XiResult and BadInterval
+def test_cutoff_forced_below_n0_gives_the_same_answers(monkeypatch):
+    # With n0 past every case the comparison runs in each call and must give
+    # the same XiResult and BadInterval
     cases = [(params, n) for params in SEEDS[::10] for n in (0, 4, 30)]
     cases += [(params, 3000) for params in FAR]
     expected = [(xi(*case), bad_interval(*case)) for case in cases]
@@ -742,16 +754,17 @@ def test_cutoff_forced_to_search_gives_the_same_answers(monkeypatch):
         return offset(params)[0], 3001
 
     monkeypatch.setattr(optimality, "_offset", failing)
-    calls = counted_searches(monkeypatch)
+    calls = counted_comparisons(monkeypatch)
     assert [(xi(*case), bad_interval(*case)) for case in cases] == expected
     assert len(calls) == 2 * len(cases)
 
 
 def test_cutoff_on_near_phi_seeds_either_side_of_the_fallback(monkeypatch):
     # On the seeds (F(k), F(k+1)) the certificate fails for the first k - 3
-    # windows. At the last window that falls back, n0 - 1, and the two after
-    # it, which take the offset, xi must equal xi_literal's walk.
-    calls = counted_searches(monkeypatch)
+    # windows, which fall back to the comparison. At the last of them,
+    # n0 - 1, and the two after it, which take the offset, xi must equal
+    # xi_literal's walk.
+    calls = counted_comparisons(monkeypatch)
     last_fallback = {}
     for params in near_phi_seeds(200):
         n = 0
@@ -771,6 +784,29 @@ def test_cutoff_on_near_phi_seeds_either_side_of_the_fallback(monkeypatch):
     assert last_fallback[SequenceParams(89, 144)] == 7
     assert optimality._offset(SequenceParams(89, 144)) == (19, 8)
     assert max(last_fallback.values()) > 190
+
+
+def test_cutoff_below_n0_is_the_offset_or_one_more():
+    # The census behind _cutoff's proof that delta(n) = xi(n) - (4n + 5 + t*)
+    # is 0 or 1: every valid seed with a1 < 200 (7701 seeds) at every window
+    # below its first certified one, the cutoff taken from xi_literal's walk,
+    # which knows no offset; xi agrees with it at each.
+    seeds = [
+        SequenceParams(a0, a1)
+        for a1 in range(1, 200)
+        for a0 in range(1, a1 + 1)
+        if a0 * a0 + a1 * a0 - a1 * a1 > 0
+    ]
+    deltas, wrong = [], []
+    for params in seeds:
+        t, n0 = optimality._offset(params)
+        for n in range(n0):
+            x = xi_literal(params, n)
+            deltas.append(x - (4 * n + 5 + t))
+            if xi(params, n).xi != x:
+                wrong.append((params.a0, params.a1, n))
+    assert wrong == []
+    assert (len(deltas), deltas.count(0), deltas.count(1)) == (3694, 3240, 454)
 
 
 def test_no_state_retained():

@@ -15,6 +15,7 @@ from fibgreedy import (
     SequenceValidationError,
     SuiteResult,
     XiResult,
+    bad_interval,
     classical_label,
     classify,
     fib,
@@ -24,8 +25,10 @@ from fibgreedy import (
     seq_term,
     seq_term_from_fibs,
     xi,
+    xi_closed_form,
 )
 from fibgreedy.sequences import _SMALL_FIBS, seq_pair, seq_terms
+from fibgreedy.verification import xi_literal
 
 
 def naive_fib(n):
@@ -138,6 +141,42 @@ class TestParams:
         # the term arithmetic
         with pytest.raises(TypeError, match=message):
             SequenceParams(a0, a1)
+
+
+# (name, call, what a negative value raises): every entry point that takes
+# a count or an index, and the seeds
+INTEGER_ARGUMENTS = [
+    ("a0", lambda v: SequenceParams(v, 1), (SequenceValidationError, "a0 must be positive")),
+    ("a1", lambda v: SequenceParams(1, v), (SequenceValidationError, "a1 must be at least 1")),
+    ("sequence index", lambda v: seq_pair(LUCAS.params, v), None),
+    ("sequence index", lambda v: seq_term(LUCAS.params, v), None),
+    ("sequence index", lambda v: seq_terms(LUCAS.params, v), None),
+    ("sequence index", lambda v: seq_term_from_fibs(LUCAS.params, v), None),
+    ("window index", lambda v: xi(LUCAS.params, v), None),
+    ("window index", lambda v: bad_interval(LUCAS.params, v), None),
+    ("window index", lambda v: xi_closed_form(LUCAS, v), None),
+    ("window index", lambda v: xi_literal(LUCAS.params, v), None),
+    ("term count", lambda v: greedy_prefix(LUCAS.params, Fraction(1, 2), v),
+     (ValueError, "term count must be at least 1")),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, negative",
+    INTEGER_ARGUMENTS,
+    ids=["a0", "a1", "seq_pair", "seq_term", "seq_terms", "seq_term_from_fibs", "xi",
+         "bad_interval", "xi_closed_form", "xi_literal", "greedy_prefix"],
+)
+def test_integer_arguments_follow_one_rule(name, call, negative):
+    # a float, a Fraction or a bool is refused by type, naming the argument,
+    # before any arithmetic; a negative int keeps its entry point's message
+    for value in (2.0, 200.0, Fraction(2), True, False):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not {type(value).__name__}$"):
+            call(value)
+    error, message = negative or (ValueError, f"{name} must be nonnegative")
+    with pytest.raises(error, match=f"^{message}, got -1$"):
+        call(-1)
+    call(1)
 
 
 def _records():
