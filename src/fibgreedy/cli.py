@@ -170,8 +170,6 @@ def cmd_greedy(preset: SequencePreset, output_format: str, theta: Fraction, term
 
 
 def cmd_verify(preset: SequencePreset, output_format: str, max_n: int, grid: int) -> int:
-    if max_n < 1:
-        raise ValueError(f"max-n must be at least 1, got {max_n}")
     results = run_all(preset, max_n, grid)
     rows, lines = [], []
     for result in results:

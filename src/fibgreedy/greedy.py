@@ -7,18 +7,20 @@ exactly equal to 1/a_n skips index n. Repeating the previous index is legal
 and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 
 Both entry points run on integers and build one reduced Fraction, for the
-returned value; ``greedy_two_term`` gives the remainder form. A pick from
-``greedy_two_term`` keeps the terms its search found, which ``classify`` and
-``oracle_best`` read through ``_terms_of``. ``TwoTermSum``, the record for
-any pair and its value, lives here beside ``GreedyResult``, so the
-classifier and the search both import it from below and neither imports the
-other.
+returned value; ``_search``, behind ``greedy_two_term``, gives the remainder
+form. It memoizes one target's pick with the terms its search found:
+``classify`` and ``oracle_best`` each ask ``greedy_two_term`` for the pick
+of their target, the second finds the first's, and both read its terms
+through ``_terms_of``. ``TwoTermSum``, the record for any pair and its
+value, lives here beside ``GreedyResult``, so the classifier and the search
+both import it from below and neither imports the other.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import TermLimitError, ThetaDomainError
 from .rationals import _reciprocal_sum
@@ -51,13 +53,7 @@ def _require_theta(theta) -> tuple[Fraction, int, int]:
 class GreedyResult(namedtuple("GreedyResult", "g1 g2 value")):
     """The greedy two-term pick: indices g1 <= g2 and the exact sum."""
 
-    # (a_g1, a_{g1+1}, a_g2, a_{g2+1}): greedy_two_term writes them into the
-    # instance dict, outside the tuple, and _terms_of reads them. Assignment
-    # is refused, so the record stays immutable.
-    _terms = None
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GreedyResult is immutable, cannot set {name!r}")
+    __slots__ = ()
 
 
 class TwoTermSum(namedtuple("TwoTermSum", "m n value")):
@@ -69,27 +65,45 @@ class TwoTermSum(namedtuple("TwoTermSum", "m n value")):
 def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
     """Greedy pair for theta: the smallest index g1 >= 1 with 1/a_g1 strictly
     below theta, then the smallest g2 >= g1 whose reciprocal fits strictly
-    under the remainder.
+    under the remainder. Asked for the last target again, in any form that
+    reduces to it, it returns the same record without a second search."""
+    _, p, q = _require_theta(theta)
+    return _search(params, p, q)[0]
 
-    With theta = p/q the remainder is kept as the unreduced (p*a_g1 - q,
-    q*a_g1); the search compares cross-products, so no Fraction arithmetic
-    runs until the returned value is built, once and reduced, by
+
+@lru_cache(maxsize=1)
+def _search(
+    params: SequenceParams, p: int, q: int
+) -> tuple[GreedyResult, tuple[int, int, int, int]]:
+    """The greedy pick for theta = p/q in lowest terms, and the terms its
+    search found, (a_g1, a_{g1+1}, a_g2, a_{g2+1}).
+
+    The remainder is kept as the unreduced (p*a_g1 - q, q*a_g1); the search
+    compares cross-products, so no Fraction arithmetic runs until the
+    returned value is built, once and reduced, by
     ``rationals._reciprocal_sum``. The two steps are written out: a loop
     shared with ``greedy_prefix`` would cost about 1 us a call.
+
+    One entry is kept, keyed by the seeds and the reduced target, and the
+    next distinct key replaces it: the memo never holds more than one pick
+    and its four terms, tens of KB at a 10^10000 target.
     """
-    _, p, q = _require_theta(theta)
     g1, a, b = index_below(params, p, q, 1, 1, params.a1, params.a0 + params.a1)
     g2, c, d = index_below(params, p * a - q, q, a, g1, a, b)
-    pick = GreedyResult(g1, g2, _reciprocal_sum(params, g1, a, g2, c))
-    pick.__dict__["_terms"] = a, b, c, d
-    return pick
+    return GreedyResult(g1, g2, _reciprocal_sum(params, g1, a, g2, c)), (a, b, c, d)
 
 
-def _terms_of(params: SequenceParams, pick: GreedyResult) -> tuple[int, int, int, int]:
-    """(a_g1, a_{g1+1}, a_g2, a_{g2+1}) of a pick: the terms its search kept,
-    or, for a GreedyResult built any other way, the terms evaluated afresh."""
-    if pick._terms is not None:
-        return pick._terms
+def _terms_of(
+    params: SequenceParams, p: int, q: int, pick: GreedyResult
+) -> tuple[int, int, int, int]:
+    """(a_g1, a_{g1+1}, a_g2, a_{g2+1}) of a pick for theta = p/q: the memo's
+    terms when the memo's pick is this very record, as the one
+    ``greedy_two_term`` just returned for p/q is, or, for a GreedyResult
+    built any other way, the terms evaluated afresh (after a search, should
+    the memo hold another target)."""
+    found, terms = _search(params, p, q)
+    if found is pick:
+        return terms
     return (*seq_pair(params, pick.g1), *seq_pair(params, pick.g2))
 
 

@@ -283,14 +283,16 @@ def classify(params: SequenceParams, theta) -> Classification:
     twice chi/bound, which leading bits decide. The witness follows from the
     same terms: xi(m) = g2 - (2m+4) and a_{2m+3+xi(m)} = a_{g2+1} - a_g2. No
     cutoff or index search runs beyond the greedy pick's own, and the
-    window's exact endpoints are built only when it covers theta.
+    window's exact endpoints are built only when it covers theta. The pick
+    and its terms stay in ``greedy``'s one-entry memo, so an ``oracle_best``
+    on the same target that follows finds them without searching again.
     """
     t, p, q = _require_theta(theta)
     gr = greedy_two_term(params, t)
     witness: BadInterval | None = None
     if gr.g1 % 2 == 0:
         m = gr.g1 // 2 - 1
-        a2, a3, c, d = _terms_of(params, gr)
+        a2, a3, c, d = _terms_of(params, p, q, gr)
         a4 = a2 + a3
         chi = params.chi
         if a2.bit_length() <= _NEAR_TIE_BITS:

@@ -61,12 +61,14 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     by m = g1 + 2: at most two candidates are examined, the greedy pair and
     the one starting at g1 + 1.
 
-    Everything between the target and the result is integer work. With
+    Everything between the target and the result is integer work. The
+    greedy pick and its terms come from ``greedy``'s one-entry memo, so
+    after ``classify`` on the same target no greedy search runs again. With
     theta = p/q, the partner of a_m is searched under the unreduced
     remainder p*a_m - q over the factors (q, a_m). The best value so far is
-    held as its two terms, 1/x + 1/y, from the greedy pick's own (a_g1, a_g2);
-    a_{g1+1} comes from the pick too, and one pair (a_m, a_{m+1}) rolls along
-    the first indices by the recurrence, so no term is evaluated twice. A
+    held as its two terms, 1/x + 1/y, the search's (a_g1, a_g2); a_{g1+1}
+    comes from the search too, and one pair (a_m, a_{m+1}) rolls along the
+    first indices by the recurrence, so no term is evaluated twice. A
     candidate 1/a_m + 1/c replaces the best when (a_m + c)*x*y >
     (x + y)*a_m*c, and the walk stops once 2*x*y <= (x + y)*a_m. Up to
     _NEAR_TIE_BITS in a_g2 both tests are multiplied out; past it the stop
@@ -79,7 +81,7 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     """
     t, p, q = _require_theta(theta)
     greedy = greedy_two_term(params, t)
-    x, b, y, _ = _terms_of(params, greedy)  # the best value so far is 1/x + 1/y
+    x, b, y, _ = _terms_of(params, p, q, greedy)  # the best value so far is 1/x + 1/y
     big = y.bit_length() > _NEAR_TIE_BITS
     winner = None
     m, a, b = greedy.g1 + 1, b, x + b

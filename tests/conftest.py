@@ -2,7 +2,15 @@ import sys
 
 import pytest
 
-from fibgreedy import rationals
+from fibgreedy import greedy, rationals
+
+
+@pytest.fixture(autouse=True)
+def fresh_greedy_memo():
+    """Start every test with greedy's one-entry memo empty, so a test that
+    counts calls or patches the search's internals never reads a pick an
+    earlier test left there."""
+    greedy._search.cache_clear()
 
 
 @pytest.fixture

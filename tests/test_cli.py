@@ -329,6 +329,23 @@ class TestVerify:
         assert "at least 2" in err
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "max_n, error, text",
+        [
+            (0, ValueError, "max-n must be at least 1, got 0"),
+            (-5, ValueError, "max-n must be at least 1, got -5"),
+            (2.0, TypeError, "max-n must be an int, not float"),
+        ],
+    )
+    def test_run_all_refuses_a_bad_max_n_before_any_suite(self, monkeypatch, max_n, error, text):
+        # one owner in verification for the library and the command line: no
+        # sweep passes with 0 checks, and the error names max-n
+        ran = []
+        monkeypatch.setattr(verification, "growth_suite", lambda *args: ran.append(args))
+        with pytest.raises(error, match=text):
+            run_all(parse_sequence_spec("fibonacci"), max_n, 10)
+        assert ran == []
+
 
 class TestFlagPlacement:
     def test_common_flags_after_subcommand(self, capsys):

@@ -393,7 +393,8 @@ def test_oracle_compares_factored_only_past_the_switch_in_a_g2(monkeypatch):
     monkeypatch.setattr(oracle, "_exceeds", counted)
     paths = []
     for case, expected in zip(cases, plain):
-        x, _, y, _ = greedy._terms_of(case[0], greedy.greedy_two_term(*case))
+        params, theta = case
+        _, (x, _, y, _) = greedy._search(params, theta.numerator, theta.denominator)
         assert x.bit_length() < 700
         calls.clear()
         assert oracle_best(*case) == expected
@@ -490,6 +491,61 @@ def test_a_pick_built_elsewhere_gives_the_same_answers(monkeypatch):
     monkeypatch.setattr(optimality, "greedy_two_term", rebuilt)
     monkeypatch.setattr(oracle, "greedy_two_term", rebuilt)
     assert [(classify(*case), oracle_best(*case)) for case in cases] == expected
+
+
+def window_middle(n):
+    window = bad_interval(FIBONACCI.params, n)
+    return (window.left + window.right) / 2
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        lambda: window_middle(3),
+        lambda: Fraction(7, 10**30),
+        lambda: window_middle(1500),
+        lambda: Fraction(7, 10**1000),
+    ],
+    ids=["inside-small", "outside-small", "inside-past-near-tie", "outside-past-near-tie"],
+)
+def test_classify_and_oracle_search_for_the_greedy_pick_once(monkeypatch, theta):
+    # oracle_best finds the pick classify asked for in greedy's memo, so the
+    # pair makes greedy_two_term's two index searches once, not twice. Inside
+    # a window and out of every window, with a_g1 under and past
+    # _NEAR_TIE_BITS (window 1500's a_g1 has 2084 bits, 10^1000's about 3320).
+    theta = theta()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return index_below(*args)
+
+    monkeypatch.setattr(greedy, "index_below", counted)
+    classify(FIBONACCI.params, theta)
+    oracle_best(FIBONACCI.params, theta)
+    assert len(calls) == 2
+
+
+def test_greedy_memo_keys_on_the_seeds_and_the_reduced_target(monkeypatch):
+    # 1, Fraction(1) and Fraction(2, 2) are one target and share one entry;
+    # other seeds are another key, and replace it.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return index_below(*args)
+
+    monkeypatch.setattr(greedy, "index_below", counted)
+    first = greedy.greedy_two_term(FIBONACCI.params, 1)
+    assert greedy.greedy_two_term(FIBONACCI.params, Fraction(1)) is first
+    assert greedy.greedy_two_term(FIBONACCI.params, Fraction(2, 2)) is first
+    assert calls == [FIBONACCI.params] * 2
+    calls.clear()
+    greedy.greedy_two_term(SequenceParams(2, 2), Fraction(2, 2))
+    assert calls == [SequenceParams(2, 2)] * 2
+    assert greedy.greedy_two_term(FIBONACCI.params, 1) == first
+    assert len(calls) == 4  # the entry for fibonacci was replaced
+    assert greedy._search.cache_info().currsize == 1
 
 
 def test_xi_matches_integer_scan():
@@ -822,9 +878,16 @@ def test_no_state_retained():
         greedy_prefix(FIBONACCI.params, theta, 8)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
+        # greedy's memo keeps the big target's pick until the next target
+        # replaces it with a small one
+        classify(FIBONACCI.params, Fraction(27, 50))
+        gc.collect()
+        held_after_small = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert held < 1 << 20
+    assert greedy._search.cache_info().currsize == 1
+    assert held_after_small < 4 << 10
     assert not hasattr(bad_interval, "cache_info")
 
 
