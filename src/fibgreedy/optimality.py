@@ -14,12 +14,13 @@ strictly downward.
 
 ``classify`` reads the window off the greedy pick and places no cutoff of
 its own; its docstring proves that this suffices. ``xi`` and
-``bad_interval`` place the cutoff with integers only, through ``_cutoff``:
-xi(n) = 4n + 5 + t* + delta(n) for one per-seed offset t*, where delta(n)
-is 0 from the seed's first certified window on (proof at ``_offset``) and
-0 or 1 below it, decided by one comparison (proof at ``_cutoff``).
-``verification.xi_literal`` evaluates the cutoff's Fibonacci-factor form as
-an independent reference.
+``bad_interval`` place the cutoff in closed form, through ``_cutoff``:
+xi(n) = 4n + 5 + t* + [n < n*] for two integers per seed, the offset t*
+and the first window n* where the offset alone holds, found once by
+``_offset`` with integers only. ``_cutoff`` proves that the cutoff is the
+offset or one more, and ``_offset`` that the windows at one more form a
+prefix. ``verification.xi_literal`` evaluates the cutoff's
+Fibonacci-factor form as an independent reference.
 """
 
 from __future__ import annotations
@@ -71,49 +72,50 @@ def _positive(x: int, y: int) -> bool:
 
 
 # The offset depends on the seeds alone, so the last few seeds' results are
-# kept. An entry holds the seeds and two small integers, t* and n0: about
+# kept. An entry holds the seeds and two small integers, t* and n*: about
 # 200 bytes beyond the seeds, 1.6 KB for the eight entries, at any seed size
-# the CLI accepts (for 4300-digit seeds t* stays under 42 000; n0 is 20 572
-# for (F(20575), F(20576)), the largest near-phi seeds).
+# the CLI accepts (for 4300-digit seeds t* stays under 42 000; n* is 0 for
+# (F(20575), F(20576)), the largest near-phi seeds, and at most 5 on every
+# seed with a1 < 400).
 @lru_cache(maxsize=8)
 def _offset(params: SequenceParams) -> tuple[int, int]:
-    """(t*, n0) for the seeds: the cutoff index is 3(2n+3) + t*, that is
-    xi(n) = 4n + 5 + t*, in every window n >= n0. That is the paper's 4n+4
-    for fibonacci (t* = -1, n0 = 1) and 4n+6 for lucas (t* = 1, n0 = 0);
-    the seeds (F(k), F(k+1)), odd k >= 3, have n0 = k - 3.
+    """(t*, n*) for the seeds: xi(n) = 4n + 5 + t* + [n < n*] in every
+    window n, that is the cutoff index is 3(2n+3) + t* from window n* on and
+    one more below it. That is the paper's 4n+4 for fibonacci (t* = -1,
+    n* = 0) and 4n+6 for lucas (t* = 1, n* = 0); the seeds (F(k), F(k+1)),
+    odd k >= 3, have t* = 2k - 3 and n* = 0, and (269, 335) has n* = 5.
 
-    With j = 2n+3, A = (a1 - a0) + a0*phi and A^3 = P + Q*phi, the terms
-    satisfy a_{3j+t} = A*phi^t*F(3j) + a_t*psi^(3j), and bound = a_j^3 +
-    chi*a_j (j is odd) gives 5*bound = P*F(3j) + Q*F(3j+1) + 2*chi*a_j, so
+    With j = 2n+3 and A = (a1 - a0) + a0*phi, its conjugate Abar = (a1 -
+    a0) + a0*psi, sqrt(5)*a_k = A*phi^k - Abar*psi^k and A*Abar = -chi.
+    Cubing sqrt(5)*a_j with phi^j*psi^j = -1 (j is odd) and using bound =
+    a_{j-1}*a_j*a_{j+1} = a_j^3 + chi*a_j gives, with E_t = 5*chi*phi^t -
+    A^2 and its conjugate Ebar_t = 5*chi*psi^t - Abar^2,
 
-        5*(chi*a_{3j+t} - bound) = A*E_t*F(3j) + c_t*psi^(3j) - 2*chi*a_j,
+        5*sqrt(5)*(chi*a_{3j+t} - bound)
+            = A*E_t*phi^(3j) - Abar*Ebar_t*psi^(3j) - 2*sqrt(5)*chi*a_j.
 
-    with E_t = 5*chi*phi^t - A^2 = e0 + e1*phi and c_t = 5*chi*a_t - Q. E_t
-    grows with t and is never 0; t*, the smallest t with E_t > 0, is at least
-    -1, since A^2 / (5*chi) > phi^(-2) for every valid seed. With A^2 =
-    u + v*phi and v > 0, u + v < A^2 < phi*(u + v). So the bit-length guess
-    t = (bits(u + v) - 1 - bits(5*chi)) / 0.694242 + 1, rounded down, keeps
-    phi^(t-1) <= 2^(bits(u+v)-1) / 2^bits(5*chi) < A^2 / (5*chi), where
-    E_{t-1} < 0: it never passes t*, and the walk up from it takes a few
-    steps (at most three on every seed tested).
+    E_t grows with t and is never 0; t*, the smallest t with E_t > 0, is at
+    least -1, since A^2 / (5*chi) > phi^(-2) for every valid seed. With A^2
+    = u + v*phi and v > 0, u + v < A^2 < phi*(u + v). So the bit-length
+    guess t = (bits(u + v) - 1 - bits(5*chi)) / 0.694242 + 1, rounded down,
+    keeps phi^(t-1) <= 2^(bits(u+v)-1) / 2^bits(5*chi) < A^2 / (5*chi),
+    where E_{t-1} < 0: it never passes t*, and the walk up from it takes a
+    few steps (at most three on every seed tested).
 
-    The cutoff index is 3j + t* in window n wherever its certificate holds:
-    2*chi*a_j >= |c_{t*-1}|, which puts chi*a_{3j+t*-1} strictly below the
-    bound, and
-
-        |N(E)| * a1 * 2^(3*bits(F(j)) - 2) > (|e0| + |e1|) * (2*chi*a_j + |c_t*|),
-
-    which puts chi*a_{3j+t*} strictly above it, from E = E_t* = N(E) /
-    (e0 + e1*psi) with N(E) = e0^2 + e0*e1 - e1^2, A > a1 and F(3j) =
-    5F(j)^3 - 3F(j) >= 2^(3*bits(F(j)) - 2). From one window to the next,
-    j grows by 2 and F(j+2) >= 2F(j), so the left side grows at least
-    8-fold, while a_{j+2} <= 3*a_j, so the right side grows at most 3-fold;
-    the first test's side grows too. Once the certificate holds it holds in
-    every later window, and it holds in some window, since N(E) != 0. n0 is
-    the first such window, found by doubling and then bisection, each step
-    one ``_fib_pair(2n+2)``: about 2*bits(n0) steps. Below n0, ``_cutoff``
-    settles the cutoff index between 3j + t* and 3j + t* + 1 by one
-    comparison.
+    ``_cutoff`` proves that the cutoff index is 3j + t* or 3j + t* + 1, the
+    former exactly when D(n) = chi*a_{3j+t*} - bound > 0. D(n) > 0 implies
+    D(n+1) > 0. Take E = E_t* > 0, Ebar = Ebar_t* and w = Abar*Ebar*psi^(3j),
+    so that 5*sqrt(5)*D(n) = X(n) - Y(n) with X(n) = A*E*phi^(3j) > 0 and
+    Y(n) = 2*sqrt(5)*chi*a_j + w. From ``_cutoff``'s bounds and t* >= -1,
+    |Ebar| <= (5*phi + phi^(-2))*a0^2 < 8.5*a0^2; |Abar| = chi/A < chi/a0 and
+    j >= 3, so |w| < (chi/a0)*8.5*a0^2/76 < 0.12*chi*a0 <= 0.04*chi*a_j, as
+    a_j >= a_3 = a0 + 2*a1 >= 3*a0. So 4.43*chi*a_j < Y(n) < 4.52*chi*a_j,
+    with 2*sqrt(5) = 4.472. From n to n+1, j grows by 2: X grows by phi^6 >
+    17.9, while a_{j+2} = a_{j+1} + a_j <= 3*a_j, so Y(n+1) < 3*(4.52/4.43)*
+    Y(n) < 3.1*Y(n). Once X(n) > Y(n), X(n+1) > 17.9*Y(n) > Y(n+1). And
+    D(n) > 0 is reached: X grows as phi^(3j), Y as a_j, that is as phi^j.
+    n* is the first n with D(n) > 0, found by doubling and then bisection,
+    each probe one exact comparison: at most 2*bits(n*) + 1 probes.
     """
     a0, a1 = params
     chi = params.chi
@@ -127,18 +129,13 @@ def _offset(params: SequenceParams) -> tuple[int, int]:
         t, p, r = -1, -1, 1
     while not _positive(k * p - u, k * r - v):
         t, p, r = t + 1, r, p + r
-    e0, e1 = k * p - u, k * r - v
-    q = a0 * u + a1 * v  # A^3 = P + Q*phi
-    c, c_prev = abs(k * (a0 * p + a1 * r) - q), abs(k * (a0 * (r - p) + a1 * p) - q)
-    norm, conj = abs(e0 * e0 + e0 * e1 - e1 * e1) * a1, abs(e0) + abs(e1)  # |N(E)|*a1
 
-    # n0 by doubling (n = 0, 1, 3, 7, ...) until the certificate holds, then
-    # bisection; it fails in window lo (-1 before any is tested) and holds in hi
+    # n* by doubling (n = 0, 1, 3, 7, ...) until D(n) > 0, then bisection;
+    # D fails in window lo (-1 before any is tested) and holds in hi
     lo, hi, n = -1, None, 0
     while hi is None or hi - lo > 1:
-        f, g = _fib_pair(2 * n + 2)  # F(j-1), F(j)
-        margin = 2 * chi * (a0 * f + a1 * g)
-        if margin >= c_prev and (norm << 3 * g.bit_length() - 2) > conj * (margin + c):
+        a2, a3 = seq_pair(params, 2 * n + 2)
+        if chi * seq_term(params, 6 * n + 9 + t) > a2 * a3 * (a2 + a3):
             hi = n
         else:
             lo = n
@@ -151,26 +148,15 @@ def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int]:
 
     xi(n) is the smallest s >= 0 with chi * a_{2n+4+s} > bound, for bound =
     a_{2n+2} * a_{2n+3} * a_{2n+4}: the first index k with chi * a_k > bound
-    is 2n+4 + xi(n). With j = 2n+3 and t* from ``_offset``, k = 3j + t* +
-    delta(n), that is xi(n) = 4n + 5 + t* + delta(n), with delta(n) = 0 from
-    the first certified window n0 on (``_offset``), found with neither the
-    bound nor any term past a_{2n+3} formed. Below n0, delta(n) is 1 exactly
-    when chi * a_{3j+t*} <= bound: one term, one product, one comparison.
+    is 2n+4 + xi(n). With j = 2n+3 and (t*, n*) from ``_offset``, k = 3j +
+    t* + [n < n*], that is xi(n) = 4n + 5 + t* + [n < n*], with neither the
+    bound nor any term past a_{2n+3} formed.
 
-    Proof that delta(n) is 0 or 1 for every n >= 0. Write A = (a1 - a0) +
-    a0*phi = a1 + a0/phi and its conjugate Abar = (a1 - a0) + a0*psi =
-    a1 - a0*phi, so that sqrt(5)*a_k = A*phi^k - Abar*psi^k and A*Abar =
-    -chi. chi > 0 puts a1/a0 below phi, so -a0/phi <= Abar < 0, and with
-    a0 <= a1: A > a1 >= a0, chi = a0^2 - a1*(a1 - a0) <= a0^2 < A^2 and
-    Abar^2 <= a0^2/phi^2. Cubing sqrt(5)*a_j with phi^j*psi^j = -1 (j is
-    odd) and using bound = a_j^3 + chi*a_j, the identity of ``_offset``
-    reads, with E_t = 5*chi*phi^t - A^2 and its conjugate Ebar_t =
-    5*chi*psi^t - Abar^2,
-
-        5*sqrt(5)*(chi*a_{3j+t} - bound)
-            = A*E_t*phi^(3j) - Abar*Ebar_t*psi^(3j) - 2*sqrt(5)*chi*a_j.
-
-    The psi term is at most (chi/A)*|Ebar_t|*phi^(-3j) in size, and
+    Proof that k is 3j + t* or 3j + t* + 1 for every n >= 0, from the
+    identity of ``_offset``. chi > 0 puts a1/a0 below phi, so -a0/phi <=
+    Abar < 0, and with a0 <= a1: A > a1 >= a0, chi = a0^2 - a1*(a1 - a0)
+    <= a0^2 < A^2 and Abar^2 <= a0^2/phi^2. The psi term,
+    Abar*Ebar_t*psi^(3j), is at most (chi/A)*|Ebar_t|*phi^(-3j) in size, and
     |Ebar_t| <= 5*chi*phi^(-t) + Abar^2. Also j >= 3, so phi^(-3j) <=
     phi^(-9) < 1/76, and a_j >= a_3 = a0 + 2*a1 > 2*a1.
 
@@ -189,13 +175,9 @@ def _cutoff(params: SequenceParams, n: int) -> tuple[int, int, int]:
     so chi*a_{3j+t*+1} > bound: k <= 3j + t* + 1.
     """
     _require_int("window index", n)
-    m = 2 * n + 2
-    a2, a3 = seq_pair(params, m)
-    t, n0 = _offset(params)
-    s = 4 * n + 5 + t
-    if n < n0 and params.chi * seq_term(params, m + 2 + s) <= a2 * a3 * (a2 + a3):
-        s += 1
-    return a2, a3, s
+    a2, a3 = seq_pair(params, 2 * n + 2)
+    t, n_star = _offset(params)
+    return a2, a3, 4 * n + 5 + t + (n < n_star)
 
 
 def xi(params: SequenceParams, n: int) -> XiResult:

@@ -21,7 +21,7 @@ from functools import partial
 from math import gcd
 
 from .errors import RationalParseError
-from .sequences import SequenceParams, _fib_pair
+from .sequences import SequenceParams, _digit_limit, _fib_pair
 
 __all__ = ["parse_rational", "format_rational", "approx_decimal"]
 
@@ -74,19 +74,24 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or a finite decimal (``"27/50"``, ``"0.54"``, ``"-3"``).
 
     The result is exact: ``"0.54"`` becomes 27/50, not a float. Raises
-    RationalParseError naming the offending text, or ZeroDivisionError for a
+    RationalParseError naming the offending text, or the size of a part
+    past the interpreter's int-string limit, or ZeroDivisionError for a
     zero denominator.
     """
     s = text.strip()
     m = _FRACTION_RE.match(s)
-    if m:
+    if m is None and _DECIMAL_RE.match(s) is None:
+        raise RationalParseError(f"not a rational number: {text!r}")
+    try:
+        if m is None:
+            return Fraction(s)
         p, q = int(m.group(1)), int(m.group(2))
-        if q == 0:
-            raise ZeroDivisionError(f"zero denominator in {text!r}")
-        return Fraction(p, q)
-    if _DECIMAL_RE.match(s):
-        return Fraction(s)
-    raise RationalParseError(f"not a rational number: {text!r}")
+    except ValueError:  # the text matched the grammar, so a part is past the digit limit
+        longest = max(re.findall(r"\d+", s), key=len)
+        raise RationalParseError(_digit_limit("a part of the rational", longest)) from None
+    if q == 0:
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return Fraction(p, q)
 
 
 def format_rational(x: Fraction) -> str:

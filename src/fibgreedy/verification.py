@@ -166,9 +166,10 @@ def xi_literal(params: SequenceParams, n: int) -> int:
     z_s = a_{2n+2}*F(s) + a_{2n+3}*F(s+1) <= bound/chi, tested exactly as
     z_s <= bound // chi, which for positive integers is z_s*chi <= bound.
 
-    Kept deliberately independent of ``_cutoff``: it walks s up from 0 with
-    no offset. z_s obeys the recurrence itself, from z_0 = a_{2n+3} and
-    z_1 = a_{2n+2} + a_{2n+3}, so one pair advances by additions alone.
+    Kept deliberately independent of ``_cutoff``: it walks s up from 0 and
+    knows neither t* nor n*. z_s obeys the recurrence itself, from z_0 =
+    a_{2n+3} and z_1 = a_{2n+2} + a_{2n+3}, so one pair advances by
+    additions alone.
     """
     _require_int("window index", n)
     a2, a3 = seq_pair(params, 2 * n + 2)
@@ -188,8 +189,9 @@ def xi_suite(preset: SequencePreset, max_n: int = DEFAULT_MAX_N) -> SuiteResult:
 
     For each n: xi >= 0 with chi <= a_{2n+2}*a_{2n+4}; the reciprocal form
     1/a_{2n+3+xi} >= chi/bound > 1/a_{2n+4+xi} holds exactly; and the literal
-    Fibonacci-factor path returns the same cutoff as ``xi``, on both sides of
-    the seeds' first certified window.
+    Fibonacci-factor path returns the same cutoff as ``xi``, whose closed
+    form takes the offset plus one below the seeds' n* and the offset from
+    it on.
     """
     p = preset.params
     a = seq_terms(p, 2 * max_n + 4)

@@ -138,6 +138,26 @@ class TestClassify:
             f"{sys.get_int_max_str_digits()} digits for integer conversion\n"
         )
 
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            lambda d: "1/1" + "0" * (d - 1),  # a denominator of d digits
+            lambda d: "0." + "1" * d,  # a fractional part of d digits
+            lambda d: "1" * d + "/" + "3" * d,  # both parts of d digits
+        ],
+    )
+    def test_theta_past_the_digit_limit(self, capsys, theta):
+        # each grammar names the longest part's size and the limit, as a
+        # seed's error does, instead of Python's advice to raise the limit
+        digits = sys.get_int_max_str_digits() + 1
+        code, out, err = run_cli(capsys, "classify", "--theta", theta(digits))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: a part of the rational has {digits} digits, over the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} digits for integer conversion\n"
+        )
+
     def test_theta_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--theta", "3/2")
         assert code == 2

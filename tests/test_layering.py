@@ -76,8 +76,8 @@ def test_near_tie_switch_readers():
 
 
 def test_optimality_runs_no_index_search():
-    # below the first certified window the cutoff is the offset or one more,
-    # settled by one comparison (proof at optimality._cutoff), so the module
+    # the cutoff is the offset plus one below the seeds' n* and the offset
+    # from it on (proofs at optimality._offset and _cutoff), so the module
     # neither searches nor keeps a self-check for a search gone wrong
     path = PACKAGE / "optimality.py"
     assert not _reads(path, "index_below")

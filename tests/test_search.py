@@ -1,7 +1,6 @@
 """The predict-then-certify index search, the window cutoff from the seeds'
-offset and the one comparison below their first certified window, the terms
-the classifier and the search take from the greedy pick, and the absence of
-retained state."""
+offset (t*, n*), the terms the classifier and the search take from the
+greedy pick, and the absence of retained state."""
 
 import gc
 import tracemalloc
@@ -410,14 +409,13 @@ def test_xi_literal_counts_a_shift_at_the_floor():
     # at n = 0; a1 < 30 at n <= 60 gives none.
     #
     # An exact tie, chi*a_k == bound, is a different input, and only a
-    # window below the seeds' first certified window n0 can hold one: from
-    # n0 on, _offset's certificate proves chi*a_{3j+t*-1} < bound <
-    # chi*a_{3j+t*} strictly, so no term times chi meets the bound; below
-    # n0, _cutoff proves chi*a_{3j+t*-1} < bound < chi*a_{3j+t*+1}, so only
-    # chi*a_{3j+t*} could. Every window below n0 of every valid seed with
-    # a1 < 2000 (364 312 windows on 764 550 seeds, n <= 11) holds no tie, so
-    # flipping classify's a_g2*chi > bound to >= stays unkillable by any
-    # known input (test_index_below_skips_an_exact_reciprocal).
+    # window below the seeds' n* can hold one: _cutoff proves
+    # chi*a_{3j+t*-1} < bound < chi*a_{3j+t*+1} in every window, and from n*
+    # on, _offset's n* puts chi*a_{3j+t*} strictly above the bound, so only
+    # chi*a_{3j+t*} below n* could meet it. Every window below n* of every
+    # valid seed with a1 < 2000 (47 371 windows on 764 550 seeds, n <= 6)
+    # holds no tie, so flipping classify's a_g2*chi > bound to >= stays
+    # unkillable by any known input (test_index_below_skips_an_exact_reciprocal).
     params = SequenceParams(53, 56)
     a2, a3 = seq_pair(params, 2)
     bound = a2 * a3 * (a2 + a3)
@@ -451,9 +449,9 @@ def test_classify_and_oracle_evaluate_no_term_again(monkeypatch):
 def test_classify_searches_only_for_the_greedy_pick(monkeypatch):
     # classify reads its window off the greedy pick, so wherever the target
     # lies it makes exactly greedy_two_term's two index searches and places
-    # no cutoff: neither _cutoff's terms nor its comparison below n0 (27/50
-    # lies in fibonacci's window 0, below n0 = 1) are evaluated. Inside a
-    # window, just above one, and at an odd first index.
+    # no cutoff: neither _cutoff's terms nor the seeds' offset are evaluated.
+    # Inside a window, just above one, and at an odd first index.
+    optimality._offset(FIBONACCI.params)  # so that bad_interval probes nothing
     calls = []
 
     def counted(name, function):
@@ -468,6 +466,7 @@ def test_classify_searches_only_for_the_greedy_pick(monkeypatch):
     monkeypatch.setattr(optimality, "seq_term", counted("term", sequences.seq_term))
     window = bad_interval(FIBONACCI.params, 30)
     assert calls == ["term"] * 2  # the counters see bad_interval's terms
+    optimality._offset.cache_clear()  # a probe for the offset would count too
     targets = [Fraction(27, 50), Fraction(23, 42) + Fraction(1, 10**30), Fraction(1, 2)]
     targets += [(window.left + window.right) / 2, window.right + Fraction(1, 10**90)]
     for theta in targets:
@@ -609,44 +608,28 @@ def times_phi(x, y):
     return a * c + b * d, a * d + b * c + b * d
 
 
-def plain_offset(params):
-    # optimality._offset from the definitions: A^2 and A^3 multiplied out in
-    # Z[phi], t* by a scan up from t = -2 over E_t = 5*chi*phi^t - A^2 with
-    # its sign from phi_sign, and c_t = 5*chi*a_t - Q with a_t from fib.
-    a0, a1, chi = params.a0, params.a1, params.chi
-    a = (a1 - a0, a0)
+def plain_t_star(params):
+    # t* from the definitions: A^2 multiplied out in Z[phi], and a scan up
+    # from t = -2 over E_t = 5*chi*phi^t - A^2 with its sign from phi_sign
+    chi = params.chi
+    a = (params.a1 - params.a0, params.a0)
     a_sq = times_phi(a, a)
-    q = times_phi(a_sq, a)[1]
     t, power = -2, (2, -1)  # phi^-2 = 2 - phi
-    while True:
-        e0, e1 = 5 * chi * power[0] - a_sq[0], 5 * chi * power[1] - a_sq[1]
-        if phi_sign(e0, e1) > 0:
-            break
+    while phi_sign(5 * chi * power[0] - a_sq[0], 5 * chi * power[1] - a_sq[1]) <= 0:
         t, power = t + 1, times_phi(power, (0, 1))
     assert t >= -1
-
-    def c(s):
-        return abs(5 * chi * (params.a0 * fib(s - 1) + params.a1 * fib(s)) - q)
-
-    return t, abs(e0 * e0 + e0 * e1 - e1 * e1), abs(e0) + abs(e1), c(t), c(t - 1)
-
-
-def certified(params, offset, n):
-    # the two tests of _offset's docstring, written out from plain_offset
-    _, norm, conj, c, c_prev = offset
-    margin = 2 * params.chi * seq_pair(params, 2 * n + 3)[0]
-    lhs = norm * params.a1 * 2 ** (3 * fib(2 * n + 3).bit_length() - 2)
-    return margin >= c_prev and lhs > conj * (margin + c)
+    return t
 
 
 def scanned_offset(params):
-    # (t*, n0) from plain_offset, with n0 the first window, scanned up from
-    # n = 0, where the certificate holds
-    offset = plain_offset(params)
+    # (t*, n*) with t* from plain_t_star and n* the first window, scanned up
+    # from n = 0, where xi_literal's walk, which knows no offset, gives
+    # 4n + 5 + t*
+    t = plain_t_star(params)
     n = 0
-    while not certified(params, offset, n):
+    while xi_literal(params, n) != 4 * n + 5 + t:
         n += 1
-    return offset[0], n
+    return t, n
 
 
 def near_phi_seeds(top):
@@ -662,14 +645,14 @@ def near_phi_seeds(top):
 FAR = (FIBONACCI.params, LUCAS.params, SequenceParams(4, 5))
 
 
-def counted_comparisons(monkeypatch):
-    # _cutoff evaluates a term through optimality.seq_term only for its
-    # comparison below n0; bad_interval's own term goes through seq_pair
+def counted_probes(monkeypatch):
+    # _offset evaluates a term through optimality.seq_term only for its
+    # probe, one comparison of chi*a_{6n+9+t*} with the window's bound
     calls = []
     term = optimality.seq_term
 
     def counted(*args):
-        calls.append("compare")
+        calls.append("probe")
         return term(*args)
 
     monkeypatch.setattr(optimality, "seq_term", counted)
@@ -678,9 +661,11 @@ def counted_comparisons(monkeypatch):
 
 @pytest.mark.parametrize("params", [SequenceParams(1, 1), SequenceParams(3, 4), SequenceParams(89, 144)])
 def test_offset_identity_holds_in_z_phi(params):
-    # 5*(chi*a_{3j+t} - bound) = A*E_t*F(3j) + c_t*psi^(3j) - 2*chi*a_j and
-    # 5*bound = P*F(3j) + Q*F(3j+1) + 2*chi*a_j, exactly, with psi^(3j) =
-    # F(3j+1) - F(3j)*phi: the phi part of the right side vanishes.
+    # _offset's identity in integers: with A^3 = P + Q*phi and c_t =
+    # 5*chi*a_t - Q, the phi part of A*E_t, it reads 5*(chi*a_{3j+t} -
+    # bound) = A*E_t*F(3j) + c_t*psi^(3j) - 2*chi*a_j, and 5*bound =
+    # P*F(3j) + Q*F(3j+1) + 2*chi*a_j, exactly, with psi^(3j) = F(3j+1) -
+    # F(3j)*phi: the phi part of the right side vanishes.
     a0, a1, chi = params.a0, params.a1, params.chi
     a = (a1 - a0, a0)
     a_sq = times_phi(a, a)
@@ -715,9 +700,10 @@ def test_positive_matches_rational_brackets():
 
 
 def test_offset_matches_a_plain_scan(monkeypatch):
-    # t* and the first certified window n0 for every seed with a1 < 30 and
-    # the near-phi seeds up to k = 200 (t* up to 397, n0 up to 197); the walk
-    # from t*'s bit-length guess takes at most three steps
+    # (t*, n*) for every seed with a1 < 30 and the near-phi seeds up to
+    # k = 200 (t* up to 397, n* = 0); the walk from t*'s bit-length guess
+    # takes at most three steps, and the doubling and bisection for n* at
+    # most 2*bits(n*) + 1 probes
     positives = []
     positive = optimality._positive
 
@@ -726,34 +712,33 @@ def test_offset_matches_a_plain_scan(monkeypatch):
         return positive(x, y)
 
     monkeypatch.setattr(optimality, "_positive", counted)
-    steps = []
-    for params in SEEDS + near_phi_seeds(200):
+    probes = counted_probes(monkeypatch)
+    steps, wrong = [], []
+    for params in SEEDS + near_phi_seeds(200) + [SequenceParams(269, 335)]:
         positives.clear()
+        probes.clear()
         optimality._offset.cache_clear()  # so that each call walks
-        assert optimality._offset(params) == scanned_offset(params), params
+        t, n_star = optimality._offset(params)
+        assert (t, n_star) == scanned_offset(params), params
         steps.append(len(positives) - 1)
+        if len(probes) > 2 * n_star.bit_length() + 1:
+            wrong.append(params)
     assert max(steps) <= 3
-    assert optimality._offset(FIBONACCI.params) == (-1, 1)
+    assert wrong == []
+    assert optimality._offset(FIBONACCI.params) == (-1, 0)
     assert optimality._offset(LUCAS.params) == (1, 0)
+    assert optimality._offset(SequenceParams(15, 16)) == (-1, 1)
+    assert optimality._offset(SequenceParams(269, 335)) == (0, 5)
 
 
 @pytest.mark.parametrize("k", [1001, 5001])
-def test_first_certified_window_takes_few_evaluations(monkeypatch, k):
-    # n0 = k - 3 on the seeds (F(k), F(k+1)), found by doubling and then
-    # bisection: at most 2*bits(n0) + 2 top-level _fib_pair calls (22 and
-    # 28), the one for t*'s guess included, where a walk up from n = 0 would
-    # take k - 2
-    evaluated = []
-    fib_pair = optimality._fib_pair
-
-    def counted(n):
-        evaluated.append(n)
-        return fib_pair(n)
-
-    monkeypatch.setattr(optimality, "_fib_pair", counted)
+def test_offset_of_near_phi_seeds_takes_one_probe(monkeypatch, k):
+    # The seeds (F(k), F(k+1)) have n* = 0, so the doubling stops at its
+    # first probe, n = 0
+    probes = counted_probes(monkeypatch)
     optimality._offset.cache_clear()
-    assert optimality._offset(SequenceParams(fib(k), fib(k + 1))) == (2 * k - 3, k - 3)
-    assert len(evaluated) <= 2 * (k - 3).bit_length() + 2
+    assert optimality._offset(SequenceParams(fib(k), fib(k + 1))) == (2 * k - 3, 0)
+    assert probes == ["probe"]
 
 
 def test_offset_is_kept_for_the_last_few_seeds():
@@ -768,101 +753,82 @@ def test_offset_is_kept_for_the_last_few_seeds():
     assert optimality._offset.cache_info().hits == hits + 1
 
 
-def test_cutoff_takes_the_offset_wherever_it_is_certified(monkeypatch):
+def test_cutoff_evaluates_no_term_past_a_2n_3(monkeypatch):
     # Every seed with a1 < 30 at n = 0..60, and window 3000 on three seeds:
-    # xi and bad_interval equal the exact search, the comparison below n0
-    # runs (once in each) exactly where the certificate fails, and elsewhere
-    # the cutoff is xi(n) = 4n + 5 + t*.
-    offsets = {params: plain_offset(params) for params in SEEDS + list(FAR)}
+    # with the seeds' offset at hand, _cutoff evaluates the pair (a_{2n+2},
+    # a_{2n+3}) and nothing else, its cutoff is 4n + 5 + t* + [n < n*]
+    # from the plain scan, and xi and bad_interval equal the exact search.
+    offsets = {params: scanned_offset(params) for params in SEEDS + list(FAR)}
     cases = [(params, n) for params in SEEDS for n in range(61)]
     cases += [(params, 3000) for params in FAR]
-    expected_paths = [
-        [] if certified(params, offsets[params], n) else ["compare"] * 2 for params, n in cases
-    ]
-    fallbacks = [case for case, path in zip(cases, expected_paths) if path]
-    assert 0 < len(fallbacks) < len(SEEDS) * 4
-    assert max(n for _, n in fallbacks) == 3
-    calls = counted_comparisons(monkeypatch)
-    paths = []
-    offset_wrong = []
-    for (params, n), path in zip(cases, expected_paths):
+    assert sum(n < offsets[params][1] for params, n in cases) == 3
+    calls = []
+
+    def counted(name, function):
+        def call(params, index):
+            calls.append((name, index))
+            return function(params, index)
+
+        return call
+
+    monkeypatch.setattr(optimality, "seq_pair", counted("pair", seq_pair))
+    monkeypatch.setattr(optimality, "seq_term", counted("term", sequences.seq_term))
+    path_wrong, offset_wrong = [], []
+    for params, n in cases:
+        optimality._offset(params)  # the cached offset, so that _cutoff probes nothing
         calls.clear()
-        x = xi(params, n).xi
-        bad_interval(params, n)
-        paths.append(list(calls))
-        if not path and x != 4 * n + 5 + offsets[params][0]:
+        x = optimality._cutoff(params, n)[2]
+        if calls != [("pair", 2 * n + 2)]:
+            path_wrong.append((params, n))
+        t, n_star = offsets[params]
+        if x != 4 * n + 5 + t + (n < n_star):
             offset_wrong.append((params, n))
-    assert paths == expected_paths
+    assert path_wrong == []
     assert offset_wrong == []
     monkeypatch.undo()
     assert mismatched_windows(cases) == []
 
 
-def test_cutoff_forced_below_n0_gives_the_same_answers(monkeypatch):
-    # With n0 past every case the comparison runs in each call and must give
-    # the same XiResult and BadInterval
-    cases = [(params, n) for params in SEEDS[::10] for n in (0, 4, 30)]
-    cases += [(params, 3000) for params in FAR]
-    expected = [(xi(*case), bad_interval(*case)) for case in cases]
-    offset = optimality._offset
-
-    def failing(params):
-        return offset(params)[0], 3001
-
-    monkeypatch.setattr(optimality, "_offset", failing)
-    calls = counted_comparisons(monkeypatch)
-    assert [(xi(*case), bad_interval(*case)) for case in cases] == expected
-    assert len(calls) == 2 * len(cases)
+def test_cutoff_on_near_phi_seeds_takes_the_offset():
+    # The seeds (F(k), F(k+1)), odd k up to 199, have n* = 0: xi equals
+    # xi_literal's walk and 4n + 5 + t* at n = 0 and 1, and at n = k - 4
+    # and k - 3, where the window index is as large as the seeds' own
+    for k in range(1, 200, 2):
+        params = SequenceParams(fib(k), fib(k + 1))
+        t = plain_t_star(params)
+        assert t == 2 * k - 3
+        for n in {n for n in (0, 1, k - 4, k - 3) if n >= 0}:
+            assert xi(params, n).xi == xi_literal(params, n) == 4 * n + 5 + t, (k, n)
+    assert optimality._offset(SequenceParams(89, 144)) == (19, 0)
 
 
-def test_cutoff_on_near_phi_seeds_either_side_of_the_fallback(monkeypatch):
-    # On the seeds (F(k), F(k+1)) the certificate fails for the first k - 3
-    # windows, which fall back to the comparison. At the last of them,
-    # n0 - 1, and the two after it, which take the offset, xi must equal
-    # xi_literal's walk.
-    calls = counted_comparisons(monkeypatch)
-    last_fallback = {}
-    for params in near_phi_seeds(200):
-        n = 0
-        while True:
-            calls.clear()
-            x = xi(params, n).xi
-            if not calls:
-                break
-            assert x == xi_literal(params, n)
-            n += 1
-        last_fallback[params] = n - 1
-        assert last_fallback[params] == optimality._offset(params)[1] - 1, params
-        for m in (n, n + 1):
-            calls.clear()
-            assert xi(params, m).xi == xi_literal(params, m) == 4 * m + 5 + plain_offset(params)[0]
-            assert calls == []
-    assert last_fallback[SequenceParams(89, 144)] == 7
-    assert optimality._offset(SequenceParams(89, 144)) == (19, 8)
-    assert max(last_fallback.values()) > 190
-
-
-def test_cutoff_below_n0_is_the_offset_or_one_more():
-    # The census behind _cutoff's proof that delta(n) = xi(n) - (4n + 5 + t*)
-    # is 0 or 1: every valid seed with a1 < 200 (7701 seeds) at every window
-    # below its first certified one, the cutoff taken from xi_literal's walk,
-    # which knows no offset; xi agrees with it at each.
+def test_cutoff_is_the_offset_plus_one_exactly_below_n_star():
+    # The census behind xi(n) = 4n + 5 + t* + [n < n*]: every valid seed
+    # with a1 < 200 (7701 seeds) at every window n <= n* + 2, the cutoff
+    # taken from xi_literal's walk, which knows no offset; xi agrees with it
+    # at each, and it exceeds 4n + 5 + t* by one below n* and by nothing
+    # from n* on.
     seeds = [
         SequenceParams(a0, a1)
         for a1 in range(1, 200)
         for a0 in range(1, a1 + 1)
         if a0 * a0 + a1 * a0 - a1 * a1 > 0
     ]
-    deltas, wrong = [], []
+    windows, plus, wrong = 0, [], []
     for params in seeds:
-        t, n0 = optimality._offset(params)
-        for n in range(n0):
+        t, n_star = optimality._offset(params)
+        deltas = []
+        for n in range(n_star + 3):
             x = xi_literal(params, n)
             deltas.append(x - (4 * n + 5 + t))
             if xi(params, n).xi != x:
                 wrong.append((params.a0, params.a1, n))
+        if deltas != [1] * n_star + [0] * 3:
+            wrong.append((params.a0, params.a1, deltas))
+        windows += len(deltas)
+        plus += [(params.a0, params.a1)] * n_star
     assert wrong == []
-    assert (len(deltas), deltas.count(0), deltas.count(1)) == (3694, 3240, 454)
+    assert (len(seeds), windows, len(plus), len(set(plus))) == (7701, 23557, 454, 395)
 
 
 def test_no_state_retained():
