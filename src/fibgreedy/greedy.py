@@ -41,10 +41,13 @@ DEFAULT_TERM_LIMIT = 64
 def _require_theta(theta) -> tuple[Fraction, int, int]:
     """(theta, p, q) for an exact target theta = p/q in (0, 1]: the one reader
     of a target's numerator and denominator."""
-    if isinstance(theta, float):
+    if isinstance(theta, Fraction):
+        t = theta
+    elif isinstance(theta, float):
         raise TypeError("theta must be exact (Fraction or int), not float")
-    t = theta if isinstance(theta, Fraction) else Fraction(theta)
-    p, q = t.numerator, t.denominator
+    else:
+        t = Fraction(theta)
+    p, q = t.as_integer_ratio()
     if not 0 < p <= q:
         raise ThetaDomainError(f"theta must be in (0, 1], got {t}")
     return t, p, q

@@ -8,14 +8,20 @@ the window test and the oracle compare unreduced integer cross-products.
 Every returned value of the form 1/a_i + 1/a_j is built by
 ``_reciprocal_sum``, whose docstring proves the routes by which it reduces
 large terms. No float ever enters a computation; the only decimal output is
-the explicitly approximate display helper below, which rounds every value to
-six figures in one fixed decimal context.
+the explicitly approximate display helper below. It gives the string that
+one decimal division of the value's integers gives at six digits,
+half-even, within decimal's default exponent limits, but computes it in
+integers and reads no decimal context: one divmod, scaled by a power of ten
+taken from the bit lengths, gives six figures and a remainder, the figures
+round half-even on the remainder, and the result is laid out as
+``Context.to_sci_string`` lays out a Decimal. Past Emax = 999999 it raises
+``decimal.Overflow``; below Etiny = -1000004 it keeps fewer figures.
 """
 
 from __future__ import annotations
 
 import re
-from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
+from decimal import Overflow
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -30,22 +36,18 @@ _FRACTION_RE = re.compile(r"\A([+-]?\d+)/([+-]?\d+)\Z")
 _DECIMAL_RE = re.compile(r"\A[+-]?\d+(\.\d+)?\Z")
 
 
-# The one display context: six digits, and every other setting given as
-# decimal's documented default, so no display follows decimal.DefaultContext
-# or the caller's context. Its flags accumulate, but a trap fires only on the
-# signals of the current operation, so no result depends on an earlier call.
-_DISPLAY = Context(
-    prec=6, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
-    flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
-)
+# decimal's default exponent limits, as approx_decimal applies them at six
+# figures: the largest adjusted exponent, and the exponent of the last figure
+# a value far below Emin = -999999 keeps (Etiny = Emin - 6 + 1)
+_EMAX = 999999
+_ETINY = -1000004
 
-# Above this many bits in the numerator or the denominator, approx_decimal
-# shortens the operands in integers before the context rounds; below it one
-# Decimal division of the integers is cheaper on the small values most
-# displays show. It is the largest size at which every timed run found the
-# division cheaper: integers over division 1.02-1.32 at 380 bits, 0.88-0.93
-# at 520 (each path forced, 200 random p < q per size, Python 3.11.7).
-_INTEGER_ROUNDING_BITS = 380
+# "0." and then k zeros, at index k: the lead of a plain display below 1
+_LEADING = ("0.", "0.0", "0.00", "0.000", "0.0000", "0.00000")
+
+# 10^k for k < 32, the scales of values between about 1e-26 and 1e37; a
+# lookup costs a tenth of computing the power, which larger scales do
+_POWERS_OF_TEN = tuple(10**k for k in range(32))
 
 # Up to this many bits in the larger term, _reciprocal_sum reduces
 # (x + y)/(x*y) by one Fraction normalisation; above it, from G. Gap forms
@@ -94,11 +96,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(p, q)
 
 
-def format_rational(x: Fraction) -> str:
-    """Canonical ``"p/q"`` in lowest terms, or bare ``"p"`` for integers."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x: Fraction | int) -> str:
+    """Canonical ``"p/q"`` in lowest terms, or bare ``"p"`` for integers.
+    Refuses a float with TypeError rather than print its binary value."""
+    if isinstance(x, float):
+        raise TypeError(f"x must be exact (Fraction or int), not {type(x).__name__}")
+    p, q = x.as_integer_ratio()
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _reciprocal_sum(params: SequenceParams, i: int, x: int, j: int, y: int) -> Fraction:
@@ -186,35 +190,75 @@ def _reciprocal_sum(params: SequenceParams, i: int, x: int, j: int, y: int) -> F
     return _coprime(s // h, common // h * x * y)
 
 
-def approx_decimal(x: Fraction) -> str:
-    """Six significant figures of x, display only: x rounded half-even as one
-    Decimal division in _DISPLAY gives it, at any magnitude and with no float.
+def approx_decimal(x: Fraction | int) -> str:
+    """Six significant figures of x, display only: the string that one
+    division of x's integers gives in a decimal context of six digits,
+    ROUND_HALF_EVEN and decimal's default exponent limits, computed in
+    integers at any magnitude. It reads no decimal context and refuses a
+    float with TypeError.
 
-    Small values go straight to _DISPLAY.divide, which takes the integers
-    exactly. Above _INTEGER_ROUNDING_BITS one divmod, scaled by a power of
-    ten from the bit lengths, shortens the quotient exactly to seven or more
-    figures. A nonzero remainder becomes a trailing 1 digit (sticky: it
-    rounds as the lost tail does); an exact quotient sheds its trailing
-    zeros down to the units place, as a division would. _DISPLAY then rounds
-    that short Decimal, by the division's own precision, exponent limits and
-    traps.
+    Figures. For x = p/q and a = |p|, the bit lengths give d with
+    2^d < a/q < 2^(d+2). Then e = floor(d*log10(2)) - 5, with log10(2)
+    rounded so that e errs low, puts a/q at 10^5 * 10^e or more, and one
+    divmod of a*10^-e by q (or of a by q*10^e) gives six figures or more and
+    the remainder. While there are seven, the last one moves into the
+    remainder and e rises by one. The figures round half-even on the
+    remainder: up when it is over half the divisor, to even on an exact
+    half. A carry to 10^6 moves the last figure one place up.
+
+    Limits. No figure is kept below Etiny = -1000004: a smaller value keeps
+    fewer figures, rounded at that exponent, down to 0E-1000004. An
+    adjusted exponent past Emax = 999999, before or after the carry, raises
+    decimal.Overflow.
+
+    Layout, as Context.to_sci_string: plain notation where the exponent is
+    at most 0 and the adjusted exponent at least -6, scientific notation
+    otherwise. An exact quotient sheds trailing zeros down to the units
+    place, as the division's ideal exponent 0 asks.
     """
-    p, q = x.numerator, x.denominator
-    if p.bit_length() <= _INTEGER_ROUNDING_BITS and q.bit_length() <= _INTEGER_ROUNDING_BITS:
-        return _DISPLAY.to_sci_string(_DISPLAY.divide(p, q))
-    a = abs(p)
-    d = a.bit_length() - q.bit_length() - 1  # a/q >= 2^d
-    # 10^k <= 2^d: log10(2) lies between 0.30102 and 0.30103, so k errs low
-    k = d * (30103 if d < 0 else 30102) // 100000
-    shift = _DISPLAY.prec - k  # a*10^shift/q >= 10^prec: one figure to round off
-    if shift >= 0:
-        c, rest = divmod(a * 10**shift, q)
+    if isinstance(x, float):
+        raise TypeError(f"x must be exact (Fraction or int), not {type(x).__name__}")
+    p, q = x.as_integer_ratio()
+    if p > 0:
+        a = p
+    elif p:
+        a = -p
     else:
-        c, rest = divmod(a, q * 10**-shift)
-    e = -shift
-    if rest:
-        c, e = 10 * c + 1, e - 1
+        return "0"
+    d = a.bit_length() - q.bit_length() - 1
+    # log10(2) lies between 0.30102 and 0.30103
+    e = d * (30103 if d < 0 else 30102) // 100000 - 5
+    if e < 0:
+        if e < _ETINY:
+            e = _ETINY
+        den = q
+        c, rest = divmod(a * (_POWERS_OF_TEN[-e] if e > -32 else 10**-e), q)
     else:
-        while e < 0 and c % 10 == 0:
-            c, e = c // 10, e + 1
-    return _DISPLAY.to_sci_string(_DISPLAY.create_decimal(f"{'-' if p < 0 else ''}{c}E{e}"))
+        den = q * (_POWERS_OF_TEN[e] if e < 32 else 10**e)
+        c, rest = divmod(a, den)
+    while c >= 1000000:
+        c, last = divmod(c, 10)
+        rest += last * den
+        den *= 10
+        e += 1
+    if 2 * rest > den or 2 * rest == den and c & 1:
+        c += 1
+        if c == 1000000:
+            c, e = 100000, e + 1
+    digits = str(c)
+    if -12 < e < 0:  # plain, with all six figures
+        point = e + 6  # figures before the decimal point
+        text = f"{digits[:point]}.{digits[point:]}" if point > 0 else _LEADING[-point] + digits
+        if not rest:
+            text = text.rstrip("0").rstrip(".")
+    elif not e:
+        text = digits
+    else:  # scientific: an exponent above 0, or an adjusted exponent below -6
+        point = e + len(digits)
+        if point - 1 > _EMAX:
+            raise Overflow(f"approx_decimal: the value rounds past Emax = {_EMAX}")
+        if e < 0 and not rest:
+            digits = digits.rstrip("0")
+        mantissa = f"{digits[0]}.{digits[1:]}" if len(digits) > 1 else digits
+        text = f"{mantissa}E{'+' if point > 0 else ''}{point - 1}"
+    return text if p > 0 else "-" + text

@@ -6,8 +6,9 @@ the output format that needs them. The computing modules import one another
 only downward through fixed layers, so the classifier and the search are
 siblings. Only the modules that compare big products read the near-tie
 switch, only ``_require_theta`` reads a target's numerator and
-denominator, and the classifier's module runs no index search. The package
-exports a fixed set of names."""
+denominator, the classifier's module runs no index search, and the display
+takes nothing from ``decimal`` but ``Overflow``. The package exports a fixed
+set of names."""
 
 import ast
 import subprocess
@@ -103,10 +104,24 @@ def _readers_of(path, attrs):
 
 def test_target_integers_have_one_reader():
     # _require_theta hands every entry point (theta, p, q); no other code in
-    # the greedy, search or classifier modules takes a target apart
+    # the greedy, search or classifier modules takes a target apart, by its
+    # properties or by as_integer_ratio()
     modules = ("greedy", "oracle", "optimality")
-    readers = {m: _readers_of(PACKAGE / f"{m}.py", {"numerator", "denominator"}) for m in modules}
+    reads = {"numerator", "denominator", "as_integer_ratio"}
+    readers = {m: _readers_of(PACKAGE / f"{m}.py", reads) for m in modules}
     assert readers == {"greedy": {"_require_theta"}, "oracle": set(), "optimality": set()}
+
+
+def test_display_takes_only_overflow_from_decimal():
+    # approx_decimal rounds in integers: rationals raises decimal's Overflow
+    # and takes no context, rounding mode, signal or Decimal from the module
+    taken = set()
+    for node in ast.walk(ast.parse((PACKAGE / "rationals.py").read_text())):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "decimal" for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module == "decimal":
+            taken.update(alias.name for alias in node.names)
+    assert taken == {"Overflow"}
 
 
 def test_cli_import_skips_heavy_modules():

@@ -30,11 +30,7 @@ from fibgreedy import (
     parse_rational,
     rationals,
 )
-from fibgreedy.rationals import (
-    _INTEGER_ROUNDING_BITS,
-    _PRODUCT_FORM_BITS,
-    _reciprocal_sum,
-)
+from fibgreedy.rationals import _PRODUCT_FORM_BITS, _reciprocal_sum
 from fibgreedy.sequences import seq_terms
 
 
@@ -103,6 +99,19 @@ class TestFormat:
         assert format_rational(Fraction(1, 10**5000 + 1)) == f"1/{10**5000 + 1}"
 
 
+class FloatSubclass(float):
+    pass
+
+
+@pytest.mark.parametrize("helper", [format_rational, approx_decimal])
+@pytest.mark.parametrize("x", [0.5, 3.0, -0.0, FloatSubclass(0.25)])
+def test_display_helpers_refuse_floats(helper, x):
+    # a float would otherwise print its binary value: 0.1 as
+    # 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match=rf"not {type(x).__name__}\b"):
+        helper(x)
+
+
 class TestApprox:
     def test_six_significant_digits(self):
         assert approx_decimal(Fraction(9, 17)) == "0.529412"
@@ -128,7 +137,7 @@ class TestApprox:
             ctx.rounding = ROUND_DOWN
             ctx.capitals = 0
             assert approx_decimal(Fraction(2, 3)) == "0.666667"
-            # the exponent letter too, on both sides of the integer cut-off
+            # the exponent letter too, for small and large operands
             assert approx_decimal(Fraction(1, 10**50 + 1)) == "1.00000E-50"
             assert approx_decimal(Fraction(1, 10**5000 + 1)) == "1.00000E-5000"
 
@@ -143,8 +152,11 @@ class TestApprox:
             DefaultContext.rounding, DefaultContext.Emax = saved
 
 
-def divided(x):
-    # the reference: one Decimal division in a context with every setting given
+def divided(p, q):
+    # the reference: one Decimal division of the integers p and q in a
+    # context with every setting given. Each is an int or its digits as a
+    # string, which Decimal reads in linear time; Decimal(int) takes seconds
+    # on a million digits.
     context = Context(
         prec=6,
         rounding=ROUND_HALF_EVEN,
@@ -155,7 +167,7 @@ def divided(x):
         flags=[],
         traps=[InvalidOperation, DivisionByZero, Overflow],
     )
-    return str(context.divide(Decimal(x.numerator), Decimal(x.denominator)))
+    return str(context.divide(Decimal(p), Decimal(q)))
 
 
 def sized(max_bits):
@@ -165,15 +177,19 @@ def sized(max_bits):
     )
 
 
-# operands on both sides of the integer-rounding cut-off
-SIZED = sized(3 * _INTEGER_ROUNDING_BITS)
+# the size, in bits, that the display's operands are laid out around: window
+# ends pass it from window 68 on fibonacci, and the operands below reach
+# three times it
+OPERAND_BITS = 380
+
+SIZED = sized(3 * OPERAND_BITS)
 
 
 @st.composite
 def display_values(draw):
     """Any rational, an exact tie at the six figures rounded to, an exact
     decimal quotient, or an integer, with either sign. Operands reach three
-    times the cut-off and ties are scaled by 10^j, |j| <= 400, so each kind
+    times OPERAND_BITS and ties are scaled by 10^j, |j| <= 400, so each kind
     falls on both sides of it."""
     kind = draw(st.sampled_from(["any", "tie", "exact", "integer"]))
     if kind == "any":
@@ -192,19 +208,18 @@ def display_values(draw):
 @settings(max_examples=500, deadline=None)
 @given(display_values())
 def test_approx_matches_one_decimal_division(x):
-    assert approx_decimal(x) == divided(x)
+    assert approx_decimal(x) == divided(*x.as_integer_ratio())
 
 
-def test_approx_reaches_both_sides_of_the_cut_off():
-    for bits in (_INTEGER_ROUNDING_BITS, _INTEGER_ROUNDING_BITS + 1):
+def test_approx_on_both_sides_of_the_operand_size():
+    for bits in (OPERAND_BITS, OPERAND_BITS + 1):
         for x in (Fraction(1, 3 * 2 ** (bits - 2)), Fraction(2**bits - 3, 2**bits - 1)):
             assert max(x.numerator.bit_length(), x.denominator.bit_length()) == bits
-            assert approx_decimal(x) == divided(x)
-            assert approx_decimal(-x) == divided(-x)
+            assert approx_decimal(x) == divided(*x.as_integer_ratio())
+            assert approx_decimal(-x) == divided(*(-x).as_integer_ratio())
 
 
-# the integer cut-off falls between _INTEGER_ROUNDING_BITS and one bit more
-EDGE_BITS = (_INTEGER_ROUNDING_BITS - 1, _INTEGER_ROUNDING_BITS, _INTEGER_ROUNDING_BITS + 1)
+EDGE_BITS = (OPERAND_BITS - 1, OPERAND_BITS, OPERAND_BITS + 1)
 
 
 def edge_operands():
@@ -224,20 +239,19 @@ def edge_operands():
     "x",
     [
         *edge_operands(),
-        Fraction(2**_INTEGER_ROUNDING_BITS - 1, 2**_INTEGER_ROUNDING_BITS - 1),  # p = q: 1
+        Fraction(2**OPERAND_BITS - 1, 2**OPERAND_BITS - 1),  # p = q: 1
         Fraction(1, 8),
-        Fraction(3, 2 ** (_INTEGER_ROUNDING_BITS + 1)),
-        Fraction(2 ** (_INTEGER_ROUNDING_BITS + 1) + 1, 8),
-        Fraction(10**115 + 1, 10**115),  # 383 bits, just past the cut-off
-        Fraction(2**_INTEGER_ROUNDING_BITS + 1, 2 ** (_INTEGER_ROUNDING_BITS - 1)),
+        Fraction(3, 2 ** (OPERAND_BITS + 1)),
+        Fraction(2 ** (OPERAND_BITS + 1) + 1, 8),
+        Fraction(10**115 + 1, 10**115),  # 383 bits
+        Fraction(2**OPERAND_BITS + 1, 2 ** (OPERAND_BITS - 1)),
     ],
 )
 def test_approx_matches_the_decimal_operand_form(x):
     # divided() converts p and q with Decimal() before dividing, while
-    # approx_decimal hands small integers to the context as they are and
-    # shortens large ones first; at the cut-off all three must agree
-    assert approx_decimal(x) == divided(x)
-    assert approx_decimal(-x) == divided(-x)
+    # approx_decimal divides the integers itself
+    assert approx_decimal(x) == divided(*x.as_integer_ratio())
+    assert approx_decimal(-x) == divided(*(-x).as_integer_ratio())
 
 
 def test_edge_operands_have_the_sizes_they_name():
@@ -246,24 +260,40 @@ def test_edge_operands_have_the_sizes_they_name():
 
 
 @pytest.mark.parametrize(
-    "x, shown",
+    "m, k, shown",
     [
-        (Fraction(10**999999), "1.00000E+999999"),
-        (Fraction(10**1000000), Overflow),
-        (Fraction(1, 10**1000004), "1E-1000004"),
-        (Fraction(15, 10**1000005), "2E-1000004"),
-        (Fraction(5, 10**1000005), "0E-1000004"),
+        (1, 999999, "1.00000E+999999"),
+        (999999, 999994, "9.99999E+999999"),
+        (1, 1000000, Overflow),
+        (9999995, 999993, Overflow),
+        (1, -999999, "1E-999999"),
+        (1, -1000004, "1E-1000004"),
+        (123456, -1000005, "1.2346E-1000000"),
+        (-123456, -1000005, "-1.2346E-1000000"),
+        (12, -1000001, "1.2E-1000000"),
+        (15, -1000005, "2E-1000004"),
+        (5, -1000005, "0E-1000004"),
+        (-5, -1000005, "-0E-1000004"),
     ],
-    ids=["largest", "overflow", "smallest", "subnormal-tie-up", "subnormal-tie-to-zero"],
+    ids=[
+        "largest", "largest-six-figures", "overflow", "rounds-up-to-overflow", "small",
+        "smallest", "subnormal", "negative-subnormal", "exact-subnormal-sheds-zeros",
+        "subnormal-tie-up", "subnormal-tie-to-zero", "negative-subnormal-to-zero",
+    ],
 )
-def test_approx_at_the_exponent_limits(x, shown):
-    # Emax = 999999 and Etiny = Emin - prec + 1 = -1000004, as the division
-    # applies them: a larger value overflows, a smaller one loses figures
+def test_approx_at_the_exponent_limits(m, k, shown):
+    # x = m*10^k. Emax = 999999 and Etiny = Emin - prec + 1 = -1000004, as
+    # the division applies them: a larger value overflows, also by rounding
+    # up, and a smaller one keeps fewer figures
+    x = m * Fraction(10) ** k
+    p, q = (f"{m}{'0' * k}", "1") if k >= 0 else (str(m), f"1{'0' * -k}")
     if shown is Overflow:
+        with pytest.raises(Overflow):
+            divided(p, q)
         with pytest.raises(Overflow):
             approx_decimal(x)
     else:
-        assert approx_decimal(x) == shown
+        assert approx_decimal(x) == divided(p, q) == shown
 
 
 # every valid pair of seeds with a1 < 30, custom:2,2 (gcd 2) among them
