@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -248,8 +249,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_theta(argv: list[str]) -> list[str]:
+    """argv with a number-like value that starts with '-', such as -1/2,
+    attached to the --theta before it (or any prefix argparse accepts for
+    it) as --theta=-1/2. argparse reads such a token as an unknown option
+    unless it is a plain negative integer or decimal, so ``--theta -1/2``
+    would stop at "expected one argument"; attached, every spelling of a
+    negative target reaches the domain check."""
+    out: list[str] = []
+    for token in argv:
+        if out and len(out[-1]) > 2 and "--theta".startswith(out[-1]) and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_theta(sys.argv[1:] if argv is None else argv))
     try:
         preset = parse_sequence_spec(args.seq)
         if args.command == "classify":

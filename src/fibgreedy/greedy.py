@@ -8,12 +8,13 @@ and does occur, e.g. seeds (3, 4) at theta = 1 start 1/4 + 1/4.
 
 Both entry points run on integers and build one reduced Fraction, for the
 returned value; ``_search``, behind ``greedy_two_term``, gives the remainder
-form. It memoizes one target's pick with the terms its search found:
-``classify`` and ``oracle_best`` each ask ``greedy_two_term`` for the pick
-of their target, the second finds the first's, and both read its terms
-through ``_terms_of``. ``TwoTermSum``, the record for any pair and its
-value, lives here beside ``GreedyResult``, so the classifier and the search
-both import it from below and neither imports the other.
+form. It memoizes one target's pick with the terms its search found and the
+first remainder's numerator: ``classify`` and ``oracle_best`` each ask
+``greedy_two_term`` for the pick of their target, the second finds the
+first's, and both read its terms through ``_terms_of``. ``TwoTermSum``, the
+record for any pair and its value, lives here beside ``GreedyResult``, so the
+classifier and the search both import it from below and neither imports the
+other.
 """
 
 from __future__ import annotations
@@ -77,37 +78,44 @@ def greedy_two_term(params: SequenceParams, theta) -> GreedyResult:
 @lru_cache(maxsize=1)
 def _search(
     params: SequenceParams, p: int, q: int
-) -> tuple[GreedyResult, tuple[int, int, int, int]]:
-    """The greedy pick for theta = p/q in lowest terms, and the terms its
-    search found, (a_g1, a_{g1+1}, a_g2, a_{g2+1}).
+) -> tuple[GreedyResult, tuple[int, int, int, int, int]]:
+    """The greedy pick for theta = p/q in lowest terms, and what its search
+    found, (a_g1, a_{g1+1}, a_g2, a_{g2+1}, r1) with r1 = p*a_g1 - q.
 
-    The remainder is kept as the unreduced (p*a_g1 - q, q*a_g1); the search
-    compares cross-products, so no Fraction arithmetic runs until the
-    returned value is built, once and reduced, by
-    ``rationals._reciprocal_sum``. The two steps are written out: a loop
-    shared with ``greedy_prefix`` would cost about 1 us a call.
+    The remainder is kept as the unreduced (r1, q*a_g1); the search compares
+    cross-products, so no Fraction arithmetic runs until the returned value
+    is built, once and reduced, by ``rationals._reciprocal_sum``. r1 is
+    formed once: where leading bits cannot settle the first search's last
+    comparison, p*a_g1 > q, as inside a window past _NEAR_TIE_BITS, where
+    p*a_g1 - q is tiny next to q, the search forms it and hands it back;
+    otherwise it is formed here. The second search and the classifier's and
+    the oracle's near-ties all read this one r1. The two steps are written
+    out: a loop shared with ``greedy_prefix`` would cost about 1 us a call.
 
     One entry is kept, keyed by the seeds and the reduced target, and the
-    next distinct key replaces it: the memo never holds more than one pick
-    and its four terms, tens of KB at a 10^10000 target.
+    next distinct key replaces it: the memo never holds more than one pick,
+    its four terms and r1, tens of KB at a 10^10000 target.
     """
-    g1, a, b = index_below(params, p, q, 1, 1, params.a1, params.a0 + params.a1)
-    g2, c, d = index_below(params, p * a - q, q, a, g1, a, b)
-    return GreedyResult(g1, g2, _reciprocal_sum(params, g1, a, g2, c)), (a, b, c, d)
+    g1, a, b, r1 = index_below(params, p, q, 1, 1, params.a1, params.a0 + params.a1)
+    if r1 is None:
+        r1 = p * a - q
+    g2, c, d, _ = index_below(params, r1, q, a, g1, a, b)
+    return GreedyResult(g1, g2, _reciprocal_sum(params, g1, a, g2, c)), (a, b, c, d, r1)
 
 
 def _terms_of(
     params: SequenceParams, p: int, q: int, pick: GreedyResult
-) -> tuple[int, int, int, int]:
-    """(a_g1, a_{g1+1}, a_g2, a_{g2+1}) of a pick for theta = p/q: the memo's
-    terms when the memo's pick is this very record, as the one
+) -> tuple[int, int, int, int, int]:
+    """(a_g1, a_{g1+1}, a_g2, a_{g2+1}, p*a_g1 - q) of a pick for theta =
+    p/q: the memo's when the memo's pick is this very record, as the one
     ``greedy_two_term`` just returned for p/q is, or, for a GreedyResult
-    built any other way, the terms evaluated afresh (after a search, should
-    the memo hold another target)."""
+    built any other way, evaluated afresh (after a search, should the memo
+    hold another target)."""
     found, terms = _search(params, p, q)
     if found is pick:
         return terms
-    return (*seq_pair(params, pick.g1), *seq_pair(params, pick.g2))
+    a, b = seq_pair(params, pick.g1)
+    return (a, b, *seq_pair(params, pick.g2), p * a - q)
 
 
 class GreedyPrefix(namedtuple("GreedyPrefix", "indices partial_sum denominators")):
@@ -135,10 +143,10 @@ def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
     num, den = p, q
     n, a, b = 1, params.a1, params.a0 + params.a1
     for _ in range(k):
-        n, a, b = index_below(params, num, den, 1, n, a, b)
+        n, a, b, rem = index_below(params, num, den, 1, n, a, b)
         indices.append(n)
         denominators.append(a)
-        num, den = num * a - den, den * a
+        num, den = num * a - den if rem is None else rem, den * a
     # den is q times the terms, so theta - num/den is over den too
     total = Fraction(p * (den // q) - num, den)
     return GreedyPrefix(tuple(indices), total, tuple(denominators))

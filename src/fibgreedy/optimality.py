@@ -258,29 +258,31 @@ def classify(params: SequenceParams, theta) -> Classification:
     the first index whose reciprocal fits under it. Conversely, above the
     left end, a_g2 * chi > bound holds exactly when g2 >= 2m+4+xi(m), that
     is when theta is at most the right end. So theta = p/q is inside exactly
-    when (p*a2 - q)*a3*a4 > chi*q and a_g2 * chi > a2*a3*a4, where
-    (a2, a3) are the greedy search's (a_g1, a_{g1+1}). Past _NEAR_TIE_BITS in
-    a2 both tests go through ``sequences._exceeds``: inside a window,
-    theta - 1/a2 lies between chi/bound and 1/a_{2m+3+xi(m)}, less than
-    twice chi/bound, which leading bits decide. The witness follows from the
-    same terms: xi(m) = g2 - (2m+4) and a_{2m+3+xi(m)} = a_{g2+1} - a_g2. No
-    cutoff or index search runs beyond the greedy pick's own, and the
-    window's exact endpoints are built only when it covers theta. The pick
-    and its terms stay in ``greedy``'s one-entry memo, so an ``oracle_best``
-    on the same target that follows finds them without searching again.
+    when r1*a3*a4 > chi*q and a_g2 * chi > a2*a3*a4, where (a2, a3) are the
+    greedy search's (a_g1, a_{g1+1}) and r1 = p*a2 - q is its first
+    remainder's numerator, which the search formed and this reads rather
+    than forms. Past _NEAR_TIE_BITS in a2 both tests go through
+    ``sequences._exceeds``: inside a window, theta - 1/a2 lies between
+    chi/bound and 1/a_{2m+3+xi(m)}, less than twice chi/bound, which leading
+    bits decide. The witness follows from the same terms: xi(m) = g2 -
+    (2m+4) and a_{2m+3+xi(m)} = a_{g2+1} - a_g2. No cutoff or index search
+    runs beyond the greedy pick's own, and the window's exact endpoints are
+    built only when it covers theta. The pick, its terms and r1 stay in
+    ``greedy``'s one-entry memo, so an ``oracle_best`` on the same target
+    that follows finds them without searching again.
     """
     t, p, q = _require_theta(theta)
     gr = greedy_two_term(params, t)
     witness: BadInterval | None = None
     if gr.g1 % 2 == 0:
         m = gr.g1 // 2 - 1
-        a2, a3, c, d = _terms_of(params, p, q, gr)
+        a2, a3, c, d, r1 = _terms_of(params, p, q, gr)
         a4 = a2 + a3
         chi = params.chi
         if a2.bit_length() <= _NEAR_TIE_BITS:
-            inside = (p * a2 - q) * a3 * a4 > chi * q and c * chi > a2 * a3 * a4
+            inside = r1 * a3 * a4 > chi * q and c * chi > a2 * a3 * a4
         else:
-            inside = _exceeds((p * a2 - q, a3, a4), (chi, q)) and _exceeds((c, chi), (a2, a3, a4))
+            inside = _exceeds((r1, a3, a4), (chi, q)) and _exceeds((c, chi), (a2, a3, a4))
         if inside:
             witness = _window(params, m, a2, a3, a4, gr.g2 - (2 * m + 4), d - c)
     if witness is None:

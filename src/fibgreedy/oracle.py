@@ -3,8 +3,11 @@
 ``oracle_best`` walks every candidate pair that could beat the greedy one
 and stops by an elementary bound, not by the classifier's theorem; its
 docstring proves the search exhaustive and that it examines at most two
-candidates. Every comparison is exact, and ``_beats`` settles the candidate
-test's near-tie.
+candidates. Every comparison is exact. Past the near-tie cut-off, leading
+bits decide first, and ``_adjacent_fits`` and ``_beats`` settle the
+partner step's and the candidate test's near-ties from the greedy
+remainder and the identity a_{k-1}*a_{k+1} - a_k^2 = (-1)^(k+1)*chi, with
+chi formed here from the seeds.
 """
 
 from __future__ import annotations
@@ -18,22 +21,56 @@ from .sequences import _NEAR_TIE_BITS, SequenceParams, _exceeds, _leading_exceed
 __all__ = ["OracleReport", "oracle_best"]
 
 
-def _beats(a: int, c: int, x: int, y: int) -> bool:
+def _adjacent_fits(p: int, q: int, r1: int, a: int, b: int, s: int) -> bool:
+    """1/a_{m+1} < p/q - 1/a_m for (a, b) = (a_m, a_{m+1}), that is
+    p*a*b > q*(a + b), given r1 = p*a_{m-1} - q and s = (-1)^m*chi. It is
+    the partner search's first comparison from m + 1, (p*a_m - q)*a_{m+1} >
+    q*a_m, rearranged: the partner is m + 1 exactly when it holds.
+
+    Leading bits decide first. On a near-tie the identity does, exactly:
+    with a_{m+2} = a + b and q = p*a_{m-1} - r1,
+
+        p*a_m*a_{m+1} - q*a_{m+2}
+            = r1*a_{m+2} + p*(a_m*a_{m+1} - a_{m-1}*a_{m+2}),
+
+    and a_m*a_{m+1} - a_{m-1}*a_{m+2} = a_m*(a_m + a_{m-1}) -
+    a_{m-1}*(a_{m+1} + a_m) = a_m^2 - a_{m-1}*a_{m+1} = (-1)^m*chi by the
+    identity of ``oracle_best``. So the sign of r1*(a + b) + p*s is the
+    comparison's, for any p, q and r1 so defined. p*a_m - q is not formed,
+    and the one product, r1*(a + b), is small where r1 is: at a target
+    k/(a_{m-1}*k - 1), r1 = 1.
+    """
+    decided = _leading_exceeds((p, a, b), (q, a + b))
+    if decided is not None:
+        return decided
+    return r1 * (a + b) + p * s > 0
+
+
+def _beats(a: int, c: int, x: int, y: int, d: int | None = None) -> bool:
     """1/a + 1/c > 1/x + 1/y for positive terms, that is (a + c)*x*y >
-    (x + y)*a*c, with no product of three big factors formed.
+    (x + y)*a*c, with neither side multiplied out.
 
     Leading bits decide first. On a near-tie the two sides cancel: their
-    difference is y*D - (a*x)*c with D = a*x - c*(a - x), by algebra on the
-    four terms alone, no sequence identity. So D <= 0 loses, and otherwise
-    y*D is compared with (a*x)*c, where a candidate close to the best value
-    has a small D.
+    difference is (a + c)*x*y - (x + y)*a*c = y*D - a*x*c with D = a*x -
+    c*(a - x), by algebra on the four terms alone. So the candidate wins
+    exactly when y*D > a*x*c: never where D <= 0, and otherwise by that
+    comparison, where a candidate close to the best value has a small D.
+    D is formed from the four terms, unless the
+    caller gives it: for the adjacent candidate (a, c) = (a_m, a_{m+1})
+    against x = a_{m-1}, c*(a - x) = (a_m + a_{m-1})*(a_m - a_{m-1}) = a_m^2
+    - a_{m-1}^2, so D = a_{m-1}*(a_m + a_{m-1}) - a_m^2 = a_{m-1}*a_{m+1} -
+    a_m^2 = (-1)^(m+1)*chi by the identity of ``oracle_best``, and neither
+    a*x nor c*(a - x) is formed.
     """
     decided = _leading_exceeds((a + c, x, y), (x + y, a, c))
     if decided is not None:
         return decided
-    ax = a * x
-    d = ax - c * (a - x)
-    return d > 0 and _exceeds((y, d), (ax, c))
+    if d is None:
+        ax = a * x
+        d, sides = ax - c * (a - x), (ax, c)
+    else:
+        sides = (a, x, c)
+    return d > 0 and _exceeds((y, d), sides)
 
 
 class OracleReport(namedtuple("OracleReport", "best candidates_examined")):
@@ -62,32 +99,53 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     the one starting at g1 + 1.
 
     Everything between the target and the result is integer work. The
-    greedy pick and its terms come from ``greedy``'s one-entry memo, so
-    after ``classify`` on the same target no greedy search runs again. With
-    theta = p/q, the partner of a_m is searched under the unreduced
-    remainder p*a_m - q over the factors (q, a_m). The best value so far is
-    held as its two terms, 1/x + 1/y, the search's (a_g1, a_g2); a_{g1+1}
-    comes from the search too, and one pair (a_m, a_{m+1}) rolls along the
-    first indices by the recurrence, so no term is evaluated twice. A
-    candidate 1/a_m + 1/c replaces the best when (a_m + c)*x*y >
-    (x + y)*a_m*c, and the walk stops once 2*x*y <= (x + y)*a_m. Up to
-    _NEAR_TIE_BITS in a_g2 both tests are multiplied out; past it the stop
-    rule goes through ``sequences._exceeds`` and the candidate test through
-    ``_beats``. So no product of three big terms is formed, and one of two
-    only where leading bits cannot decide (a candidate within about
-    1/a_g1^2 of the best value, as for every target inside a window). A
-    winner other than the greedy pair is built once, by
+    greedy pick, its terms and r1 = p*a_g1 - q come from ``greedy``'s
+    one-entry memo, so after ``classify`` on the same target no greedy
+    search runs again. With theta = p/q, the partner of a_m is searched
+    under the unreduced remainder p*a_m - q over the factors (q, a_m). The
+    best value so far is held as its two terms, 1/x + 1/y, the search's
+    (a_g1, a_g2); a_{g1+1} comes from the search too, and one pair (a_m,
+    a_{m+1}) rolls along the first indices by the recurrence, so no term is
+    evaluated twice. A candidate 1/a_m + 1/c replaces the best when
+    (a_m + c)*x*y > (x + y)*a_m*c, and the walk stops once 2*x*y <=
+    (x + y)*a_m. Up to _NEAR_TIE_BITS in a_g2 the partner is searched and
+    both tests are multiplied out. Past it the stop rule goes through
+    ``sequences._exceeds`` and the candidate test through ``_beats``, and at
+    m = g1 + 1 the partner m + 1 is tried first by ``_adjacent_fits``, which
+    forms no p*a_m - q; only where it does not fit is the partner searched,
+    from m + 1. So neither side of either test is multiplied out, and big
+    terms are multiplied only on a near-tie that leading bits leave open.
+    A winner other than the greedy pair is built once, by
     ``rationals._reciprocal_sum``; the greedy pair's value is the pick's own.
+
+    The identity a_{k-1}*a_{k+1} - a_k^2 = (-1)^(k+1)*chi, for k >= 1 and
+    chi = a0*(a0 + a1) - a1^2, settles those near-ties. At k = 1 it is
+    a0*a2 - a1^2 = a0*(a0 + a1) - a1^2 = chi. From k to k + 1: a_k*a_{k+2}
+    - a_{k+1}^2 = a_k*(a_k + a_{k+1}) - a_{k+1}*(a_{k-1} + a_k) = a_k^2 -
+    a_{k-1}*a_{k+1}, the negative of the step before. chi is formed here
+    from the seeds, not read from ``params.chi``, so a fault there is not
+    shared with the classifier; nothing here places a window or a cutoff.
+    At m = g1 + 1, s = (-1)^m*chi gives ``_adjacent_fits`` its sign and the
+    adjacent candidate (m, m + 1) against x = a_g1 its D = -s in ``_beats``.
     """
     t, p, q = _require_theta(theta)
     greedy = greedy_two_term(params, t)
-    x, b, y, _ = _terms_of(params, p, q, greedy)  # the best value so far is 1/x + 1/y
+    x, b, y, _, r1 = _terms_of(params, p, q, greedy)  # the best value so far is 1/x + 1/y
     big = y.bit_length() > _NEAR_TIE_BITS
+    if big:
+        a0, a1 = params
+        s = a0 * (a0 + a1) - a1 * a1  # chi
+        if greedy.g1 % 2 == 0:  # m = g1 + 1 is odd
+            s = -s
     winner = None
     m, a, b = greedy.g1 + 1, b, x + b
     while _exceeds((2 * x, y), (x + y, a)) if big else 2 * x * y > (x + y) * a:
-        partner, c, _ = index_below(params, p * a - q, q, a, m + 1, b, a + b)
-        if _beats(a, c, x, y) if big else (a + c) * x * y > (x + y) * a * c:
+        if big and m == greedy.g1 + 1 and _adjacent_fits(p, q, r1, a, b, s):
+            partner, c, d = m + 1, b, -s
+        else:
+            partner, c, _, _ = index_below(params, p * a - q, q, a, m + 1, b, a + b)
+            d = None
+        if _beats(a, c, x, y, d) if big else (a + c) * x * y > (x + y) * a * c:
             winner, x, y = (m, partner), a, c
         m, a, b = m + 1, b, a + b
     if winner is None:

@@ -159,8 +159,8 @@ def seq_terms(params: SequenceParams, upto: int) -> list[int]:
     return terms
 
 
-# Above this many bits, comparisons go through _exceeds instead of forming
-# the products: in index_below (its docstring says which), in the oracle's
+# Above this many bits, comparisons decide from leading bits before forming
+# any product: in index_below (its docstring says which), in the oracle's
 # a_g2 and in the classifier's a_g1. classify + oracle_best with every path
 # forced, factored over plain (Python 3.11.7): 1.11-1.14 at 1000 bits,
 # 0.72-0.83 at 1750 and 0.71-0.90 at 2000. One comparison that leading bits
@@ -227,18 +227,22 @@ def _exceeds(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
     """prod(xs) > prod(ys) for tuples of positive integers, exactly: by
     ``_leading_exceeds``, and by the full products on the near-tie it leaves.
     A caller that can settle its near-tie more cheaply than by the products,
-    as the oracle's candidate test does, takes ``_leading_exceeds`` alone."""
+    as the index search and the oracle's tests do, takes ``_leading_exceeds``
+    alone."""
     decided = _leading_exceeds(xs, ys)
     return prod(xs) > prod(ys) if decided is None else decided
 
 
 def index_below(
     params: SequenceParams, num: int, q: int, r: int, start: int, a: int, b: int
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, int | None]:
     """Smallest n >= start with num*a_n > q*r, i.e. 1/a_n < num/(q*r), as
-    (n, a_n, a_{n+1}); (a, b) must be (a_start, a_{start+1}) and num, q and r
-    positive. A remainder p/q - 1/a comes as num = p*a - q over (q, a); a
-    one-factor bound comes as (q, 1).
+    (n, a_n, a_{n+1}, rem); (a, b) must be (a_start, a_{start+1}) and num, q
+    and r positive. A remainder p/q - 1/a comes as num = p*a - q over (q, a);
+    a one-factor bound comes as (q, 1). rem is num*a_n - q*r, the next
+    remainder's numerator, where a near-tie made the factored walk form it
+    to settle its last comparison, and None otherwise: a caller that needs
+    it forms it only then, so a big remainder is multiplied out once.
 
     Predict, then certify. Since a_{s+1} <= 2*a_s for every valid sequence,
     a_{s+k} <= F(k+2)*a_s < a_s*phi^(k+1), so the bit-length guess
@@ -252,12 +256,12 @@ def index_below(
     F(k)*a_{s+1}, from one ``_fib_pair(k)``; a longer one evaluates
     (a_{s+k}, a_{s+k+1}) by ``seq_pair``.
 
-    Each comparison num*a_n > q*r takes one of two forms. Factored: it goes
-    through ``_exceeds``, which decides from leading bits and forms the
-    products only on a near-tie. Plain:
-    den = q*r is formed once, and num*a_n is multiplied only near the
-    answer, since while bits(num) + bits(a_n) < bits(den), num*a_n <
-    2^(bits(num)+bits(a_n)) <= 2^(bits(den)-1) <= den. The walk is factored
+    Each comparison num*a_n > q*r takes one of two forms. Factored: leading
+    bits decide it (``_leading_exceeds``), and on a near-tie the difference
+    num*a_n - q*r is formed and its sign decides. Plain: den = q*r is formed
+    once, and num*a_n is multiplied only near the answer, since while
+    bits(num) + bits(a_n) < bits(den), num*a_n < 2^(bits(num)+bits(a_n)) <=
+    2^(bits(den)-1) <= den. The walk is factored
     against (q, r) when r has more than _NEAR_TIE_BITS bits, and the guess
     then takes bits(q) + bits(r) - 1, a lower bound on bits(q*r), which only
     lowers it; every term a remainder's search compares is at least r, so a
@@ -268,7 +272,7 @@ def index_below(
     num_bits = num.bit_length()
     # dens stays None for the plain walk, and holds the factors for the factored one
     if r.bit_length() > _NEAR_TIE_BITS:
-        dens, den_bits = (q, r), q.bit_length() + r.bit_length() - 1
+        den, dens, den_bits = None, (q, r), q.bit_length() + r.bit_length() - 1
     else:
         den = q * r
         den_bits = den.bit_length()
@@ -283,15 +287,24 @@ def index_below(
             a, b = (g - f) * a + f * b, f * a + g * b
         else:
             a, b = seq_pair(params, n)
+    rem = None
     if dens is None:
         while num_bits + a.bit_length() < den_bits or num * a <= den:
             n, a, b = n + 1, b, a + b
     else:
-        while not _exceeds((num, a), dens):
+        while True:
+            above = _leading_exceeds((num, a), dens)
+            if above is None:  # a near-tie: the difference's sign settles it
+                rem = num * a - (q * r if den is None else den)
+                if rem > 0:
+                    break
+                rem = None
+            elif above:
+                break
             n, a, b = n + 1, b, a + b
     if k > 0 and n == start + k:
         raise SelfCheckError(f"index guess {n} from start {start} overshoots for {params}")
-    return n, a, b
+    return n, a, b, rem
 
 
 def seq_term_from_fibs(params: SequenceParams, n: int) -> int:

@@ -163,6 +163,24 @@ class TestClassify:
         assert code == 2
         assert "theta" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--theta", "-1/2"],
+            ["--theta=-1/2"],
+            ["--theta", "-0.5"],
+            ["--theta", "-2/4"],
+            ["--the", "-1/2"],
+            ["--seq", "lucas", "--theta", "-1/2"],
+        ],
+    )
+    def test_negative_theta_reaches_the_domain_check(self, capsys, argv):
+        # a value after --theta that starts with '-' is the target, in every
+        # spelling, not an unknown option for argparse to refuse
+        code, out, err = run_cli(capsys, "classify", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: theta must be in (0, 1], got -1/2\n"
+
     def test_unparseable_theta(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--theta", "one half")
         assert code == 2
@@ -233,6 +251,12 @@ class TestIntervals:
 
 
 class TestGreedy:
+    @pytest.mark.parametrize("argv", [["--theta", "-3/7"], ["--theta=-3/7"]])
+    def test_negative_theta_reaches_the_domain_check(self, capsys, argv):
+        code, out, err = run_cli(capsys, "greedy", *argv, "--terms", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: theta must be in (0, 1], got -3/7\n"
+
     def test_fibonacci_two_steps(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "greedy", "--theta", "27/50")
         assert code == 0

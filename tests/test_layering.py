@@ -85,6 +85,15 @@ def test_optimality_runs_no_index_search():
     assert not _reads(path, "SelfCheckError")
 
 
+def test_oracle_stays_free_of_the_window_theorem():
+    # the oracle certifies the classifier, so it places no window or cutoff
+    # and forms chi from the seeds itself: a fault in params.chi or in the
+    # cutoff is not one the two share
+    path = PACKAGE / "oracle.py"
+    for name in ("chi", "xi", "_offset", "_cutoff", "bad_interval", "_window"):
+        assert not _reads(path, name), name
+
+
 def _readers_of(path, attrs):
     # names of the functions that read any of attrs; None for module level
     readers = set()

@@ -15,8 +15,8 @@ from fibgreedy import (
     greedy_two_term,
     oracle_best,
 )
-from fibgreedy import oracle, sequences, verification
-from fibgreedy.sequences import _NEAR_TIE_BITS, _leading_exceeds
+from fibgreedy import greedy, oracle, sequences, verification
+from fibgreedy.sequences import _NEAR_TIE_BITS, _leading_exceeds, seq_pair
 from fibgreedy.verification import disagreement, grid_equivalence_suite
 
 FIB = FIBONACCI.params
@@ -205,7 +205,8 @@ def test_classifier_and_search_agree_at_big_windows(monkeypatch, params, n):
 @pytest.mark.parametrize("params, n", BIG_WINDOWS[:2], ids=BIG_WINDOW_IDS[:2])
 def test_search_multiplies_out_no_three_factor_product(monkeypatch, params, n):
     # The candidate test's sides, (a + c)*x*y and (x + y)*a*c, are never
-    # multiplied out, not even on the near-ties inside a window.
+    # multiplied out, not even on the near-ties inside a window, where the
+    # adjacent candidate's D comes from the identity.
     products = []
     prod = sequences.prod
     monkeypatch.setattr(sequences, "prod", lambda xs: products.append(len(xs)) or prod(xs))
@@ -258,3 +259,110 @@ def test_candidate_test_on_near_ties():
         assert oracle._beats(a, c, x, y) == beats(a, c, x, y), (a.bit_length(), c - a)
     verdicts = {beats(*case) for case in cases}
     assert verdicts == {True, False}
+
+
+# seeds with chi = 1 (fibonacci, custom:89,144), 5 (lucas) and 11 (custom:4,5)
+CHI_SEEDS = [FIB, LUC, SequenceParams(4, 5), SequenceParams(89, 144)]
+CHI_SEED_IDS = ["1,1", "3,4", "4,5", "89,144"]
+
+
+def signed_chi(params, m):
+    # (-1)^m*chi, from the seeds
+    chi = params.a0 * (params.a0 + params.a1) - params.a1 ** 2
+    return chi if m % 2 == 0 else -chi
+
+
+def adjacent_fits_cases(params, m):
+    # (p, q, r1, a, b, s) for targets p/q on both sides of the tie 1/a_m +
+    # 1/a_{m+1} = a_{m+2}/(a_m*a_{m+1}), closer than leading bits resolve,
+    # and at the tie itself; r1 = p*a_{m-1} - q, which is negative where
+    # p/q lies below 1/a_{m-1}, as it does near the tie for even m
+    x, a = seq_pair(params, m - 1)
+    b = a + x
+    cases = []
+    for scale in (1, 3, 1 << 80):
+        for shift in (-1, 0, 1):
+            p, q = (a + b) * scale + shift, a * b * scale
+            cases.append((p, q, p * x - q, a, b, signed_chi(params, m)))
+    return cases
+
+
+@pytest.mark.parametrize("params", CHI_SEEDS, ids=CHI_SEED_IDS)
+def test_partner_step_on_near_ties(params):
+    # _adjacent_fits against Fraction arithmetic where leading bits leave it
+    # open, at odd and even m with terms past _NEAR_TIE_BITS
+    cases = [case for m in (2900, 2901, 6000, 6001) for case in adjacent_fits_cases(params, m)]
+    assert min(case[3].bit_length() for case in cases) > _NEAR_TIE_BITS
+    assert all(_leading_exceeds((p, a, b), (q, a + b)) is None for p, q, _, a, b, _ in cases)
+    verdicts = []
+    for p, q, r1, a, b, s in cases:
+        expected = Fraction(p, q) - Fraction(1, a) > Fraction(1, b)
+        assert oracle._adjacent_fits(p, q, r1, a, b, s) == expected, (a.bit_length(), p % 7)
+        verdicts.append(expected)
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("params", CHI_SEEDS, ids=CHI_SEED_IDS)
+def test_candidate_test_with_the_identity_on_near_ties(params):
+    # The adjacent candidate (a_m, a_{m+1}) against x = a_{m-1}: D is
+    # (-1)^(m+1)*chi. At odd m, partners y one either side of the exact tie
+    # y* = a_{m-1}*a_m*a_{m+1}/chi and y* itself; at even m (D < 0) a y far
+    # past a*x*c, where the sides still tie to leading bits. _beats with D
+    # given, and with D formed from the terms, against Fraction arithmetic.
+    cases = []
+    for m in (2901, 6001):
+        x, a = seq_pair(params, m - 1)
+        c = a + x
+        tie, rest = divmod(x * a * c, -signed_chi(params, m))
+        cases += [(m, a, c, x, y) for y in (tie - 1, tie + 1) + ((tie,) if not rest else ())]
+    for m in (2900, 6000):
+        x, a = seq_pair(params, m - 1)
+        cases.append((m, a, a + x, x, (x * a * (a + x)) << 70))
+    assert all(_leading_exceeds((a + c, x, y), (x + y, a, c)) is None for _, a, c, x, y in cases)
+    for m, a, c, x, y in cases:
+        d = -signed_chi(params, m)
+        assert d == a * x - c * (a - x)
+        assert oracle._beats(a, c, x, y, d) == oracle._beats(a, c, x, y) == beats(a, c, x, y), m
+    assert {beats(*case[1:]) for case in cases} == {True, False}
+
+
+def ladder_target(params, k_at):
+    # theta_ladder's 10^10000 in-window target k/(a_{2m+2}*k - 1), m = 11962,
+    # at k = k_at(lo, hi) among the k that put it inside the window: there
+    # p*a_g1 - q = 1
+    m = 11962
+    window = bad_interval(params, m)
+    a = seq_pair(params, 2 * m + 2)[0]
+    lo = -(-1 // (a - 1 / window.right))
+    hi = -(-1 // (a - 1 / window.left)) - 1
+    k = k_at(lo, hi)
+    theta = Fraction(k, a * k - 1)
+    assert window.left < theta <= window.right
+    return theta
+
+
+@pytest.mark.parametrize("params", [FIB, SequenceParams(4, 5)], ids=["fib", "c45"])
+@pytest.mark.parametrize("k_at", [lambda lo, hi: lo, lambda lo, hi: (lo + hi) // 2], ids=["lo", "mid"])
+def test_big_in_window_target_multiplies_out_no_big_product(monkeypatch, params, k_at):
+    # At theta_ladder's 10^10000 in-window targets the greedy remainder r1 =
+    # p*a_g1 - q is formed once, by the first search's last comparison, and
+    # the oracle's near-ties go through the identity: sequences.prod sees no
+    # factor past 5000 bits. Before, it saw four such calls: p*a_g1 and q
+    # (16 613 and 33 223 bits) and both sides of the oracle's partner step.
+    theta = ladder_target(params, k_at)
+    big = []
+    prod = sequences.prod
+
+    def recorded(xs):
+        if max(x.bit_length() for x in xs) > 5000:
+            big.append([x.bit_length() for x in xs])
+        return prod(xs)
+
+    monkeypatch.setattr(sequences, "prod", recorded)
+    cls, report = classify(params, theta), oracle_best(params, theta)
+    assert big == []
+    assert not cls.is_best
+    assert disagreement(params, theta, cls, report) is None
+    _, (a, _, _, _, r1) = greedy._search(params, theta.numerator, theta.denominator)
+    assert r1 == theta.numerator * a - theta.denominator == 1
+

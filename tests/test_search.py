@@ -62,6 +62,14 @@ def linear_index_below(params, num, den, start):
     return n, a, b
 
 
+def checked(found, num, den):
+    # index_below's (n, a_n, a_{n+1}), once its fourth value is checked: the
+    # remainder num*a_n - den wherever the walk formed it, else None
+    n, a, b, rem = found
+    assert rem is None or rem == num * a - den
+    return n, a, b
+
+
 def guessed_index(num, den, start, a_start):
     # The documented bit-length guess, clamped at start.
     k = (den.bit_length() - num.bit_length() - a_start.bit_length() - 2) * 1000000 // 694242
@@ -96,15 +104,15 @@ def test_index_below_matches_linear_scan(params, start, num, q, r):
     # r of any size; past _NEAR_TIE_BITS in r, the guess takes the bit length
     # of q*r up to one low
     a, b = seq_terms(params, start + 1)[start:]
-    found = index_below(params, num, q, r, start, a, b)
     den = q * r
+    found = checked(index_below(params, num, q, r, start, a, b), num, den)
     assert found == linear_index_below(params, num, den, start)
     assert found[0] - guessed_index(num, den, start, a) <= 8
 
 
 def test_index_below_start_already_below():
     # 1/a_5 = 1/8 < 1/2: the search answers at start without moving
-    assert index_below(FIBONACCI.params, 1, 2, 1, 5, 8, 13) == (5, 8, 13)
+    assert index_below(FIBONACCI.params, 1, 2, 1, 5, 8, 13) == (5, 8, 13, None)
 
 
 def test_index_below_skips_an_exact_reciprocal():
@@ -130,7 +138,7 @@ def test_index_below_skips_an_exact_reciprocal():
                 den = num * terms[n]
                 for start in (1, n):
                     a, b = terms[start], terms[start + 1]
-                    found = index_below(params, num, den, 1, start, a, b)
+                    found = checked(index_below(params, num, den, 1, start, a, b), num, den)
                     assert found == (n + 1, terms[n + 1], terms[n + 2])
                     if guessed_index(num, den, start, a) > start:
                         guessed += 1
@@ -148,8 +156,8 @@ def test_index_below_at_an_exact_reciprocal_of_a_large_term(params):
     terms = seq_terms(params, n + 2)
     assert terms[n].bit_length() >= 20000
     # a numerator past _NEAR_TIE_BITS, with terms past it too, takes the
-    # _exceeds path, where num*a_n == den is a near-tie only the full
-    # products decide. The terms are too long for a readable assertion
+    # factored walk, where num*a_n == den is a near-tie only the exact
+    # difference decides. The terms are too long for a readable assertion
     # report, so the index is asserted first, then the bit lengths, then
     # the terms themselves.
     assert (3**1300).bit_length() > _NEAR_TIE_BITS
@@ -159,11 +167,15 @@ def test_index_below_at_an_exact_reciprocal_of_a_large_term(params):
             got = [linear_index_below(params, num, den, 0)]
             for start in (1, n - 3, n):
                 a, b = terms[start], terms[start + 1]
-                got.append(index_below(params, num, den, 1, start, a, b))
+                got.append(checked(index_below(params, num, den, 1, start, a, b), num, den))
             for found in got:
                 assert found[0] == answer
                 assert [x.bit_length() for x in found[1:]] == [x.bit_length() for x in expected[1:]]
                 assert found == expected
+    # past the switch the walk settles num*a_n > num*a_n - 1 on a near-tie,
+    # by the difference it forms, and hands that remainder back
+    num, a, b = 3**1300, terms[n], terms[n + 1]
+    assert index_below(params, num, num * a - 1, 1, n - 3, *terms[n - 3 : n - 1]) == (n, a, b, 1)
 
 
 def test_index_below_steps_a_short_jump_from_the_pair_it_holds(monkeypatch):
@@ -195,7 +207,7 @@ def test_index_below_steps_a_short_jump_from_the_pair_it_holds(monkeypatch):
                         scan = scan[0] + 1, scan[2], scan[1] + scan[2]
                     assert scan[0] == answer
                     calls.clear()
-                    assert index_below(params, 1, den, 1, start, a, b) == scan
+                    assert checked(index_below(params, 1, den, 1, start, a, b), 1, den) == scan
                     if 0 < k <= _STEP_JUMP:
                         assert max(calls) <= k, (params, start, k)
                         paths.add("step below start" if k < start else "step")
@@ -327,17 +339,17 @@ def test_index_below_takes_the_factored_walk_only_past_the_switch(
     monkeypatch, params, num, q, r, factored
 ):
     calls = []
-    exceeds = sequences._exceeds
+    leading = sequences._leading_exceeds
 
     def counted(xs, ys):
         calls.append(len(ys))
-        return exceeds(xs, ys)
+        return leading(xs, ys)
 
-    monkeypatch.setattr(sequences, "_exceeds", counted)
+    monkeypatch.setattr(sequences, "_leading_exceeds", counted)
     for start in (1, 40):
         a, b = seq_terms(params, start + 1)[start:]
         calls.clear()
-        found = index_below(params, num, q, r, start, a, b)
+        found = checked(index_below(params, num, q, r, start, a, b), num, q * r)
         assert found == linear_index_below(params, num, q * r, start)
         assert bool(calls) == factored
         # a factored walk compares against (q, r) when r is past the switch,
@@ -393,7 +405,7 @@ def test_oracle_compares_factored_only_past_the_switch_in_a_g2(monkeypatch):
     paths = []
     for case, expected in zip(cases, plain):
         params, theta = case
-        _, (x, _, y, _) = greedy._search(params, theta.numerator, theta.denominator)
+        _, (x, _, y, _, _) = greedy._search(params, theta.numerator, theta.denominator)
         assert x.bit_length() < 700
         calls.clear()
         assert oracle_best(*case) == expected
@@ -492,6 +504,19 @@ def test_a_pick_built_elsewhere_gives_the_same_answers(monkeypatch):
     assert [(classify(*case), oracle_best(*case)) for case in cases] == expected
 
 
+def test_a_pick_built_elsewhere_gets_its_terms_and_remainder_afresh():
+    # _terms_of's fallback gives what the search found, the first
+    # remainder's numerator r1 = p*a_g1 - q included, on either side of
+    # _NEAR_TIE_BITS, inside a window and outside every one
+    cases = [(FIBONACCI.params, Fraction(27, 50)), (SequenceParams(4, 5), Fraction(7, 10**1000))]
+    cases.append((FIBONACCI.params, window_middle(1500)))
+    for params, theta in cases:
+        p, q = theta.numerator, theta.denominator
+        pick, terms = greedy._search(params, p, q)
+        assert terms[4] == p * terms[0] - q > 0
+        assert greedy._terms_of(params, p, q, GreedyResult(*pick)) == terms
+
+
 def window_middle(n):
     window = bad_interval(FIBONACCI.params, n)
     return (window.left + window.right) / 2
@@ -569,7 +594,7 @@ def exact_cutoff(params, n):
     # (a_{2n+2}, a_{2n+3}, xi(n), bound, a_{2n+3+xi(n)})
     a2, a3 = seq_pair(params, 2 * n + 2)
     bound = a2 * a3 * (a2 + a3)
-    end, a, b = index_below(params, params.chi, bound, 1, 2 * n + 4, a2 + a3, a2 + 2 * a3)
+    end, a, b, _ = index_below(params, params.chi, bound, 1, 2 * n + 4, a2 + a3, a2 + 2 * a3)
     return a2, a3, end - (2 * n + 4), bound, b - a
 
 
@@ -729,6 +754,85 @@ def test_offset_matches_a_plain_scan(monkeypatch):
     assert optimality._offset(LUCAS.params) == (1, 0)
     assert optimality._offset(SequenceParams(15, 16)) == (-1, 1)
     assert optimality._offset(SequenceParams(269, 335)) == (0, 5)
+
+
+def e2_positive(a0, a1):
+    # E_2 = 5*chi*phi^2 - A^2 > 0, with phi^2 = 1 + phi and A^2 = u + v*phi
+    chi = a0 * a0 + a1 * a0 - a1 * a1
+    u, v = (a1 - a0) ** 2 + a0 * a0, a0 * (2 * a1 - a0)
+    return optimality._positive(5 * chi - u, 5 * chi - v)
+
+
+# a0 = 10^30 and a1 - a0 the largest e with E_2 > 0: E_{t*} is as small as
+# seeds of this size allow, so the offset alone holds only from window 33 on
+BIG_N_STAR = SequenceParams(10**30, 1459336969024328691631953268896)
+
+
+def test_offset_of_a_seed_with_a_large_n_star():
+    a0, a1 = BIG_N_STAR
+    assert e2_positive(a0, a1) and not e2_positive(a0, a1 + 1)
+    lo, hi = 0, a0  # the largest e with E_2 > 0, by bisection
+    while hi - lo > 1:
+        lo, hi = ((lo + hi) // 2, hi) if e2_positive(a0, a0 + (lo + hi) // 2) else (lo, (lo + hi) // 2)
+    assert a0 + lo == a1
+    optimality._offset.cache_clear()
+    assert optimality._offset(BIG_N_STAR) == (2, 33)
+    # xi_literal's walk, which knows no offset, takes the offset plus one at
+    # exactly n < 33
+    literal = [xi_literal(BIG_N_STAR, n) - (4 * n + 5 + 2) for n in range(36)]
+    assert literal == [1] * 33 + [0] * 3
+    assert [xi(BIG_N_STAR, n).xi for n in range(36)] == [4 * n + 7 + d for n, d in enumerate(literal)]
+
+
+def phi_brackets(k):
+    # F(k+1)/F(k) below phi and F(k+2)/F(k+1) above it, for odd k; phi is the
+    # positive root of x^2 = x + 1, so a positive x lies below it exactly
+    # when x^2 < x + 1
+    lo, hi = Fraction(fib(k + 1), fib(k)), Fraction(fib(k + 2), fib(k + 1))
+    assert lo * lo < lo + 1 and hi * hi > hi + 1
+    return lo, hi
+
+
+def test_constants_of_the_cutoff_proofs():
+    # each numeric fact _offset's and _cutoff's proofs rest on, in exact
+    # rationals, with each side bounded by the bracket end that is worse for
+    # it; phi^9 = 76.01 leaves the thinnest margin
+    lo, hi = phi_brackets(41)
+    assert hi - lo < Fraction(1, 10**16)
+    two_sqrt5 = (4 * lo - 2, 4 * hi - 2)  # 2*sqrt(5) = 4*phi - 2
+    # _offset: |Ebar| < 8.5*a0^2 and |w| < 0.12*chi*a0 <= 0.04*chi*a_j, so
+    # 4.43*chi*a_j < Y(n) < 4.52*chi*a_j; X grows by phi^6 and Y by under 3.1
+    assert 5 * hi + 1 / lo**2 < Fraction(17, 2)
+    assert lo**9 > 76
+    assert Fraction(17, 2) / 76 < Fraction(12, 100)
+    assert Fraction(12, 100) / 3 <= Fraction(4, 100)
+    assert two_sqrt5[0] - Fraction(4, 100) > Fraction(443, 100)
+    assert two_sqrt5[1] + Fraction(4, 100) < Fraction(452, 100)
+    assert lo**6 > Fraction(179, 10)
+    assert 3 * Fraction(452, 100) / Fraction(443, 100) < Fraction(31, 10) < Fraction(179, 10)
+    # _cutoff, at t* - 1: |Ebar_t| < 14*a0^2, and the psi term under a fifth
+    assert 5 * hi**2 + 1 / lo**2 < 14
+    assert Fraction(14, 76) < Fraction(1, 5)
+    # _cutoff, at t* + 1: 2/phi^5 < 0.19, the psi term under A^3/12 and
+    # under A^3*phi^8/500, and both together under the first term
+    assert 2 / lo**5 < Fraction(19, 100)
+    assert Fraction(6, 76) < Fraction(1, 12)
+    assert lo**8 > Fraction(500, 12)
+    assert Fraction(19, 100) + Fraction(1, 500) < 1
+
+
+def test_identity_on_every_small_seed():
+    # a_{k-1}*a_{k+1} - a_k^2 = (-1)^(k+1)*chi, with chi = a0*(a0 + a1) -
+    # a1^2 as the oracle forms it, for every seed with a1 < 30, and the CI
+    # seeds past it, for k <= 200
+    wrong = []
+    for params in SEEDS + [SequenceParams(89, 144), SequenceParams(269, 335), BIG_N_STAR]:
+        chi = params.a0 * (params.a0 + params.a1) - params.a1**2
+        terms = seq_terms(params, 201)
+        for k in range(1, 201):
+            if terms[k - 1] * terms[k + 1] - terms[k] ** 2 != (chi if k % 2 else -chi):
+                wrong.append((params, k))
+    assert wrong == []
 
 
 @pytest.mark.parametrize("k", [1001, 5001])
