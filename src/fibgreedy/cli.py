@@ -26,7 +26,7 @@ from .greedy import DEFAULT_TERM_LIMIT, greedy_prefix
 from .optimality import bad_interval, bad_interval_record, classify, xi_closed_form
 from .oracle import oracle_best
 from .rationals import approx_decimal, format_rational, parse_rational
-from .sequences import SequencePreset, classical_label, parse_sequence_spec
+from .sequences import SequencePreset, _require_int, classical_label, parse_sequence_spec
 from .verification import DEFAULT_GRID, DEFAULT_MAX_N, disagreement, run_all
 
 __all__ = ["main", "run"]
@@ -108,8 +108,7 @@ def cmd_classify(preset: SequencePreset, output_format: str, theta: Fraction) ->
 
 
 def cmd_intervals(preset: SequencePreset, output_format: str, count: int) -> int:
-    if count < 1:
-        raise ValueError(f"interval count must be at least 1, got {count}")
+    _require_int("interval count", count, least=1)
     rows, lines = [], []
     for n in range(count):
         interval = bad_interval(preset.params, n)

@@ -133,9 +133,7 @@ def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
     once, from the last remainder.
     """
     _, p, q = _require_theta(theta)
-    _require_int("term count", k, nonnegative=False)
-    if k < 1:
-        raise ValueError(f"term count must be at least 1, got {k}")
+    _require_int("term count", k, least=1)
     if k > DEFAULT_TERM_LIMIT:
         raise TermLimitError(f"term count {k} exceeds the limit of {DEFAULT_TERM_LIMIT}")
     indices: list[int] = []

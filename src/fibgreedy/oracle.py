@@ -1,10 +1,10 @@
 """Exhaustive search for the best two-term sum strictly under a target.
 
-``oracle_best`` walks every candidate pair that could beat the greedy one
-and stops by an elementary bound, not by the classifier's theorem; its
-docstring proves the search exhaustive and that it examines at most two
-candidates. Every comparison is exact. Past the near-tie cut-off, leading
-bits decide first, and ``_adjacent_fits`` and ``_beats`` settle the
+``oracle_best`` compares the greedy pair with the one candidate that an
+elementary bound, not the classifier's theorem, leaves able to beat it: the
+pair starting at first index g1 + 1. Its docstring proves that no other
+first index can win. Every comparison is exact. Past the near-tie cut-off,
+leading bits decide first, and ``_adjacent_fits`` and ``_beats`` settle the
 partner step's and the candidate test's near-ties from the greedy
 remainder and the identity a_{k-1}*a_{k+1} - a_k^2 = (-1)^(k+1)*chi, with
 chi formed here from the seeds.
@@ -75,7 +75,8 @@ def _beats(a: int, c: int, x: int, y: int, d: int | None = None) -> bool:
 
 class OracleReport(namedtuple("OracleReport", "best candidates_examined")):
     """Search outcome: the winner and the number of candidate pairs
-    evaluated, counting the greedy pair (1 or 2)."""
+    examined, 1 for the greedy pair alone and 2 where the stop test let the
+    pair at first index g1 + 1 compete."""
 
     __slots__ = ()
 
@@ -89,33 +90,35 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     m >= g1, since 1/a_m alone already has to sit under theta, and for
     m = g1 no distinct pair beats the greedy one. For each first index the
     largest admissible sum uses the smallest admissible partner, since
-    reciprocals strictly decrease. First indices m = g1+1, g1+2, ... are
-    walked in order and the best replaced only on strict improvement, so
-    ties resolve to the lexicographically smallest pair. The walk stops once
-    2/a_m is at most the best value so far: every pair starting at m sums to
-    less than 2/a_m, and a_m only grows, so no later candidate can win.
-    Since a_{g1+2} > 2*a_{g1} and the greedy value exceeds 1/a_{g1}, it stops
-    by m = g1 + 2: at most two candidates are examined, the greedy pair and
-    the one starting at g1 + 1.
+    reciprocals strictly decrease.
+
+    No first index past g1 + 1 can win. Every pair starting at m sums to
+    less than 2/a_m, and for m >= g1 + 2, 2/a_m <= 2/a_{g1+2} < 1/a_g1,
+    since a_{g1+2} > 2*a_g1; the greedy value exceeds 1/a_g1. So the greedy
+    pair meets one candidate, the pair starting at m = g1 + 1 with its
+    smallest partner, and only where the stop test, 2/a_m against the
+    greedy value, leaves it a chance. It replaces the greedy pair only on
+    strict improvement, so a tie resolves to the greedy pair, the
+    lexicographically smaller. Two candidates are examined at most: the
+    greedy pair and that one.
 
     Everything between the target and the result is integer work. The
     greedy pick, its terms and r1 = p*a_g1 - q come from ``greedy``'s
     one-entry memo, so after ``classify`` on the same target no greedy
     search runs again. With theta = p/q, the partner of a_m is searched
     under the unreduced remainder p*a_m - q over the factors (q, a_m). The
-    best value so far is held as its two terms, 1/x + 1/y, the search's
-    (a_g1, a_g2); a_{g1+1} comes from the search too, and one pair (a_m,
-    a_{m+1}) rolls along the first indices by the recurrence, so no term is
-    evaluated twice. A candidate 1/a_m + 1/c replaces the best when
-    (a_m + c)*x*y > (x + y)*a_m*c, and the walk stops once 2*x*y <=
-    (x + y)*a_m. Up to _NEAR_TIE_BITS in a_g2 the partner is searched and
-    both tests are multiplied out. Past it the stop rule goes through
-    ``sequences._exceeds`` and the candidate test through ``_beats``, and at
-    m = g1 + 1 the partner m + 1 is tried first by ``_adjacent_fits``, which
-    forms no p*a_m - q; only where it does not fit is the partner searched,
-    from m + 1. So neither side of either test is multiplied out, and big
-    terms are multiplied only on a near-tie that leading bits leave open.
-    A winner other than the greedy pair is built once, by
+    greedy value is held as its two terms, 1/x + 1/y, the search's (a_g1,
+    a_g2); a_m = a_{g1+1} comes from the search too and a_{m+1} = a_g1 +
+    a_m, so no term is evaluated afresh. The stop test gives the candidate
+    its chance when 2*x*y > (x + y)*a_m, and the candidate 1/a_m + 1/c wins
+    when (a_m + c)*x*y > (x + y)*a_m*c. Up to _NEAR_TIE_BITS in a_g2 the
+    partner is searched and both tests are multiplied out. Past it the stop
+    test goes through ``sequences._exceeds`` and the candidate test through
+    ``_beats``, and the partner m + 1 is tried first by ``_adjacent_fits``,
+    which forms no p*a_m - q; only where it does not fit is the partner
+    searched, from m + 1. So neither side of either test is multiplied out,
+    and big terms are multiplied only on a near-tie that leading bits leave
+    open. A winner other than the greedy pair is built once, by
     ``rationals._reciprocal_sum``; the greedy pair's value is the pick's own.
 
     The identity a_{k-1}*a_{k+1} - a_k^2 = (-1)^(k+1)*chi, for k >= 1 and
@@ -123,34 +126,30 @@ def oracle_best(params: SequenceParams, theta) -> OracleReport:
     a0*a2 - a1^2 = a0*(a0 + a1) - a1^2 = chi. From k to k + 1: a_k*a_{k+2}
     - a_{k+1}^2 = a_k*(a_k + a_{k+1}) - a_{k+1}*(a_{k-1} + a_k) = a_k^2 -
     a_{k-1}*a_{k+1}, the negative of the step before. chi is formed here
-    from the seeds, not read from ``params.chi``, so a fault there is not
-    shared with the classifier; nothing here places a window or a cutoff.
-    At m = g1 + 1, s = (-1)^m*chi gives ``_adjacent_fits`` its sign and the
-    adjacent candidate (m, m + 1) against x = a_g1 its D = -s in ``_beats``.
+    from the seeds, and only where the candidate is examined past the
+    cut-off, not read from ``params.chi``, so a fault there is not shared
+    with the classifier; nothing here places a window or a cutoff.
+    s = (-1)^m*chi gives ``_adjacent_fits`` its sign and the adjacent
+    candidate (m, m + 1) against x = a_g1 its D = -s in ``_beats``.
     """
     t, p, q = _require_theta(theta)
     greedy = greedy_two_term(params, t)
-    x, b, y, _, r1 = _terms_of(params, p, q, greedy)  # the best value so far is 1/x + 1/y
+    x, a, y, _, r1 = _terms_of(params, p, q, greedy)  # the greedy value is 1/x + 1/y
+    best = TwoTermSum(greedy.g1, greedy.g2, greedy.value)
+    m, b = greedy.g1 + 1, x + a  # the candidate's first index, and a_{m+1}
     big = y.bit_length() > _NEAR_TIE_BITS
+    if not (_exceeds((2 * x, y), (x + y, a)) if big else 2 * x * y > (x + y) * a):
+        return OracleReport(best=best, candidates_examined=1)
     if big:
         a0, a1 = params
         s = a0 * (a0 + a1) - a1 * a1  # chi
-        if greedy.g1 % 2 == 0:  # m = g1 + 1 is odd
+        if m % 2:
             s = -s
-    winner = None
-    m, a, b = greedy.g1 + 1, b, x + b
-    while _exceeds((2 * x, y), (x + y, a)) if big else 2 * x * y > (x + y) * a:
-        if big and m == greedy.g1 + 1 and _adjacent_fits(p, q, r1, a, b, s):
-            partner, c, d = m + 1, b, -s
-        else:
-            partner, c, _, _ = index_below(params, p * a - q, q, a, m + 1, b, a + b)
-            d = None
-        if _beats(a, c, x, y, d) if big else (a + c) * x * y > (x + y) * a * c:
-            winner, x, y = (m, partner), a, c
-        m, a, b = m + 1, b, a + b
-    if winner is None:
-        best = TwoTermSum(greedy.g1, greedy.g2, greedy.value)
+    if big and _adjacent_fits(p, q, r1, a, b, s):
+        partner, c, d = m + 1, b, -s
     else:
-        first, second = winner
-        best = TwoTermSum(first, second, _reciprocal_sum(params, first, x, second, y))
-    return OracleReport(best=best, candidates_examined=m - greedy.g1)
+        partner, c, _, _ = index_below(params, p * a - q, q, a, m + 1, b, a + b)
+        d = None
+    if _beats(a, c, x, y, d) if big else (a + c) * x * y > (x + y) * a * c:
+        best = TwoTermSum(m, partner, _reciprocal_sum(params, m, a, partner, c))
+    return OracleReport(best=best, candidates_examined=2)

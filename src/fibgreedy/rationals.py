@@ -31,9 +31,10 @@ from .sequences import SequenceParams, _digit_limit, _fib_pair
 
 __all__ = ["parse_rational", "format_rational", "approx_decimal"]
 
-# sign allowed on both parts of p/q; decimals need digits on both sides of the dot
+# sign allowed on both parts of p/q; a decimal needs a digit on one side of
+# the dot at least, as Fraction reads it (".5", "5.", "5.25"), and no exponent
 _FRACTION_RE = re.compile(r"\A([+-]?\d+)/([+-]?\d+)\Z")
-_DECIMAL_RE = re.compile(r"\A[+-]?\d+(\.\d+)?\Z")
+_DECIMAL_RE = re.compile(r"\A[+-]?(\d+\.?\d*|\.\d+)\Z")
 
 
 # decimal's default exponent limits, as approx_decimal applies them at six
@@ -73,7 +74,7 @@ else:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or a finite decimal (``"27/50"``, ``"0.54"``, ``"-3"``).
+    """Parse ``"p/q"`` or a finite decimal (``"27/50"``, ``"0.54"``, ``".5"``, ``"-3"``).
 
     The result is exact: ``"0.54"`` becomes 27/50, not a float. Raises
     RationalParseError naming the offending text, or the size of a part

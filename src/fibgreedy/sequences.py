@@ -71,14 +71,16 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return 2 * b - 3 * a + sign, a + b
 
 
-def _require_int(name: str, value, nonnegative: bool = True) -> None:
+def _require_int(name: str, value, least: int | None = 0) -> None:
     """The one rule for integer arguments: TypeError naming the argument and
     its type unless value is an int (a bool is refused), and ValueError for a
-    negative value where nonnegative."""
+    value below the floor least. least=None states no floor: the seeds',
+    which ``SequenceParams`` states as domain errors."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-    if nonnegative and value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+    if least is not None and value < least:
+        floor = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {floor}, got {value}")
 
 
 def fib(n: int) -> int:
@@ -105,8 +107,8 @@ class SequenceParams(namedtuple("SequenceParams", "a0 a1")):
     __slots__ = ()
 
     def __new__(cls, a0: int, a1: int) -> SequenceParams:
-        _require_int("a0", a0, nonnegative=False)
-        _require_int("a1", a1, nonnegative=False)
+        _require_int("a0", a0, least=None)
+        _require_int("a1", a1, least=None)
         self = super().__new__(cls, a0, a1)
         if a0 <= 0:
             raise SequenceValidationError(f"a0 must be positive, got {a0}")

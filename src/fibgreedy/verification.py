@@ -287,19 +287,10 @@ def disagreement(
     return None
 
 
-def _require_max_n(max_n: int) -> None:
-    """The one owner of the max-n rule: an int of at least 1, checked by
-    ``run_all`` before its first suite, so no sweep passes with no checks."""
-    _require_int("max-n", max_n, nonnegative=False)
-    if max_n < 1:
-        raise ValueError(f"max-n must be at least 1, got {max_n}")
-
-
 def _require_grid(grid_denominator: int) -> None:
-    """The one owner of the grid rule: the target sweep applies it, and
-    ``run_all`` before its first suite."""
-    if grid_denominator < 2:
-        raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
+    """The one owner of the grid rule, an int of at least 2: the target
+    sweep applies it, and ``run_all`` before its first suite."""
+    _require_int("grid denominator", grid_denominator, least=2)
 
 
 def grid_equivalence_suite(preset: SequencePreset, grid_denominator: int = DEFAULT_GRID) -> SuiteResult:
@@ -324,9 +315,10 @@ def run_all(
     preset: SequencePreset, max_n: int = DEFAULT_MAX_N, grid_denominator: int = DEFAULT_GRID
 ) -> list[SuiteResult]:
     """Every suite at the given bounds, and the closed-form sweep where one
-    exists; a max-n below 1 or a grid denominator below 2 is refused before
-    any suite runs."""
-    _require_max_n(max_n)
+    exists. A max-n or grid denominator that is not an int, or a max-n below
+    1 or a grid denominator below 2, is refused before any suite runs, so no
+    sweep passes with no checks."""
+    _require_int("max-n", max_n, least=1)
     _require_grid(grid_denominator)
     results = [
         growth_suite(preset, max_n),

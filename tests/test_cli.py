@@ -107,6 +107,12 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["theta"] == "27/50"
 
+    @pytest.mark.parametrize("short, full", [(".5", "0.5"), ("1.", "1")])
+    def test_decimal_theta_with_digits_on_one_side_of_the_dot(self, capsys, short, full):
+        code, out, err = run_cli(capsys, "classify", "--theta", short)
+        assert code == 0
+        assert (code, out, err) == run_cli(capsys, "classify", "--theta", full)
+
     def test_lucas_duplicate_pair(self, capsys):
         code, out, _ = run_cli(
             capsys, "--seq", "lucas", "--format", "json", "classify", "--theta", "1"
@@ -172,6 +178,7 @@ class TestClassify:
             ["--theta", "-2/4"],
             ["--the", "-1/2"],
             ["--seq", "lucas", "--theta", "-1/2"],
+            ["--theta", "-.5"],
         ],
     )
     def test_negative_theta_reaches_the_domain_check(self, capsys, argv):
@@ -247,7 +254,7 @@ class TestIntervals:
     def test_rejects_zero_count(self, capsys):
         code, _, err = run_cli(capsys, "intervals", "--count", "0")
         assert code == 2
-        assert "at least 1" in err
+        assert err == "error: interval count must be at least 1, got 0\n"
 
 
 class TestGreedy:
@@ -388,6 +395,16 @@ class TestVerify:
         monkeypatch.setattr(verification, "growth_suite", lambda *args: ran.append(args))
         with pytest.raises(error, match=text):
             run_all(parse_sequence_spec("fibonacci"), max_n, 10)
+        assert ran == []
+
+    @pytest.mark.parametrize("grid", [3.0, True])
+    def test_run_all_refuses_a_non_int_grid_before_any_suite(self, monkeypatch, grid):
+        # a float grid would run every other suite and then fail in range();
+        # a bool would pass as 1 or 0
+        ran = []
+        monkeypatch.setattr(verification, "growth_suite", lambda *args: ran.append(args))
+        with pytest.raises(TypeError, match=f"^grid denominator must be an int, not {type(grid).__name__}$"):
+            run_all(parse_sequence_spec("fibonacci"), 5, grid)
         assert ran == []
 
 

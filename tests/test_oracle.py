@@ -1,6 +1,7 @@
 """Exhaustive two-term search and its agreement with the classifier."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,29 @@ def test_classifier_and_search_agree_at_big_windows(monkeypatch, params, n):
         cls, report = classify(params, theta), oracle_best(params, theta)
         assert disagreement(params, theta, cls, report) is None
     assert any(undecided)
+
+
+@pytest.mark.parametrize("params, n", BIG_WINDOWS[:2], ids=BIG_WINDOW_IDS[:2])
+def test_search_makes_one_stop_test(monkeypatch, params, n):
+    # Only the pair at first index g1 + 1 can beat the greedy one: the stop
+    # test, the one comparison oracle_best makes through _exceeds itself
+    # (_beats makes the others), runs once, against a_{g1+1}, and none runs
+    # at g1 + 2 after the candidate is examined.
+    stop_tests = []
+    exceeds = oracle._exceeds
+
+    def recorded(xs, ys):
+        if sys._getframe(1).f_code is oracle.oracle_best.__code__:
+            stop_tests.append(ys)
+        return exceeds(xs, ys)
+
+    monkeypatch.setattr(oracle, "_exceeds", recorded)
+    for theta in window_targets(params, n):
+        stop_tests.clear()
+        pick = greedy_two_term(params, theta)
+        x, a = seq_pair(params, pick.g1)
+        assert oracle_best(params, theta).candidates_examined == 2
+        assert stop_tests == [(x + seq_pair(params, pick.g2)[0], a)]
 
 
 @pytest.mark.parametrize("params, n", BIG_WINDOWS[:2], ids=BIG_WINDOW_IDS[:2])

@@ -61,7 +61,12 @@ class TestParse:
         with pytest.raises(ZeroDivisionError):
             parse_rational("3/0")
 
-    @pytest.mark.parametrize("bad", ["", "abc", ".5", "5.", "1/2/3", "1 / 2", "1e3", "nan"])
+    @pytest.mark.parametrize("text", [".5", "-.5", "+.25", "5.", "-5."])
+    def test_reads_a_decimal_with_a_bare_dot(self, text):
+        # a digit on one side of the dot is enough, as for Fraction itself
+        assert parse_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize("bad", ["", "abc", ".", "-.", "5..", "1/2/3", "1 / 2", "1e3", ".5e1", "nan"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(RationalParseError):
             parse_rational(bad)

@@ -34,7 +34,7 @@ from fibgreedy.sequences import (
     seq_pair,
     seq_terms,
 )
-from fibgreedy.verification import xi_literal
+from fibgreedy.verification import disagreement, xi_literal
 
 # every valid pair of seeds with a1 < 30
 SEEDS = [
@@ -768,13 +768,18 @@ def e2_positive(a0, a1):
 BIG_N_STAR = SequenceParams(10**30, 1459336969024328691631953268896)
 
 
+def largest_e(a0):
+    # the largest e with E_2 > 0 at seeds (a0, a0 + e), by bisection
+    lo, hi = 0, a0
+    while hi - lo > 1:
+        lo, hi = ((lo + hi) // 2, hi) if e2_positive(a0, a0 + (lo + hi) // 2) else (lo, (lo + hi) // 2)
+    return lo
+
+
 def test_offset_of_a_seed_with_a_large_n_star():
     a0, a1 = BIG_N_STAR
     assert e2_positive(a0, a1) and not e2_positive(a0, a1 + 1)
-    lo, hi = 0, a0  # the largest e with E_2 > 0, by bisection
-    while hi - lo > 1:
-        lo, hi = ((lo + hi) // 2, hi) if e2_positive(a0, a0 + (lo + hi) // 2) else (lo, (lo + hi) // 2)
-    assert a0 + lo == a1
+    assert a0 + largest_e(a0) == a1
     optimality._offset.cache_clear()
     assert optimality._offset(BIG_N_STAR) == (2, 33)
     # xi_literal's walk, which knows no offset, takes the offset plus one at
@@ -782,6 +787,40 @@ def test_offset_of_a_seed_with_a_large_n_star():
     literal = [xi_literal(BIG_N_STAR, n) - (4 * n + 5 + 2) for n in range(36)]
     assert literal == [1] * 33 + [0] * 3
     assert [xi(BIG_N_STAR, n).xi for n in range(36)] == [4 * n + 7 + d for n, d in enumerate(literal)]
+
+
+# (t*, n*) of the seeds (10^d, 10^d + e - less), e the largest with E_2 > 0:
+# n* grows by about 1.2 per decimal digit of the seeds
+LARGE_N_STAR = {
+    (100, 0): (2, 117),
+    (100, 1): (2, 116),
+    (300, 0): (2, 356),
+    (300, 1): (2, 356),
+    (1000, 0): (2, 1195),
+    (1000, 1): (2, 1193),
+}
+
+
+@pytest.mark.parametrize("d, less", list(LARGE_N_STAR), ids=[f"d{d}-e{-less or ''}" for d, less in LARGE_N_STAR])
+def test_offset_at_a_large_n_star(monkeypatch, d, less):
+    # the [n < n*] term across n* in the hundreds and thousands: xi and
+    # xi_literal's walk agree on either side of n*, the doubling and
+    # bisection stay within their probe bound, and the classifier and the
+    # search agree in the last window at the offset plus one and the first
+    # at the offset
+    a0 = 10**d
+    params = SequenceParams(a0, a0 + largest_e(a0) - less)
+    probes = counted_probes(monkeypatch)
+    optimality._offset.cache_clear()
+    t, n_star = optimality._offset(params)
+    assert (t, n_star) == LARGE_N_STAR[d, less]
+    assert len(probes) <= 2 * n_star.bit_length() + 1
+    for n in (n_star - 1, n_star, n_star + 1):
+        assert xi_literal(params, n) == xi(params, n).xi == 4 * n + 5 + t + (n < n_star), n
+    for n in (n_star - 1, n_star):
+        window = bad_interval(params, n)
+        for theta in (window.left, (window.left + window.right) / 2, window.right):
+            assert disagreement(params, theta, classify(params, theta), oracle_best(params, theta)) is None, n
 
 
 def phi_brackets(k):

@@ -27,8 +27,9 @@ from fibgreedy import (
     xi,
     xi_closed_form,
 )
+from fibgreedy.cli import cmd_intervals
 from fibgreedy.sequences import _SMALL_FIBS, seq_pair, seq_terms
-from fibgreedy.verification import xi_literal
+from fibgreedy.verification import grid_equivalence_suite, run_all, xi_literal
 
 
 def naive_fib(n):
@@ -177,6 +178,30 @@ def test_integer_arguments_follow_one_rule(name, call, negative):
     with pytest.raises(error, match=f"^{message}, got -1$"):
         call(-1)
     call(1)
+
+
+# (name, call, floor): every count or bound with a floor above 0, from the
+# library and the command line; the floor 0 of indices is checked above
+FLOORS = [
+    ("term count", lambda v: greedy_prefix(LUCAS.params, Fraction(1, 2), v), 1),
+    ("interval count", lambda v: cmd_intervals(LUCAS, "json", v), 1),
+    ("max-n", lambda v: run_all(LUCAS, v, 2), 1),
+    ("grid denominator", lambda v: run_all(LUCAS, 1, v), 2),
+    ("grid denominator", lambda v: grid_equivalence_suite(LUCAS, v), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, least",
+    FLOORS,
+    ids=["greedy_prefix", "cmd_intervals", "run_all-max_n", "run_all-grid", "grid_equivalence_suite"],
+)
+def test_each_floor_is_stated_once(name, call, least):
+    # one below the floor is refused with the floor in the message; the
+    # floor itself is accepted
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {least - 1}$"):
+        call(least - 1)
+    call(least)
 
 
 def _records():
