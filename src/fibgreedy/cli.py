@@ -9,8 +9,8 @@ Four subcommands share a small set of flags:
 * ``verify`` runs the internal correctness suites and reports PASS/FAIL.
 
 Exit codes: 0 success, 1 a verify suite failed, 2 bad input, 3 an internal
-cross-check failed (classifier and search disagree, which indicates a bug),
-141 the reader closed stdout before the answer was written.
+error (a failed cross-check or any other exception: a bug), 141 the reader
+closed stdout before the answer was written.
 """
 
 from __future__ import annotations
@@ -281,6 +281,11 @@ def main(argv: list[str] | None = None) -> int:
     except (FibgreedyError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise
+    except Exception as exc:  # a bug, whatever its type: not a failed suite
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

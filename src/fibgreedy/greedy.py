@@ -22,9 +22,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import TermLimitError, ThetaDomainError
-from .rationals import _reciprocal_sum
+from .rationals import _coprime, _reciprocal_sum
 from .sequences import SequenceParams, _require_int, index_below, seq_pair
 
 __all__ = [
@@ -145,6 +146,6 @@ def greedy_prefix(params: SequenceParams, theta, k: int) -> GreedyPrefix:
         indices.append(n)
         denominators.append(a)
         num, den = num * a - den if rem is None else rem, den * a
-    # den is q times the terms, so theta - num/den is over den too
-    total = Fraction(p * (den // q) - num, den)
-    return GreedyPrefix(tuple(indices), total, tuple(denominators))
+    total = p * (den // q) - num  # den is q times the terms: theta - num/den over den
+    g = gcd(total, den)
+    return GreedyPrefix(tuple(indices), _coprime(total // g, den // g), tuple(denominators))

@@ -1,19 +1,19 @@
 """Exact rational parsing and formatting.
 
-Values are plain ``fractions.Fraction`` objects: arbitrary precision, reduced
-to lowest terms at construction, denominator always positive. Fractions
-appear only at the edges of a computation: parsing yields the target, and
+Values are plain ``fractions.Fraction`` objects in lowest terms, denominator
+positive, at the edges of a computation only: parsing yields the target, and
 each returned value is one reduced Fraction; in between, the greedy search,
 the window test and the oracle compare unreduced integer cross-products.
-Every returned value of the form 1/a_i + 1/a_j is built by
-``_reciprocal_sum``, whose docstring proves the routes by which it reduces
-large terms. No float ever enters a computation; the only decimal output is
-the explicitly approximate display helper below. It gives the string that
-one decimal division of the value's integers gives at six digits,
-half-even, within decimal's default exponent limits, but computes it in
-integers and reads no decimal context: one divmod, scaled by a power of ten
-taken from the bit lengths, gives six figures and a remainder, the figures
-round half-even on the remainder, and the result is laid out as
+``_coprime`` builds every value computed from integers, reduced by its
+caller, skipping ``Fraction.__new__``; only a decimal string or a target
+that is not a Fraction goes through ``Fraction(...)``. Sums 1/a_i + 1/a_j
+come from ``_reciprocal_sum``, whose docstring proves how it reduces large
+terms. No float ever enters a computation; the only decimal output is the
+approximate display helper below: the string that one decimal division of
+the value's integers gives at six digits, half-even, within decimal's
+default exponent limits, computed in integers with no decimal context: one
+divmod, scaled by a power of ten taken from the bit lengths, gives six
+figures and a remainder, on which they round half-even, laid out as
 ``Context.to_sci_string`` lays out a Decimal. Past Emax = 999999 it raises
 ``decimal.Overflow``; below Etiny = -1000004 it keeps fewer figures.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 from decimal import Overflow
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 from .errors import RationalParseError
@@ -51,26 +50,22 @@ _LEADING = ("0.", "0.0", "0.00", "0.000", "0.0000", "0.00000")
 _POWERS_OF_TEN = tuple(10**k for k in range(32))
 
 # Up to this many bits in the larger term, _reciprocal_sum reduces
-# (x + y)/(x*y) by one Fraction normalisation; above it, from G. Gap forms
-# over the product form, medians of nine (Python 3.11.7), at 600 and 1000
-# bits: adjacent terms 0.91-1.00 and 0.77-0.82, a window's right end
-# 0.78-0.96 and 0.66-0.73, j = 2i + 1 0.96-1.40 and 0.87-1.28. The cut-off
-# sits where every shape measured but j = 2i + 1 is at most even.
+# (x + y)/(x*y) by one gcd; above it, from G. Gap forms over Fraction(x + y,
+# x*y), medians of nine (Python 3.11.7), at 600 and 1000 bits: adjacent
+# terms 0.91-1.00 and 0.77-0.82, a window's right end 0.78-0.96 and
+# 0.66-0.73, j = 2i + 1 0.96-1.40 and 0.87-1.28. The cut-off sits where
+# every shape measured but j = 2i + 1 is at most even.
 _PRODUCT_FORM_BITS = 1000
 
-# Fraction(n, d) for coprime n and d > 0, skipping the gcd that a Fraction
-# normally runs: the private constructor of Python 3.12+, else the
-# _normalize flag of 3.10-3.11, else the public constructor, which is only
-# slower.
-if hasattr(Fraction, "_from_coprime_ints"):
-    _coprime = Fraction._from_coprime_ints
-else:
-    try:
-        Fraction(1, 1, _normalize=False)
-    except TypeError:
-        _coprime = Fraction
-    else:
-        _coprime = partial(Fraction, _normalize=False)
+
+def _coprime(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for coprime n and d > 0, by setting its two slots as
+    3.12's private ``Fraction._from_coprime_ints`` does: ``Fraction.__new__``
+    is Python code that checks and reduces again, twice the cost on 3.11.
+    Every computed value is built here, after at most one gcd by its caller."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = n, d
+    return value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -94,7 +89,8 @@ def parse_rational(text: str) -> Fraction:
         raise RationalParseError(_digit_limit("a part of the rational", longest)) from None
     if q == 0:
         raise ZeroDivisionError(f"zero denominator in {text!r}")
-    return Fraction(p, q)
+    g = gcd(p, q) if q > 0 else -gcd(p, q)  # the sign goes to the numerator
+    return _coprime(p // g, q // g)
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -109,7 +105,7 @@ def format_rational(x: Fraction | int) -> str:
 def _reciprocal_sum(params: SequenceParams, i: int, x: int, j: int, y: int) -> Fraction:
     """1/x + 1/y in lowest terms, for x = a_i and y = a_j with i <= j.
 
-    Up to _PRODUCT_FORM_BITS in y, one Fraction reduction. Above it, with
+    Up to _PRODUCT_FORM_BITS in y, one gcd of the product form. Above it, with
     G = gcd(x, y), x' = x/G, y' = y/G and h = gcd(x' + y', G), the sum is
     (x' + y')/h over (G/h)*x'*y', already in lowest terms, so it is built
     without a second normalisation. G comes by one of two routes, chosen
@@ -165,7 +161,9 @@ def _reciprocal_sum(params: SequenceParams, i: int, x: int, j: int, y: int) -> F
     where c = 2s: on fibonacci, lucas, custom:2,2 and custom:89,144.
     """
     if y.bit_length() <= _PRODUCT_FORM_BITS:
-        return Fraction(x + y, x * y)
+        s, t = x + y, x * y
+        h = gcd(s, t)
+        return _coprime(s // h, t // h)
     a0, a1 = params
     g = gcd(a0, a1)
     if 3 * j > 7 * i:

@@ -115,9 +115,7 @@ class SequenceParams(namedtuple("SequenceParams", "a0 a1")):
         if a1 < 1:
             raise SequenceValidationError(f"a1 must be at least 1, got {a1}")
         if a0 > a1:
-            raise SequenceValidationError(
-                f"a0 must not exceed a1, got a0={a0}, a1={a1}"
-            )
+            raise SequenceValidationError(f"a0 must not exceed a1, got a0={a0}, a1={a1}")
         if self.chi <= 0:
             raise SequenceValidationError(
                 f"chi must be positive: a0={a0}, a1={a1} give chi={self.chi}"
@@ -362,9 +360,7 @@ def parse_sequence_spec(text: str) -> SequencePreset:
         body = s[len("custom:") :]
         parts = body.split(",")
         if len(parts) != 2:
-            raise SequenceValidationError(
-                f"custom sequence must be 'custom:a0,a1', got {text!r}"
-            )
+            raise SequenceValidationError(f"custom sequence must be 'custom:a0,a1', got {text!r}")
         return SequencePreset("custom", SequenceParams(*(_seed(text, part) for part in parts)))
     raise SequenceValidationError(
         f"unknown sequence spec {text!r} (expected 'fibonacci', 'lucas', or 'custom:a0,a1')"

@@ -102,6 +102,34 @@ class TestClassify:
             "verdict is_best=False but oracle best 9/17 vs greedy 9/17\n"
         )
 
+    @pytest.mark.parametrize(
+        "target, error, argv",
+        [
+            ("classify", TypeError("bad operand"), ["classify", "--theta", "27/50"]),
+            ("run_all", RecursionError("too deep"), ["verify", "--max-n", "1"]),
+        ],
+    )
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch, target, error, argv):
+        # any exception the bad-input rule does not name is a bug: exit 3,
+        # one stderr line with its type, nothing on stdout, never exit 1,
+        # which means a verify suite failed
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(fibgreedy.cli, target, broken)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+    def test_broken_pipe_passes_through_main(self, monkeypatch):
+        # run() turns it into exit 141; main must not report it as a bug
+        def closed(*args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(fibgreedy.cli, "classify", closed)
+        with pytest.raises(BrokenPipeError):
+            main(["classify", "--theta", "27/50"])
+
     def test_decimal_theta(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "classify", "--theta", "0.54")
         assert code == 0

@@ -6,9 +6,9 @@ the output format that needs them. The computing modules import one another
 only downward through fixed layers, so the classifier and the search are
 siblings. Only the modules that compare big products read the near-tie
 switch, only ``_require_theta`` reads a target's numerator and
-denominator, the classifier's module runs no index search, and the display
-takes nothing from ``decimal`` but ``Overflow``. The package exports a fixed
-set of names."""
+denominator, one constructor builds every computed value, the classifier's
+module runs no index search, and the display takes nothing from ``decimal``
+but ``Overflow``. The package exports a fixed set of names."""
 
 import ast
 import subprocess
@@ -94,21 +94,28 @@ def test_oracle_stays_free_of_the_window_theorem():
         assert not _reads(path, name), name
 
 
-def _readers_of(path, attrs):
-    # names of the functions that read any of attrs; None for module level
-    readers = set()
+def _owned(path, matches):
+    # (owner, node) for each node that matches, the owner being the name of
+    # the innermost function around it, or None at module level
+    found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr in attrs:
-                readers.add(owner)
+            if matches(child):
+                found.append((owner, child))
             visit(child, owner)
 
     visit(ast.parse(path.read_text()), None)
-    return readers
+    return found
+
+
+def _readers_of(path, attrs):
+    # names of the functions that read any of attrs; None for module level
+    reads = _owned(path, lambda node: isinstance(node, ast.Attribute) and node.attr in attrs)
+    return {owner for owner, _ in reads}
 
 
 def test_target_integers_have_one_reader():
@@ -119,6 +126,40 @@ def test_target_integers_have_one_reader():
     reads = {"numerator", "denominator", "as_integer_ratio"}
     readers = {m: _readers_of(PACKAGE / f"{m}.py", reads) for m in modules}
     assert readers == {"greedy": {"_require_theta"}, "oracle": set(), "optimality": set()}
+
+
+def _calls_by_owner(path, name):
+    # (function, source) of each call to a name or an attribute called name
+    def call(node):
+        func = getattr(node, "func", None)
+        return getattr(func, "id", None) == name or getattr(func, "attr", None) == name
+
+    return {(owner, ast.unparse(node)) for owner, node in _owned(path, call)}
+
+
+def test_computed_values_have_one_constructor():
+    # rationals._coprime builds every value computed from integers, reduced
+    # by its caller; Fraction(...) converts only foreign input, a target
+    # that is not a Fraction and a decimal string
+    modules = ("sequences", "rationals", "greedy", "optimality", "oracle")
+    public = {m: _calls_by_owner(PACKAGE / f"{m}.py", "Fraction") for m in modules}
+    assert public == {
+        "sequences": set(),
+        "rationals": {("parse_rational", "Fraction(s)")},
+        "greedy": {("_require_theta", "Fraction(theta)")},
+        "optimality": set(),
+        "oracle": set(),
+    }
+    builders = {
+        (m, owner)
+        for m in modules
+        for owner, _ in _calls_by_owner(PACKAGE / f"{m}.py", "_coprime")
+    }
+    assert builders == {
+        ("rationals", "parse_rational"),
+        ("rationals", "_reciprocal_sum"),
+        ("greedy", "greedy_prefix"),
+    }
 
 
 def test_display_takes_only_overflow_from_decimal():

@@ -1,6 +1,7 @@
 """Exact rational parsing, formatting, and display rounding."""
 
-import importlib
+import copy
+import pickle
 from decimal import (
     ROUND_DOWN,
     ROUND_HALF_EVEN,
@@ -396,24 +397,48 @@ def test_reciprocal_sum_is_the_reduced_product_form(fib_pair_calls, gcd_calls, t
     assert {(FIBONACCI.params, 2), (LUCAS.params, 4), (SequenceParams(2, 3), 6)} <= zeros
 
 
-def test_reciprocal_sum_without_the_private_constructors(monkeypatch, term_pairs):
-    # With neither Fraction._from_coprime_ints nor the _normalize flag, the
-    # module settles on the public constructor and gives the same values.
-    # The hooks are gone only while the module is executed again.
-    public_new = Fraction.__new__
+@given(st.integers(), st.integers(min_value=1))
+def test_coprime_is_indistinguishable_from_the_public_constructor(p, q):
+    # every computed value is built by _coprime from its reduced integers;
+    # what it returns must be Fraction(n, d) in every way a caller can see
+    g = gcd(p, q)
+    n, d = p // g, q // g
+    value, expected = rationals._coprime(n, d), Fraction(n, d)
+    assert type(value) is Fraction
+    assert value == expected and hash(value) == hash(expected)
+    assert not value < expected and value < expected + 1 and (value < 0) == (n < 0)
+    assert (repr(value), str(value)) == (repr(expected), str(expected))
+    assert value.as_integer_ratio() == expected.as_integer_ratio() == (n, d)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is Fraction
+        assert copied.as_integer_ratio() == (n, d) and hash(copied) == hash(expected)
+    third = Fraction(1, 3)
+    assert (value * 3 + third).as_integer_ratio() == (expected * 3 + third).as_integer_ratio()
 
-    def new_without_flag(cls, numerator=0, denominator=None):
-        return public_new(cls, numerator, denominator)
 
-    monkeypatch.delattr(Fraction, "_from_coprime_ints", raising=False)
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(new_without_flag))
-    importlib.reload(rationals)
-    monkeypatch.undo()
-    try:
-        assert rationals._coprime is Fraction
-        _assert_reduced_product_forms(rationals._reciprocal_sum, term_pairs)
-    finally:
-        importlib.reload(rationals)
+# p/q, -p/q, p/-q, -p/-q and +p/+q, each with the signs of its parts
+SIGN_SPELLINGS = [
+    ("{}/{}", 1, 1), ("-{}/{}", -1, 1), ("{}/-{}", 1, -1), ("-{}/-{}", -1, -1), ("+{}/+{}", 1, 1)
+]
+
+
+@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=10**40))
+@settings(max_examples=50)
+def test_parse_matches_the_public_constructor_for_every_sign(p, q):
+    # one gcd, its sign taken from q, reduces p/q as Fraction(p, q) does,
+    # for a zero numerator and a non-reduced p/q too
+    for k in (1, 6):
+        for spelling, sp, sq in SIGN_SPELLINGS:
+            value = parse_rational(spelling.format(k * p, k * q))
+            expected = Fraction(sp * p, sq * q)
+            assert type(value) is Fraction
+            assert value.as_integer_ratio() == expected.as_integer_ratio()
+
+
+@pytest.mark.parametrize("text", ["0/5", "0/-5", "-0/-5", "+0/+5", "0/1", "-3/-4", "3/-4", "-6/8", "6/-8"])
+def test_parse_signs_and_zero(text):
+    p, q = map(int, text.split("/"))
+    assert parse_rational(text).as_integer_ratio() == Fraction(p, q).as_integer_ratio()
 
 
 @given(st.integers(), st.integers(min_value=1))
