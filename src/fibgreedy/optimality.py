@@ -116,6 +116,18 @@ def _offset(params: SequenceParams) -> tuple[int, int]:
     D(n) > 0 is reached: X grows as phi^(3j), Y as a_j, that is as phi^j.
     n* is the first n with D(n) > 0, found by doubling and then bisection,
     each probe one exact comparison: at most 2*bits(n*) + 1 probes.
+
+    A bound on n*. E lies in Z[phi] and is not 0, so E*Ebar is a nonzero
+    integer, |E*Ebar| >= 1, and E > 1/(8.5*a0^2). Since j is odd, sqrt(5)*a_j
+    < A*phi^j, so Y(n) < (4.52/sqrt(5))*chi*A*phi^j, while X(n) >
+    A*phi^(3j)/(8.5*a0^2). As 8.5*4.52/sqrt(5) < 17.19, D(n) > 0 once
+    phi^(2j) >= 17.19*chi*a0^2: n* is at most the first such n. Since
+    sqrt(5)*(phi^k - F(k+1)) = phi^(k-1) + psi^(k+1) > 0 for k >= 1, the
+    first n with 100*F(4n+7) > 1719*chi*a0^2 bounds n* too. In the seeds'
+    size: chi <= a0^2 < 2^(4*bits(a0)), and n >= 1.45*bits(a0) gives
+    phi^(2j) >= phi^6*phi^(5.8*bits(a0)) > 17.9*2^(4*bits(a0)), so n* <=
+    ceil(1.45*bits(a0)). Seeds built to make E small reach about a quarter
+    of that: n* = 1195 at a0 = 10^1000.
     """
     a0, a1 = params
     chi = params.chi

@@ -257,27 +257,25 @@ def index_below(
     (a_{s+k}, a_{s+k+1}) by ``seq_pair``.
 
     Each comparison num*a_n > q*r takes one of two forms. Factored: leading
-    bits decide it (``_leading_exceeds``), and on a near-tie the difference
-    num*a_n - q*r is formed and its sign decides. Plain: den = q*r is formed
-    once, and num*a_n is multiplied only near the answer, since while
-    bits(num) + bits(a_n) < bits(den), num*a_n < 2^(bits(num)+bits(a_n)) <=
-    2^(bits(den)-1) <= den. The walk is factored
-    against (q, r) when r has more than _NEAR_TIE_BITS bits, and the guess
-    then takes bits(q) + bits(r) - 1, a lower bound on bits(q*r), which only
-    lowers it; every term a remainder's search compares is at least r, so a
-    big r means big products on both sides. It is factored against the
-    formed den when num and the answer's term, about den/num, both have more
-    than _NEAR_TIE_BITS bits; otherwise it is plain.
+    bits decide it, ``_leading_exceeds((num, a_n), (q, r))``, and on a
+    near-tie the difference num*a_n - q*r is formed and its sign decides.
+    Plain: den = q*r is formed once, and num*a_n is multiplied only near the
+    answer, since while bits(num) + bits(a_n) < bits(den), num*a_n <
+    2^(bits(num)+bits(a_n)) <= 2^(bits(den)-1) <= den. The walk is factored
+    when a product on either side would multiply two numbers of more than
+    _NEAR_TIE_BITS bits: when r has that many, since every term a
+    remainder's search compares is at least r, or when num and the answer's
+    term, of about bits(q*r) - bits(num) bits, both have. It is plain
+    otherwise: a big num times a small term is a cheap product, which
+    leading bits would not beat. q*r is formed only for r at or below the
+    switch, and for a bigger r the guess takes bits(q) + bits(r) - 1, a
+    lower bound on bits(q*r), which only lowers it.
     """
     num_bits = num.bit_length()
-    # dens stays None for the plain walk, and holds the factors for the factored one
-    if r.bit_length() > _NEAR_TIE_BITS:
-        den, dens, den_bits = None, (q, r), q.bit_length() + r.bit_length() - 1
-    else:
-        den = q * r
-        den_bits = den.bit_length()
-        big = num_bits > _NEAR_TIE_BITS and den_bits - num_bits > _NEAR_TIE_BITS
-        dens = (den,) if big else None
+    den = None if r.bit_length() > _NEAR_TIE_BITS else q * r
+    den_bits = q.bit_length() + r.bit_length() - 1 if den is None else den.bit_length()
+    if num_bits > _NEAR_TIE_BITS and den_bits - num_bits > _NEAR_TIE_BITS:
+        den = None  # num and the answer's term both big: the factored walk too
     k = (den_bits - num_bits - a.bit_length() - 2) * 1000000 // 694242
     n = start
     if k > 0:
@@ -288,19 +286,19 @@ def index_below(
         else:
             a, b = seq_pair(params, n)
     rem = None
-    if dens is None:
-        while num_bits + a.bit_length() < den_bits or num * a <= den:
-            n, a, b = n + 1, b, a + b
-    else:
+    if den is None:
         while True:
-            above = _leading_exceeds((num, a), dens)
+            above = _leading_exceeds((num, a), (q, r))
             if above is None:  # a near-tie: the difference's sign settles it
-                rem = num * a - (q * r if den is None else den)
+                rem = num * a - q * r
                 if rem > 0:
                     break
                 rem = None
             elif above:
                 break
+            n, a, b = n + 1, b, a + b
+    else:
+        while num_bits + a.bit_length() < den_bits or num * a <= den:
             n, a, b = n + 1, b, a + b
     if k > 0 and n == start + k:
         raise SelfCheckError(f"index guess {n} from start {start} overshoots for {params}")

@@ -19,6 +19,7 @@ Fractions.
 from fractions import Fraction
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,7 @@ from fibgreedy import (
     oracle_best,
     xi,
 )
+from fibgreedy import sequences
 from fibgreedy.rationals import _PRODUCT_FORM_BITS
 from fibgreedy.sequences import _NEAR_TIE_BITS
 from fibgreedy.verification import xi_literal
@@ -209,6 +211,32 @@ def test_prefix_matches_reference(params, theta, k):
     assert greedy_prefix(params, theta, k) == ref_prefix(params, theta, k)
 
 
+@pytest.mark.parametrize("params", [FIBONACCI.params, SequenceParams(4, 5)], ids=["fibonacci", "4,5"])
+def test_prefix_factored_steps_match_reference(monkeypatch, params):
+    # greedy_prefix's steps whose remainder numerator passes _NEAR_TIE_BITS,
+    # which index_below compares by leading bits: at 7/10^1000 from the
+    # second step on, and inside window 1500 at k/(a_{2m+2}*k - 1) for the
+    # smallest k, whose first remainder is 1/(q*a_g1), at the third step
+    calls = []
+    leading = sequences._leading_exceeds
+
+    def counted(xs, ys):
+        calls.append(len(ys))
+        return leading(xs, ys)
+
+    monkeypatch.setattr(sequences, "_leading_exceeds", counted)
+    m = 1500
+    window = bad_interval(params, m)
+    a = next(terms_from(params, 2 * m + 2))[1]
+    x = a - 1 / window.right
+    inside = near_reciprocal(params, 2 * m + 2, x.denominator // x.numerator + 1)
+    assert window.covers(inside) and inside.numerator * a - inside.denominator == 1
+    for theta, k in ((Fraction(7, 10**1000), 4), (inside, 3)):
+        calls.clear()
+        assert greedy_prefix(params, theta, k) == ref_prefix(params, theta, k)
+        assert calls
+
+
 @settings(max_examples=300, deadline=None)
 @given(params=st.sampled_from(SEEDS), n=st.integers(min_value=0, max_value=60))
 def test_xi_literal_matches_reference(params, n):
@@ -242,8 +270,9 @@ def test_named_edges_match_reference():
 def test_inside_a_window_g2_is_the_cutoff_index():
     # classify reads its window off the greedy pick: inside window m the
     # greedy second index is 2m+4+xi(m), and the witness must be the window
-    # bad_interval finds by its own cutoff search. At both edges and 10^-30
-    # to either side, and at the midpoint, over every seed and m <= 40.
+    # bad_interval places from the seeds' offset (t*, n*), with no search of
+    # its own. At both edges and 10^-30 to either side, and at the midpoint,
+    # over every seed and m <= 40.
     tiny = Fraction(1, 10**30)
     inside = 0
     for params in SEEDS:

@@ -310,10 +310,13 @@ def remainder_near_a_term(gap):
 
 
 # (num, q, r, factored) on each side of the switch for each shape a caller
-# passes. A one-factor bound (q, 1) (greedy's first pick, greedy_prefix, the
-# cutoff): factored when num and q/num both have more than _NEAR_TIE_BITS
-# bits. The remainder's (q, a): factored past _NEAR_TIE_BITS in a; with a at
-# or below the switch, q*a is formed and the one-factor rule decides.
+# passes: factored when r, or num and the answer's term (about q*r/num)
+# both, have more than _NEAR_TIE_BITS bits. A one-factor bound (q, 1), as
+# greedy's first pick and greedy_prefix's steps pass it: num and the answer's
+# term across the switch, and a num past it with a term of about 10 bits, as
+# in the last steps of a 64-term expansion, which stay plain. The
+# remainder's (q, a): a across the switch, with a small answer term; and a
+# remainder just above zero, with a below the switch and num past it.
 SWITCH_CASES = [
     *[
         (bits(nb), bits(nb + gap), 1, nb > NT and gap > NT)
@@ -321,6 +324,7 @@ SWITCH_CASES = [
         for gap in (NT, NT + 1)
     ],
     (7, bits(2 * NT + 5), 1, False),
+    (bits(NT + 1), bits(NT + 11), 1, False),
     *[(3 * bits(ab) - 1000, 1000, bits(ab), ab > NT) for ab in (NT, NT + 1)],
     *[(*remainder_near_a_term(gap), gap > NT) for gap in (NT, NT + 1)],
 ]
@@ -352,10 +356,9 @@ def test_index_below_takes_the_factored_walk_only_past_the_switch(
         found = checked(index_below(params, num, q, r, start, a, b), num, q * r)
         assert found == linear_index_below(params, num, q * r, start)
         assert bool(calls) == factored
-        # a factored walk compares against (q, r) when r is past the switch,
-        # and against their product otherwise
+        # a factored walk compares against (q, r) alone, never q*r formed whole
         if factored:
-            assert set(calls) == {2 if r.bit_length() > NT else 1}
+            assert set(calls) == {2}
 
 
 OVERSHOOT_CASES = [(1, bits(3000), 1)] + [case[:3] for case in SWITCH_CASES if case[3]]
@@ -823,6 +826,33 @@ def test_offset_at_a_large_n_star(monkeypatch, d, less):
             assert disagreement(params, theta, classify(params, theta), oracle_best(params, theta)) is None, n
 
 
+def n_star_bound(params):
+    # the first n with 100*F(4n+7) > 1719*chi*a0^2, which _offset's
+    # docstring proves is no smaller than n*
+    rhs = 1719 * params.chi * params.a0**2
+    n, f, g = 0, fib(7), fib(8)
+    while 100 * f <= rhs:
+        n, f, g = n + 1, 2 * f + 3 * g, 3 * f + 5 * g  # F(k+4), F(k+5)
+    return n
+
+
+def test_offset_within_its_proven_bound():
+    # n* against the docstring's bounds, the integer test and
+    # ceil(1.45*bits(a0)), on every seed with a1 < 30 and on the seeds
+    # (10^d, 10^d + e), e the largest with E_2 > 0, whose n* is as large as
+    # seeds of their size allow
+    family = {10: 10, 30: 33, 100: 117, 300: 356, 1000: 1195}
+    cases = [(params, None) for params in SEEDS]
+    cases += [(SequenceParams(10**d, 10**d + largest_e(10**d)), n) for d, n in family.items()]
+    wrong = []
+    for params, expected in cases:
+        _, n_star = optimality._offset(params)
+        assert expected in (None, n_star), params
+        if not n_star <= n_star_bound(params) or 20 * n_star > 29 * params.a0.bit_length() + 19:
+            wrong.append(params)
+    assert wrong == []
+
+
 def phi_brackets(k):
     # F(k+1)/F(k) below phi and F(k+2)/F(k+1) above it, for odd k; phi is the
     # positive root of x^2 = x + 1, so a positive x lies below it exactly
@@ -849,6 +879,10 @@ def test_constants_of_the_cutoff_proofs():
     assert two_sqrt5[1] + Fraction(4, 100) < Fraction(452, 100)
     assert lo**6 > Fraction(179, 10)
     assert 3 * Fraction(452, 100) / Fraction(443, 100) < Fraction(31, 10) < Fraction(179, 10)
+    # _offset's bound on n*: 8.5*4.52/sqrt(5) < 17.19, and phi^5.8 > 2^4 with
+    # phi^6 > 17.9 > 17.19
+    assert Fraction(17, 2) * Fraction(452, 100) / (2 * lo - 1) < Fraction(1719, 100)
+    assert lo**29 > 2**20
     # _cutoff, at t* - 1: |Ebar_t| < 14*a0^2, and the psi term under a fifth
     assert 5 * hi**2 + 1 / lo**2 < 14
     assert Fraction(14, 76) < Fraction(1, 5)
