@@ -25,7 +25,7 @@ from .errors import FibgreedyError, SelfCheckError
 from .greedy import DEFAULT_TERM_LIMIT, greedy_prefix
 from .optimality import bad_interval, bad_interval_record, classify, xi_closed_form
 from .oracle import oracle_best
-from .rationals import approx_decimal, format_rational, parse_rational
+from .rationals import _decimal, approx_decimal, format_rational, parse_rational
 from .sequences import SequencePreset, _require_int, classical_label, parse_sequence_spec
 from .verification import DEFAULT_GRID, DEFAULT_MAX_N, disagreement, run_all
 
@@ -138,12 +138,13 @@ def cmd_greedy(preset: SequencePreset, output_format: str, theta: Fraction, term
     for step, (index, denominator) in enumerate(steps, start=1):
         total += Fraction(1, denominator)
         label = classical_label(preset, index) or ""
+        digits = _decimal(denominator, "a greedy term")
         row = {
             "step": step,
             "index": index,
             "label": label,
-            "denominator": str(denominator),
-            "term": f"1/{denominator}",
+            "denominator": digits,
+            "term": f"1/{digits}",
             "partial_sum": format_rational(total),
             "partial_sum_approx": approx_decimal(total),
         }

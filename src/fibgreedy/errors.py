@@ -11,6 +11,7 @@ __all__ = [
     "SequenceValidationError",
     "ThetaDomainError",
     "TermLimitError",
+    "DigitLimitError",
     "SelfCheckError",
 ]
 
@@ -33,6 +34,12 @@ class ThetaDomainError(FibgreedyError, ValueError):
 
 class TermLimitError(FibgreedyError, ValueError):
     """More greedy terms requested than the configured cap allows."""
+
+
+class DigitLimitError(FibgreedyError, ValueError):
+    """An exact answer has an integer too long to write in decimal under the
+    interpreter's int-string limit; the message gives its digit count and the
+    limit."""
 
 
 class SelfCheckError(FibgreedyError, RuntimeError):

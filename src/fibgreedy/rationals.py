@@ -25,7 +25,7 @@ from decimal import Overflow
 from fractions import Fraction
 from math import gcd
 
-from .errors import RationalParseError
+from .errors import DigitLimitError, RationalParseError
 from .sequences import SequenceParams, _digit_limit, _fib_pair
 
 __all__ = ["parse_rational", "format_rational", "approx_decimal"]
@@ -86,7 +86,7 @@ def parse_rational(text: str) -> Fraction:
         p, q = int(m.group(1)), int(m.group(2))
     except ValueError:  # the text matched the grammar, so a part is past the digit limit
         longest = max(re.findall(r"\d+", s), key=len)
-        raise RationalParseError(_digit_limit("a part of the rational", longest)) from None
+        raise RationalParseError(_digit_limit("a part of the rational", len(longest))) from None
     if q == 0:
         raise ZeroDivisionError(f"zero denominator in {text!r}")
     g = gcd(p, q) if q > 0 else -gcd(p, q)  # the sign goes to the numerator
@@ -95,11 +95,33 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction | int) -> str:
     """Canonical ``"p/q"`` in lowest terms, or bare ``"p"`` for integers.
-    Refuses a float with TypeError rather than print its binary value."""
+    Refuses a float with TypeError rather than print its binary value, and
+    a part past the interpreter's int-string limit with DigitLimitError."""
     if isinstance(x, float):
         raise TypeError(f"x must be exact (Fraction or int), not {type(x).__name__}")
     p, q = x.as_integer_ratio()
-    return str(p) if q == 1 else f"{p}/{q}"
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:  # the larger part is past the int-string limit: _decimal names it
+        part = "numerator" if abs(p) > q else "denominator"
+        return _decimal(max(abs(p), q), "an integer answer" if q == 1 else f"an answer's {part}")
+
+
+def _decimal(n: int, what: str) -> str:
+    """str(n) for an integer of an answer, or, where the interpreter's
+    int-string limit refuses it, DigitLimitError with n's exact digit count
+    and the limit. A bit length b puts the count between floor((b - 1)*
+    log10(2)) + 1 and floor(b*log10(2)) + 1, bounds taken with log10(2)
+    rounded down and up; they agree for most b, and otherwise one power of
+    ten decides."""
+    try:
+        return str(n)
+    except ValueError:
+        b = n.bit_length()
+        digits, most = (b - 1) * 30102999 // 10**8 + 1, b * 30103000 // 10**8 + 1
+        while digits < most and abs(n) >= 10**digits:
+            digits += 1
+        raise DigitLimitError(_digit_limit(what, digits)) from None
 
 
 def _reciprocal_sum(params: SequenceParams, i: int, x: int, j: int, y: int) -> Fraction:

@@ -325,13 +325,14 @@ FIBONACCI = SequencePreset("fibonacci", SequenceParams(1, 1))  # a_n = F(n+1)
 LUCAS = SequencePreset("lucas", SequenceParams(3, 4))  # a_n = L(n+2)
 
 
-def _digit_limit(what: str, literal: str) -> str:
-    """The message for a well-formed integer literal that int() refuses, as
-    it does only past the interpreter's int-string limit: the literal's
-    digit count and the limit, not the digits, and no advice to raise the
-    limit, which a command-line user cannot follow."""
+def _digit_limit(what: str, digits: int) -> str:
+    """The message for an integer of this many digits that the interpreter's
+    int-string limit refuses to convert, from text (a literal int() refuses)
+    or to text (an answer str() refuses): the digit count and the limit, not
+    the digits, and no advice to raise the limit, which a command-line user
+    cannot follow."""
     return (
-        f"{what} has {sum(c.isdecimal() for c in literal)} digits, over the interpreter's "
+        f"{what} has {digits} digits, over the interpreter's "
         f"limit of {sys.get_int_max_str_digits()} digits for integer conversion"
     )
 
@@ -344,7 +345,8 @@ def _seed(text: str, part: str) -> int:
     except ValueError:
         if re.fullmatch(r"[+-]?\d+(?:_\d+)*", part.strip()) is None:
             raise SequenceValidationError(f"custom seeds must be integers, got {text!r}") from None
-        raise SequenceValidationError(_digit_limit("custom seed", part)) from None
+        digits = sum(c.isdecimal() for c in part)
+        raise SequenceValidationError(_digit_limit("custom seed", digits)) from None
 
 
 def parse_sequence_spec(text: str) -> SequencePreset:

@@ -13,14 +13,26 @@ def fresh_greedy_memo():
     greedy._search.cache_clear()
 
 
+def _int_strings(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
 @pytest.fixture
 def unlimited_int_strings():
     """Lift the interpreter's 4300-digit guard on int/str conversion for one
     test and restore it afterwards; every other test runs under the default."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(limit)
+    yield from _int_strings(0)
+
+
+@pytest.fixture
+def default_int_strings():
+    """The interpreter's default 4300-digit guard for one test, whatever
+    PYTHONINTMAXSTRDIGITS set, for tests of the thresholds it puts on
+    answers; restored afterwards."""
+    yield from _int_strings(4300)
 
 
 @pytest.fixture

@@ -474,6 +474,47 @@ class TestFlagPlacement:
         assert [r["denominator"] for r in rows] == ["2"]
 
 
+LIMIT_MESSAGE = (
+    "error: an answer's denominator has {} digits, over the interpreter's limit of 4300 digits "
+    "for integer conversion\n"
+)
+
+
+@pytest.mark.usefixtures("default_int_strings")
+class TestAnswerPastTheDigitLimit:
+    # Valid input whose exact answer has a part past the int-string limit
+    # exits 2 with the part's digit count and the limit, not Python's advice
+    # to raise the limit, and writes nothing to stdout; one step inside each
+    # threshold the answer prints.
+    @pytest.mark.parametrize(
+        "argv, digits",
+        [
+            (["intervals", "--count", "2572"], 4301),  # window 2571's right end
+            (["greedy", "--theta", "7/1" + "0" * 2000, "--terms", "2"], 5999),  # the text gap
+            (["greedy", "--theta", "7/1" + "0" * 1434, "--terms", "2"], 4301),
+            (["classify", "--theta", "1/1" + "0" * 2150], 4301),  # the greedy value
+        ],
+        ids=["intervals", "greedy", "greedy-threshold", "classify"],
+    )
+    def test_named_error(self, capsys, argv, digits):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", LIMIT_MESSAGE.format(digits))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["intervals", "--count", "2571"],
+            ["greedy", "--theta", "7/1" + "0" * 1433, "--terms", "2"],
+            ["classify", "--theta", "1/1" + "0" * 2149],
+        ],
+        ids=["intervals", "greedy", "classify"],
+    )
+    def test_just_inside_prints(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.endswith("\n")
+
+
 def golden_id(case):
     # long targets are cut short; pytest numbers the ids that then repeat
     return " ".join(arg if len(arg) <= 40 else f"{arg[:12]}..." for arg in case["argv"])

@@ -6,9 +6,10 @@ the output format that needs them. The computing modules import one another
 only downward through fixed layers, so the classifier and the search are
 siblings. Only the modules that compare big products read the near-tie
 switch, only ``_require_theta`` reads a target's numerator and
-denominator, one constructor builds every computed value, the classifier's
-module runs no index search, and the display takes nothing from ``decimal``
-but ``Overflow``. The package exports a fixed set of names."""
+denominator, one constructor builds every computed value, neither the
+classifier's module nor the search's runs an index search, and the display
+takes nothing from ``decimal`` but ``Overflow``. The package exports a fixed
+set of names."""
 
 import ast
 import subprocess
@@ -83,6 +84,13 @@ def test_optimality_runs_no_index_search():
     path = PACKAGE / "optimality.py"
     assert not _reads(path, "index_below")
     assert not _reads(path, "SelfCheckError")
+
+
+def test_oracle_runs_no_index_search():
+    # oracle_best's growth bound leaves one candidate, the adjacent pair at
+    # g1 + 1, whose terms the greedy search already found: the search shares
+    # only the memo's pick with the greedy, not the index search behind it
+    assert not _reads(PACKAGE / "oracle.py", "index_below")
 
 
 def test_oracle_stays_free_of_the_window_theorem():
@@ -195,7 +203,7 @@ def test_cli_import_skips_heavy_modules():
 
 
 PUBLIC_NAMES = {
-    "BadInterval", "Classification", "DEFAULT_TERM_LIMIT", "FIBONACCI",
+    "BadInterval", "Classification", "DEFAULT_TERM_LIMIT", "DigitLimitError", "FIBONACCI",
     "FibgreedyError", "GreedyPrefix", "GreedyResult", "LUCAS", "OracleReport",
     "RationalParseError", "SelfCheckError", "SequenceParams", "SequencePreset",
     "SequenceValidationError", "SuiteResult", "TermLimitError", "ThetaDomainError",
@@ -208,7 +216,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names():
-    assert len(fibgreedy.__all__) == len(PUBLIC_NAMES) == 37
+    assert len(fibgreedy.__all__) == len(PUBLIC_NAMES) == 38
     assert set(fibgreedy.__all__) == PUBLIC_NAMES
     namespace = {}
     exec("from fibgreedy import *", namespace)

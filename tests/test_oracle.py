@@ -1,6 +1,5 @@
 """Exhaustive two-term search and its agreement with the classifier."""
 
-import random
 import sys
 from fractions import Fraction
 
@@ -10,6 +9,7 @@ from fibgreedy import (
     FIBONACCI,
     LUCAS,
     SequenceParams,
+    SequenceValidationError,
     TwoTermSum,
     bad_interval,
     classify,
@@ -17,7 +17,7 @@ from fibgreedy import (
     oracle_best,
 )
 from fibgreedy import greedy, oracle, sequences, verification
-from fibgreedy.sequences import _NEAR_TIE_BITS, _leading_exceeds, seq_pair
+from fibgreedy.sequences import _NEAR_TIE_BITS, _leading_exceeds, seq_pair, seq_terms
 from fibgreedy.verification import disagreement, grid_equivalence_suite
 
 FIB = FIBONACCI.params
@@ -100,6 +100,62 @@ def test_grid_agreement(params):
         if not result.is_best:
             assert (report.best.m, report.best.n) == (greedy.g1 + 1, greedy.g1 + 2)
             assert report.best.value == result.competitor.value
+
+
+def valid_seeds(bound):
+    seeds = []
+    for a0 in range(1, bound):
+        for a1 in range(a0, bound):
+            try:
+                seeds.append(SequenceParams(a0, a1))
+            except SequenceValidationError:
+                pass
+    return seeds
+
+
+# every valid seed with a0, a1 < 30, and the CI sweep's seeds past that: the
+# largest n* among a1 < 400, and the a0 = 10^30 and 10^100 seeds
+PROOF_SEEDS = valid_seeds(30) + [
+    SequenceParams(89, 144),
+    SequenceParams(269, 335),
+    SequenceParams(10**30, 1459336969024328691631953268896),
+    SequenceParams(
+        10**100,
+        14593369690243286916319532688969588981777419589106904558841650474372256367720404583651944609889118853,
+    ),
+]
+
+
+def test_terms_grow_by_half_at_least():
+    # oracle_best's growth bound, a_{k+1} >= (3/2)*a_k for k >= 1, on which
+    # its one candidate rests
+    for params in PROOF_SEEDS:
+        terms = seq_terms(params, 201)
+        assert all(2 * terms[k + 1] >= 3 * terms[k] for k in range(1, 201)), params
+
+
+def test_no_pair_at_g1_plus_1_wins_where_the_adjacent_pair_does_not_fit():
+    # The proof's case, by brute force in Fractions over the recurrence's
+    # terms, with no code shared with the oracle: where the stop test
+    # (2/a_{g1+1} above the greedy value) passes but (g1 + 1, g1 + 2) does
+    # not fit under theta, the smallest admissible partner of g1 + 1, found
+    # by a linear scan, still sums below the greedy value, and indeed to at
+    # most (11/12)/a_g1. 84 targets over these seeds reach that case.
+    checked = 0
+    for params in PROOF_SEEDS:
+        recip = [Fraction(1, a) for a in seq_terms(params, 60)]
+        for theta in (Fraction(k, n) for n in (97, 240) for k in range(1, n + 1)):
+            g1 = next(i for i in range(1, 61) if recip[i] < theta)
+            rest = theta - recip[g1]
+            greedy_value = recip[g1] + next(r for r in recip[g1:] if r < rest)
+            m = g1 + 1
+            if 2 * recip[m] <= greedy_value or recip[m] + recip[m + 1] < theta:
+                continue
+            partner = next(n for n in range(m + 2, 61) if recip[m] + recip[n] < theta)
+            best_at_m = recip[m] + recip[partner]
+            assert best_at_m < greedy_value and best_at_m <= recip[g1] * 11 / 12, (params, theta)
+            checked += 1
+    assert checked == 84
 
 
 def test_grid_suite_reaches_window_left_ends(monkeypatch):
@@ -243,48 +299,6 @@ def beats(a, c, x, y):
     return Fraction(1, a) + Fraction(1, c) > Fraction(1, x) + Fraction(1, y)
 
 
-def near_tie_quadruples(t):
-    # (a, c, x, y) with a > x whose products (a + c)*x*y and (x + y)*a*c
-    # leading bits cannot separate, for t past _NEAR_TIE_BITS bits:
-    # 1/2t + 1/2t = 1/t = 1/(t+1) + 1/(t(t+1)) ties exactly (D = 4t), and a
-    # partner one either side of it wins or loses by a hair; 1/2t + 1/2t =
-    # 1/t exactly misses 1/t + 1/y for y past t*2^64 (D = 0), and so does
-    # 1/2t + 1/(2t+1) by more (D = -t). This y is past a*x*c as well, so
-    # y*D against (a*x)*c would go by bit lengths if D <= 0 went on.
-    y = t**3 << 70
-    return [
-        (2 * t, 2 * t, t + 1, t * (t + 1)),
-        (2 * t, 2 * t - 1, t + 1, t * (t + 1)),
-        (2 * t, 2 * t + 1, t + 1, t * (t + 1)),
-        (2 * t, 2 * t, t, y),
-        (2 * t, 2 * t + 1, t, y),
-        (2 * t, 2 * t - 1, t, y),
-    ]
-
-
-def test_candidate_test_on_near_ties():
-    # The oracle's candidate test against Fraction arithmetic where leading
-    # bits leave it open: the constructed ties above, and partners either
-    # side of the exact tie c* = a*x*y/(a*x + a*y - x*y) for random terms.
-    rng = random.Random(7)
-    cases = []
-    for bits in (_NEAR_TIE_BITS + 1, 3000, 9000):
-        cases += near_tie_quadruples((1 << (bits - 1)) + rng.getrandbits(bits - 1))
-        for _ in range(10):
-            x = rng.getrandbits(bits) | 1 << (bits - 1)
-            a = x + rng.getrandbits(bits - 2)
-            y = rng.getrandbits(3 * bits) | 1 << (3 * bits - 1)
-            tie, rest = divmod(a * x * y, a * x + a * y - x * y)
-            cases += [(a, c, x, y) for c in (tie - 1, tie, tie + 1) if c > 0]
-            if not rest:
-                cases.append((a, tie, x, y))
-    assert all(_leading_exceeds((a + c, x, y), (x + y, a, c)) is None for a, c, x, y in cases)
-    for a, c, x, y in cases:
-        assert oracle._beats(a, c, x, y) == beats(a, c, x, y), (a.bit_length(), c - a)
-    verdicts = {beats(*case) for case in cases}
-    assert verdicts == {True, False}
-
-
 # seeds with chi = 1 (fibonacci, custom:89,144), 5 (lucas) and 11 (custom:4,5)
 CHI_SEEDS = [FIB, LUC, SequenceParams(4, 5), SequenceParams(89, 144)]
 CHI_SEED_IDS = ["1,1", "3,4", "4,5", "89,144"]
@@ -331,8 +345,8 @@ def test_candidate_test_with_the_identity_on_near_ties(params):
     # The adjacent candidate (a_m, a_{m+1}) against x = a_{m-1}: D is
     # (-1)^(m+1)*chi. At odd m, partners y one either side of the exact tie
     # y* = a_{m-1}*a_m*a_{m+1}/chi and y* itself; at even m (D < 0) a y far
-    # past a*x*c, where the sides still tie to leading bits. _beats with D
-    # given, and with D formed from the terms, against Fraction arithmetic.
+    # past a*x*c, where the sides still tie to leading bits. _beats with that
+    # D against Fraction arithmetic, and D against the four terms.
     cases = []
     for m in (2901, 6001):
         x, a = seq_pair(params, m - 1)
@@ -346,7 +360,7 @@ def test_candidate_test_with_the_identity_on_near_ties(params):
     for m, a, c, x, y in cases:
         d = -signed_chi(params, m)
         assert d == a * x - c * (a - x)
-        assert oracle._beats(a, c, x, y, d) == oracle._beats(a, c, x, y) == beats(a, c, x, y), m
+        assert oracle._beats(a, c, x, y, d) == beats(a, c, x, y), m
     assert {beats(*case[1:]) for case in cases} == {True, False}
 
 
@@ -372,7 +386,8 @@ def test_big_in_window_target_multiplies_out_no_big_product(monkeypatch, params,
     # p*a_g1 - q is formed once, by the first search's last comparison, and
     # the oracle's near-ties go through the identity: sequences.prod sees no
     # factor past 5000 bits. Before, it saw four such calls: p*a_g1 and q
-    # (16 613 and 33 223 bits) and both sides of the oracle's partner step.
+    # (16 613 and 33 223 bits) and both sides of the last comparison of the
+    # partner search the oracle then ran.
     theta = ladder_target(params, k_at)
     big = []
     prod = sequences.prod

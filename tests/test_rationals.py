@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from fibgreedy import (
     FIBONACCI,
     LUCAS,
+    DigitLimitError,
     RationalParseError,
     SequenceParams,
     approx_decimal,
@@ -103,6 +104,30 @@ class TestFormat:
     @pytest.mark.usefixtures("unlimited_int_strings")
     def test_five_thousand_digit_denominator(self):
         assert format_rational(Fraction(1, 10**5000 + 1)) == f"1/{10**5000 + 1}"
+
+    @pytest.mark.usefixtures("default_int_strings")
+    @pytest.mark.parametrize(
+        "n, digits",
+        # the count is exact on both sides of a power of ten
+        [(10**4300, 4301), (10**4301 - 1, 4301), (10**4301, 4302), (10**20000 - 1, 20000)],
+        ids=["4301", "4301-nines", "4302", "20000-nines"],
+    )
+    @pytest.mark.parametrize(
+        "value, part",
+        [
+            (lambda n: Fraction(1, n), "an answer's denominator"),
+            (lambda n: Fraction(-n, n - 1), "an answer's numerator"),
+            (lambda n: n, "an integer answer"),
+        ],
+        ids=["den", "negative-num", "int"],
+    )
+    def test_part_past_the_digit_limit(self, n, digits, value, part):
+        with pytest.raises(DigitLimitError) as caught:
+            format_rational(value(n))
+        assert str(caught.value) == (
+            f"{part} has {digits} digits, over the interpreter's limit of 4300 digits "
+            "for integer conversion"
+        )
 
 
 class FloatSubclass(float):
